@@ -50,7 +50,10 @@ class ObstructionError(Exception):
     Attributes:
         name: machine-readable obstruction name, one of
             ``bad-floquet``, ``vanishing-cubic``, ``singular-decoupling``,
-            ``degenerate-orbit``, ``symbol-pole``, ``unsupported``.
+            ``degenerate-orbit`` (the primitive orbit is degenerate),
+            ``symbol-pole`` (an orbit iterate is resonant: its length
+            Hessian is singular, in the forward tables and in recovery
+            alike), ``unsupported``.
     """
 
     def __init__(self, name: str, message: str):

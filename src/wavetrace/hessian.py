@@ -9,10 +9,25 @@ where C has diagonal alternating ``a`` (odd slots, the f_+ bounces) and
 ``b`` (even slots), unit entries on the cyclic off-diagonals (doubled to 2
 at size two), and a = -2(1 + L f''_+(0)), b = -2(1 - L f''_-(0)).
 
-For mirror-symmetric tables (a = b) the matrix is a genuine circulant and
-everything is explicit: inverse entries by finite Fourier inversion or by
-Chebyshev polynomials, row sums, and the cubic sums F_3(r, a) that control
-the decoupling step of the inverse spectral algorithm.
+C is block-circulant, so every inverse entry is a finite Fourier sum over
+its symbol (Davis, *Circulant Matrices*, 1979).  For mirror-symmetric
+tables (a = b) the matrix is a genuine circulant with the scalar symbol
+a + 2 cos(theta); for a != b it is circulant in 2 x 2 blocks with the
+symbol
+
+    S(theta) = [[a, 1 + e^{i theta}], [1 + e^{-i theta}, b]],
+
+sampled at theta_k = 2 pi k / r, which also covers the doubled corner at
+size two.  One routine inverts the symbol and transforms back; every
+inverse entry used by the forward tables and by recovery comes from it,
+and it alone decides when an iterate is singular: the smallest singular
+value of the symbol at some frequency is at most 1e-8, reported as the
+``symbol-pole`` obstruction.  The dihedral m-gon Hessians are circulants
+of the same kind and go through the same routine.
+
+For a = b the module also gives the Chebyshev closed form of the inverse
+entries, row sums, and the cubic sums F_3(r, a) that control the
+decoupling step of the inverse spectral algorithm.
 """
 
 from __future__ import annotations
@@ -94,17 +109,74 @@ def _require_symmetric(h: CirculantHessian, what: str):
         raise ValueError(f"{what} requires a mirror-symmetric Hessian (a == b)")
 
 
-def _checked_symbol(h: CirculantHessian) -> np.ndarray:
-    vals = h.symbol_values()
-    bad = np.flatnonzero(np.abs(vals) <= _POLE_TOL)
+def _symbol_inverse(diag: tuple[float, ...], n: int, where: str) -> np.ndarray:
+    """Inverse symbol S(theta_k)^{-1}, k = 0..n/P - 1, of the n x n cyclic
+    tridiagonal matrix with unit off-diagonals and diagonal ``diag``
+    repeated (P = len(diag) is 1 or 2); shape (n/P, P, P).
+
+    Raises:
+        ObstructionError("symbol-pole"): the smallest singular value of
+            S(theta_k) is at most _POLE_TOL for some k; ``where`` names the
+            iterate in the message.
+    """
+    blocks = n // len(diag)
+    theta = 2.0 * np.pi * np.arange(blocks) / blocks
+    if len(diag) == 1:
+        sym = diag[0] + 2.0 * np.cos(theta)
+        smin = np.abs(sym)
+    else:
+        a, b = diag
+        corner = 1.0 + np.exp(1j * theta)
+        det = a * b - np.abs(corner) ** 2
+        # S is Hermitian: |det| over its largest |eigenvalue|
+        smax = 0.5 * abs(a + b) + np.sqrt(0.25 * (a - b) ** 2 + np.abs(corner) ** 2)
+        smin = np.abs(det) / smax
+    bad = np.flatnonzero(smin <= _POLE_TOL)
     if bad.size:
-        k = int(bad[0])
         raise ObstructionError(
             "symbol-pole",
-            f"p_a,r(w^k) vanishes at k = {k} (r = {h.r}, a = {h.a:.12g}): "
-            "the orbit iterate is resonant and the Hessian is singular",
+            f"the Hessian symbol is singular at k = {int(bad[0])} ({where}): "
+            "the orbit iterate is resonant",
         )
-    return vals
+    if len(diag) == 1:
+        return (1.0 / sym)[:, None, None]
+    inv = np.empty((blocks, 2, 2), dtype=complex)
+    inv[:, 0, 0], inv[:, 0, 1] = b, -corner
+    inv[:, 1, 0], inv[:, 1, 1] = -corner.conj(), a
+    return inv / det[:, None, None]
+
+
+def _cyclic_inverse_rows(diag: tuple[float, ...], n: int, where: str) -> np.ndarray:
+    """First P = len(diag) rows of C^{-1}, shape (P, n), for the cyclic
+    tridiagonal C of `_symbol_inverse`.
+
+    C^{-1} is circulant in P x P blocks, block d being the inverse DFT
+    (1/N) sum_k S(theta_k)^{-1} e^{i theta_k d} over the N = n/P frequencies.
+    """
+    blocks = np.fft.ifft(_symbol_inverse(diag, n, where), axis=0).real
+    return blocks.transpose(1, 0, 2).reshape(len(diag), n)
+
+
+def _entries(rows: np.ndarray, p, q):
+    """Entries (p, q), 0-based, of the symmetric block-circulant matrix
+    whose first P rows are ``rows``; p and q may be index arrays."""
+    size, n = rows.shape
+    s = p % size
+    return rows[s, (q - p + s) % n]
+
+
+def _symbol_diagonal(h: CirculantHessian) -> tuple[tuple[float, ...], str]:
+    """The repeating diagonal of C(a, b), (a,) or (a, b), and the iterate's
+    label for pole messages."""
+    if h.symmetric:
+        return (h.a,), f"r = {h.r}, a = {h.a:.12g}"
+    return (h.a, h.b), f"r = {h.r}, a = {h.a:.12g}, b = {h.b:.12g}"
+
+
+def _inverse_rows(h: CirculantHessian) -> np.ndarray:
+    """First one (a == b) or two (a != b) rows of H^{-1} = -L C(a, b)^{-1}."""
+    diag, where = _symbol_diagonal(h)
+    return -h.L * _cyclic_inverse_rows(diag, h.n, where)
 
 
 def hessian_matrix(h: CirculantHessian) -> np.ndarray:
@@ -143,27 +215,22 @@ def inverse_row(h: CirculantHessian) -> np.ndarray:
         ObstructionError("symbol-pole"): resonant parameter, naming k.
     """
     _require_symmetric(h, "inverse_row")
-    vals = _checked_symbol(h)
-    return (-h.L * np.fft.ifft(1.0 / vals)).real
+    return _inverse_rows(h)[0]
 
 
 def inverse_fourier(h: CirculantHessian, p: int, q: int) -> float:
-    """Inverse entry h^{pq} by the finite Fourier sum over symbol values.
+    """Inverse entry h^{pq} by finite Fourier inversion of the symbol.
 
-    h^{1q} = (-L / 2r) sum_k w^{(q-1)k} / p_{a,r}(w^k) with w = e^{i pi / r};
-    general (p, q) follows from the circulant shift h^{pq} = h^{1, q-p+1}.
+    For a = b, h^{1q} = (-L / 2r) sum_k w^{(q-1)k} / p_{a,r}(w^k) with
+    w = e^{i pi / r}, and h^{pq} = h^{1, q-p+1} by the circulant shift; for
+    a != b the shift is by whole 2 x 2 blocks.
+
+    Raises:
+        ObstructionError("symbol-pole"): resonant parameter, naming k.
     """
-    _require_symmetric(h, "inverse_fourier")
     _check_index(h, p)
     _check_index(h, q)
-    vals = _checked_symbol(h)
-    k = np.arange(h.n)
-    w = np.exp(1j * np.pi * k / h.r)
-    total = (-h.L / h.n) * np.sum(w ** ((q - p) % h.n * 1.0) / vals)
-    # vals is even in k, so the sum is real up to roundoff on this scale:
-    roundoff = 1e-8 * (h.L / h.n) * float(np.sum(1.0 / np.abs(vals)))
-    assert abs(total.imag) <= max(1e-12, roundoff)
-    return float(total.real)
+    return float(_entries(_inverse_rows(h), p - 1, q - 1))
 
 
 def inverse_chebyshev(h: CirculantHessian, p: int, q: int) -> float:
@@ -202,15 +269,15 @@ def inverse_matrix(h: CirculantHessian, method: str = "fourier") -> np.ndarray:
 
     Args:
         h: Hessian data.
-        method: "fourier" | "chebyshev" (symmetric only) | "dense"
-            (any a, b; plain linear solve).
+        method: "fourier" (any a, b; symbol inversion) | "chebyshev"
+            (symmetric only) | "dense" (any a, b; plain linear solve).
     """
     n = h.n
     if method == "dense":
         return np.linalg.inv(hessian_matrix(h))
     if method == "fourier":
-        row = inverse_row(h)
-        return np.array([np.roll(row, p) for p in range(n)])
+        idx = np.arange(n)
+        return _entries(_inverse_rows(h), idx[:, None], idx[None, :])
     if method == "chebyshev":
         _require_symmetric(h, "inverse_matrix(chebyshev)")
         out = np.empty((n, n))
@@ -249,8 +316,8 @@ def cubic_sum(h: CirculantHessian, method: str = "both") -> float:
     if method in ("direct", "both"):
         direct = float(np.sum(inverse_row(h) ** 3))
     if method in ("dedekind", "both"):
-        vals = _checked_symbol(h)
-        inv = 1.0 / vals
+        diag, where = _symbol_diagonal(h)
+        inv = _symbol_inverse(diag, h.n, where)[:, 0, 0]
         k = np.arange(h.n)
         wrap = (k[:, None] + k[None, :]) % h.n
         dedekind = float(
@@ -421,17 +488,10 @@ def dihedral_inverse_entry(
     Circulant inversion with symbol s + 2 cos(2 pi k / (mr)); the size-2
     case (m = 2, r = 1) keeps the doubled corner and is handled by the
     same formula with symbol s + 2 cos(pi k).
+
+    Raises:
+        ObstructionError("symbol-pole"): resonant parameter, naming k.
     """
     n = m * r
-    k = np.arange(n)
-    vals = s_param + 2.0 * np.cos(2.0 * np.pi * k / n)
-    bad = np.flatnonzero(np.abs(vals) <= _POLE_TOL)
-    if bad.size:
-        raise ObstructionError(
-            "symbol-pole",
-            f"dihedral symbol vanishes at k = {int(bad[0])} (m = {m}, r = {r})",
-        )
-    w = np.exp(2j * np.pi * k / n)
-    total = np.sum(w ** ((q - p) % n * 1.0) / vals) / n
-    entry = total.real * link_length / math.sin(math.pi / m) ** 2
-    return float(entry)
+    rows = _cyclic_inverse_rows((s_param,), n, f"m = {m}, r = {r}, s = {s_param:.12g}")
+    return float(_entries(rows, p - 1, q - 1)) * link_length / math.sin(math.pi / m) ** 2

@@ -17,13 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .billiard import length_jet
 from .domain import DomainSpec, ObstructionError, kt_parameters
 from .feynman import (
     FeynmanGraph,
     SPProblem,
+    _i_power,
     automorphism_order,
     sp_coefficient_diagrams,
 )
@@ -31,16 +31,9 @@ from .hessian import (
     CirculantHessian,
     dihedral_inverse_entry,
     dihedral_parameters,
-    hessian_matrix,
+    inverse_matrix,
 )
 from .jets import MultiJet, jet_power
-
-_IPOW = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-def _i_power(m: int) -> complex:
-    return _IPOW[m % 4]
-
 
 NORMALIZATIONS = ("TopOnly", "FullPrincipal")
 
@@ -48,65 +41,6 @@ NORMALIZATIONS = ("TopOnly", "FullPrincipal")
 # carries 2 * (-i/4) * sqrt(2/pi) * e^{3 pi i/4} / sqrt(chord), and the
 # square of that constant is i / (2 pi).
 LINK_CONSTANT_SQ = 1j / (2.0 * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# outgoing cylinder-wave amplitude
-
-
-def hankel_a1(t: complex) -> complex:
-    """Slowly varying factor of the outgoing cylinder wave at argument t.
-
-    Defined by H^(1)_1(t) = t^(-1/2) e^(i(t - 3 pi/4)) a1(t) and computed
-    by quadrature of the exact Laplace-type representation
-
-        a1(t) = sqrt(2/pi) / Gamma(3/2)
-                * int_0^inf e^(-s) s^(1/2) (1 - s/(2 i t))^(1/2) ds,
-
-    valid for Re t > 0.  As t -> infinity the value tends to sqrt(2/pi).
-
-    Args:
-        t: evaluation point, real positive or complex with Re t > 0.
-
-    Returns:
-        complex value of a1(t).
-
-    Raises:
-        ValueError: Re t <= 0.
-    """
-    tc = complex(t)
-    if tc.real <= 0.0:
-        raise ValueError(f"hankel_a1 requires Re t > 0, got {t!r}")
-    half_it2 = 1.0 / (2j * tc)
-
-    def integrand(s: float) -> complex:
-        return math.exp(-s) * math.sqrt(s) * (1.0 - s * half_it2) ** 0.5
-
-    re, _ = integrate.quad(lambda s: integrand(s).real, 0.0, np.inf, limit=200)
-    im, _ = integrate.quad(lambda s: integrand(s).imag, 0.0, np.inf, limit=200)
-    return math.sqrt(2.0 / math.pi) / math.gamma(1.5) * complex(re, im)
-
-
-def hankel_a1_series(num_terms: int) -> np.ndarray:
-    """Coefficients c_m of the large-argument expansion a1(t) ~ sum c_m t^-m.
-
-    Termwise integration of the binomial series of (1 - s/(2it))^(1/2)
-    against e^(-s) s^(1/2) ds gives
-
-        c_m = sqrt(2/pi) * binom(1/2, m) * (i/2)^m * Gamma(m + 3/2) / Gamma(3/2).
-    """
-    if num_terms < 1:
-        raise ValueError("num_terms must be >= 1")
-    out = np.empty(num_terms, dtype=complex)
-    for m in range(num_terms):
-        out[m] = (
-            math.sqrt(2.0 / math.pi)
-            * special.binom(0.5, m)
-            * (0.5j) ** m
-            * math.gamma(m + 1.5)
-            / math.gamma(1.5)
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +186,6 @@ def contributing_weights(j: int) -> tuple[float, float, float]:
 # the invariants themselves
 
 
-def _inverse_hessian(spec: DomainSpec, r: int) -> np.ndarray:
-    h = CirculantHessian.from_spec(spec, r)
-    mat = hessian_matrix(h)
-    if 1.0 / np.linalg.cond(mat) < 1e-12:
-        raise ObstructionError(
-            "degenerate-orbit",
-            f"orbit Hessian is numerically singular at r = {r} "
-            f"(a = {h.a:.12g}, b = {h.b:.12g})",
-        )
-    return np.linalg.inv(mat)
-
-
 def _require_two_arc(spec: DomainSpec, op: str):
     if spec.kind == "dihedral":
         raise ValueError(f"{op} handles the two-arc classes; "
@@ -288,12 +210,12 @@ def invariant_top(spec: DomainSpec, r: int, j: int) -> complex:
 
     Raises:
         ValueError: dihedral spec, j < 1, or arcs shorter than 2j.
-        ObstructionError("degenerate-orbit"): singular orbit Hessian.
+        ObstructionError("symbol-pole"): singular orbit Hessian.
     """
     _require_two_arc(spec, "invariant_top")
     if j < 1:
         raise ValueError("j must be >= 1")
-    hinv = _inverse_hessian(spec, r)
+    hinv = inverse_matrix(CirculantHessian.from_spec(spec, r), "fourier")
     n = 2 * r
     diag = np.diag(hinv)
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BoundaryArc, DomainSpec, ObstructionError
+from .feynman import _i_power
 from .hessian import (
     CirculantHessian,
     cubic_sum,
@@ -34,8 +35,6 @@ from .invariants import (
     invariant_full,
     principal_leading_value,
 )
-
-_IPOW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 # relative conditioning floor below which a decoupling system is treated
 # as singular (exactly-bad Floquet parameters produce proportional rows)
@@ -120,7 +119,7 @@ def _normalized_rows(values: dict[int, complex], j: int, a: float, L: float):
             skipped.append(f"iterate r = {r} skipped: symbol pole at a = {a:g}")
             continue
         divisor = (
-            8.0 * r * _IPOW[(j + 1) % 4]
+            8.0 * r * _i_power(j + 1)
             * principal_leading_value(r, L)
             * h11 ** (j - 2)
         )
@@ -145,6 +144,28 @@ def _solve_order(rows) -> tuple[float, float, float]:
         np.linalg.norm(matrix @ sol - rhs) / max(np.linalg.norm(rhs), 1.0)
     )
     return float(sol[0]), float(sol[1]), resid
+
+
+def _solve_single(coeffs, rhs, j: int, a: float) -> tuple[float, float]:
+    """Least-squares (value, residual) of coeff * x = y over the admissible
+    iterates of order j, for the single-family classes.
+
+    Raises:
+        ObstructionError("symbol-pole"): no admissible iterate.
+    """
+    if not coeffs:
+        raise ObstructionError(
+            "symbol-pole",
+            f"every iterate of order {j} hits a symbol pole at a = {a:g}",
+        )
+    matrix = np.array(coeffs, dtype=complex).reshape(-1, 1)
+    sol_c, *_ = np.linalg.lstsq(matrix, np.array(rhs), rcond=None)
+    value = float(sol_c[0].real)
+    resid = float(
+        np.linalg.norm(matrix * value - np.array(rhs).reshape(-1, 1))
+        / max(np.linalg.norm(rhs), 1.0)
+    )
+    return value, resid
 
 
 def decouple_order(
@@ -350,22 +371,11 @@ def recover_two_symmetry(
                 notes.append(f"iterate r = {r} skipped: symbol pole at a = {a:g}")
                 continue
             coeffs.append(
-                -8.0 * r * _IPOW[(j + 1) % 4]
+                -8.0 * r * _i_power(j + 1)
                 * principal_leading_value(r, L) * w1 * h11**j
             )
             rhs.append(complex(values[r]))
-        if not coeffs:
-            raise ObstructionError(
-                "symbol-pole",
-                f"every iterate of order {j} hits a symbol pole at a = {a:g}",
-            )
-        matrix = np.array(coeffs, dtype=complex).reshape(-1, 1)
-        sol_c, *_ = np.linalg.lstsq(matrix, np.array(rhs), rcond=None)
-        data[2 * j] = float(sol_c[0].real)
-        residuals[j] = float(
-            np.linalg.norm(matrix * data[2 * j] - np.array(rhs).reshape(-1, 1))
-            / max(np.linalg.norm(rhs), 1.0)
-        )
+        data[2 * j], residuals[j] = _solve_single(coeffs, rhs, j, a)
     return RecoveryResult(data, residuals, tuple(notes))
 
 
@@ -410,18 +420,7 @@ def recover_dihedral(
                 continue
             coeffs.append(m * r * h11**j)
             rhs.append(complex(table.entry(r, j)))
-        if not coeffs:
-            raise ObstructionError(
-                "symbol-pole",
-                f"every iterate of order {j} hits a symbol pole at a = {a:g}",
-            )
-        matrix = np.array(coeffs).reshape(-1, 1)
-        sol_c, *_ = np.linalg.lstsq(matrix.astype(complex), np.array(rhs), rcond=None)
-        data[2 * j] = float(sol_c[0].real)
-        residuals[j] = float(
-            np.linalg.norm(matrix * data[2 * j] - np.array(rhs).reshape(-1, 1))
-            / max(np.linalg.norm(rhs), 1.0)
-        )
+        data[2 * j], residuals[j] = _solve_single(coeffs, rhs, j, a)
     return RecoveryResult(data, residuals, tuple(notes))
 
 

@@ -157,6 +157,16 @@ def test_inverse_identity_and_method_agreement(r):
         for method in ("fourier", "chebyshev", "dense"):
             inv = inverse_matrix(h, method=method)
             np.testing.assert_allclose(mat @ inv, np.eye(2 * r), atol=1e-10 * np.abs(inv).max())
+    # a != b: the 2 x 2 block symbol against the plain solve, elliptic and
+    # hyperbolic products ab, including the doubled corner at r = 1
+    for a, b in ((1.4, 3.3), (-0.7, 1.9), (1.1, 2.0), (-3.1, -2.6)):
+        h = _h(r, a, L=1.3, b=b)
+        dense = inverse_matrix(h, method="dense")
+        fourier = inverse_matrix(h, method="fourier")
+        np.testing.assert_allclose(fourier, dense, atol=1e-12 * np.abs(dense).max())
+        np.testing.assert_allclose(
+            hessian_matrix(h) @ fourier, np.eye(2 * r), atol=1e-10 * np.abs(fourier).max()
+        )
 
 
 def test_cot_formula_elliptic():

@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError
 from wavetrace.feynman import FeynmanGraph, automorphism_order, max_derivative_report
@@ -16,6 +15,7 @@ from wavetrace.hessian import (
     cubic_sum,
     hessian_matrix,
     inverse_fourier,
+    inverse_row,
     row_sum,
 )
 from wavetrace.invariants import (
@@ -24,8 +24,6 @@ from wavetrace.invariants import (
     contributing_graphs,
     contributing_weights,
     forward_table,
-    hankel_a1,
-    hankel_a1_series,
     invariant_dihedral,
     invariant_full,
     invariant_top,
@@ -69,60 +67,6 @@ def fd_sensitivity(fn, spec, which, k, delta=1e-3):
     hi = fn(shift_derivative(spec, which, k, delta))
     lo = fn(shift_derivative(spec, which, k, -delta))
     return (hi - lo) / (2.0 * delta)
-
-
-# ---------------------------------------------------------------------------
-# the cylinder-wave amplitude
-
-
-def test_hankel_matches_independent_oracle():
-    # H^(1)_1(t) = t^(-1/2) e^(i(t - 3pi/4)) a1(t), checked against the
-    # library Hankel function well away from the origin.
-    t = 50.0
-    mine = hankel_a1(t)
-    oracle = scipy.special.hankel1(1, t) * math.sqrt(t) * np.exp(
-        -1j * (t - 0.75 * math.pi)
-    )
-    assert abs(mine - oracle) < 1e-6
-    assert abs(mine - oracle) < 1e-10  # quadrature is much better than asked
-
-
-def test_hankel_large_argument_limit():
-    assert abs(hankel_a1(1.0e6) - math.sqrt(2.0 / math.pi)) < 1e-6
-
-
-def test_hankel_series_coefficients():
-    coeffs = hankel_a1_series(6)
-    c0 = math.sqrt(2.0 / math.pi)
-    # binom(1/2, m) * (i/2)^m * Gamma(m + 3/2)/Gamma(1/2 + 1), by hand
-    binom = 1.0
-    expected = []
-    for m in range(6):
-        gamma_ratio = math.gamma(m + 1.5) / math.gamma(1.5)
-        expected.append(c0 * binom * (0.5j) ** m * gamma_ratio)
-        binom *= (0.5 - m) / (m + 1)
-    assert np.allclose(coeffs, expected, rtol=1e-13, atol=0.0)
-    # alternation: even coefficients real, odd purely imaginary, and the
-    # real/imaginary parts alternate in sign as the binomial flips
-    assert coeffs[0].imag == 0.0 and coeffs[2].imag == 0.0
-    assert coeffs[1].real == 0.0 and coeffs[3].real == 0.0
-    assert coeffs[0].real > 0 > coeffs[2].real * -1  # c2 real positive
-    assert coeffs[1].imag > 0 > coeffs[3].imag
-
-
-def test_hankel_series_tracks_quadrature():
-    t = 20.0
-    value = hankel_a1(t)
-    coeffs = hankel_a1_series(5)
-    partial = sum(c * t**-m for m, c in enumerate(coeffs[:4]))
-    assert abs(value - partial) < 3.0 * abs(coeffs[4]) * t**-4
-
-
-def test_hankel_rejects_bad_argument():
-    for bad in (0.0, -3.0, -1.0 + 2.0j):
-        with pytest.raises(ValueError):
-            hankel_a1(bad)
-    assert np.isfinite(hankel_a1(5.0 + 3.0j))
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +390,17 @@ def test_forward_table_matches_pointwise():
     assert di.entry(2, 2) == complex(invariant_dihedral(dihedral_spec(3), 2, 2))
     with pytest.raises(ObstructionError):
         forward_table(dihedral_spec(3), 1, 1, normalization="FullPrincipal")
+
+
+def test_resonant_iterate_is_a_symbol_pole_in_forward_and_hessian():
+    # a = 0 puts a pole at r = 2, k = 1; the forward table and the Hessian
+    # routine name it alike
+    spec = DomainSpec("updown", 2.0, BoundaryArc((1.0, 0.0, -0.25, 0.05, 0.01, 0.02, -0.01)))
+    with pytest.raises(ObstructionError) as forward_err:
+        forward_table(spec, 2, 3)
+    with pytest.raises(ObstructionError) as row_err:
+        inverse_row(CirculantHessian.from_spec(spec, 2))
+    assert forward_err.value.name == row_err.value.name == "symbol-pole"
 
 
 def test_symmetry_class_labels():

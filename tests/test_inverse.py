@@ -189,6 +189,16 @@ def test_symmetric_round_trip(seed):
     assert max(result.residuals.values()) <= 1e-10
 
 
+def test_near_resonant_iterates_round_trip_at_r100():
+    # a = 1.024: iterate r = 76 sits 2.3e-4 from a symbol pole.  Forward
+    # and recovery invert the Hessian by the same symbol route, so the
+    # near-pole entries cancel in the solve instead of dominating it.
+    spec = updown_spec((1.0, 0.0, -0.378, 0.203, 0.031, -0.136, 0.231,
+                        -0.157, -0.037, -0.293, -0.078))
+    result = recover(forward_table(spec, 100, 5), 5)
+    assert worst_rel(result, convex_representative(spec, 10)) <= 1e-8
+
+
 def test_recovery_lands_on_the_reflected_representative():
     # a domain and its mirror image share the table; the convention with
     # f'''(0) >= 0 is the one reported
