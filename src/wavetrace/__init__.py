@@ -56,10 +56,8 @@ from wavetrace.inverse import (
 from wavetrace.jets import (
     MultiJet,
     extract_partial,
-    jet_add,
     jet_compose_scalar,
     jet_mul,
-    jet_scale,
 )
 
 __all__ = [
@@ -83,10 +81,8 @@ __all__ = [
     "invariant_dihedral",
     "invariant_full",
     "invariant_top",
-    "jet_add",
     "jet_compose_scalar",
     "jet_mul",
-    "jet_scale",
     "parse_spec",
     "recover",
     "recover_dihedral",

@@ -21,7 +21,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import math
 import sys
@@ -30,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checks
 from .domain import (
     BoundaryArc,
     DomainSpec,
@@ -38,30 +38,10 @@ from .domain import (
     parse_spec,
     write_spec,
 )
-from .feynman import (
-    SPProblem,
-    automorphism_order,
-    enumerate_graphs,
-    full_expansion,
-    oscillatory_quadrature,
-    sp_coefficient_diagrams,
-    sp_coefficient_direct,
-)
-from .hessian import (
-    CirculantHessian,
-    badset_report,
-    hessian_matrix,
-    inverse_matrix,
-)
-from .billiard import find_orbit, poincare_numeric, snell_residual
-from .invariants import (
-    InvariantTable,
-    build_principal,
-    forward_table,
-    principal_leading_value,
-)
+from .feynman import automorphism_order, enumerate_graphs
+from .hessian import badset_report
+from .invariants import InvariantTable, forward_table
 from .inverse import convex_representative, recover
-from .jets import MultiJet, extract_partial
 
 _MODES = {"top": "TopOnly", "full": "FullPrincipal"}
 
@@ -229,195 +209,18 @@ def cmd_roundtrip(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites: each returns rows {check, residual, tolerance}
-
-
-def _suite_circulant(rng: np.random.Generator) -> list[dict]:
-    rows = []
-    for r in (1, 2, 3, 5, 8, 13, 25):
-        worst_cheb = worst_dense = 0.0
-        drawn = 0
-        while drawn < 8:
-            a = float(rng.uniform(-5.0, 5.0))
-            h = CirculantHessian(r=r, L=1.3, a=a, b=a)
-            try:
-                fourier = inverse_matrix(h, method="fourier")
-                cheb = inverse_matrix(h, method="chebyshev")
-            except ObstructionError:
-                continue
-            drawn += 1
-            dense = np.linalg.inv(hessian_matrix(h))
-            scale = np.abs(fourier).max()
-            worst_cheb = max(worst_cheb, np.abs(fourier - cheb).max() / scale)
-            worst_dense = max(worst_dense, np.abs(fourier - dense).max() / scale)
-        rows.append(
-            {"check": f"fourier-vs-chebyshev r={r}", "residual": worst_cheb,
-             "tolerance": 1e-9}
-        )
-        rows.append(
-            {"check": f"fourier-vs-dense r={r}", "residual": worst_dense,
-             "tolerance": 1e-9}
-        )
-    return rows
-
-
-def _poincare_fixture() -> DomainSpec:
-    L = 0.9
-    return DomainSpec(
-        "twoarc",
-        L,
-        BoundaryArc((L / 2, 0.0, -0.31, 0.17, 0.09), half_width=4.0),
-        BoundaryArc((-L / 2, 0.0, 0.22, -0.26, 0.05), half_width=4.0),
-    )
-
-
-def _suite_poincare(rng: np.random.Generator) -> list[dict]:
-    spec = _poincare_fixture()
-    rows = []
-    for r in (1, 2, 3):
-        orbit = find_orbit(spec, r, np.zeros(2 * r))
-        pdata = poincare_numeric(spec, orbit)
-        lhs = float(np.linalg.det(np.eye(2) - pdata.matrix))
-        h = CirculantHessian.from_spec(spec, r)
-        rhs = -spec.L ** (2 * r) * float(np.linalg.det(hessian_matrix(h)))
-        rows.append(
-            {"check": f"det-poincare r={r}",
-             "residual": abs(lhs - rhs) / abs(rhs), "tolerance": 1e-6}
-        )
-        rows.append(
-            {"check": f"snell r={r}", "residual": snell_residual(spec, orbit),
-             "tolerance": 1e-10}
-        )
-    return rows
-
-
-def _random_sp_problem(rng: np.random.Generator, n: int, deg: int = 8) -> SPProblem:
-    m = rng.normal(size=(n, n))
-    hess = m @ m.T + n * np.eye(n)
-    terms = {}
-    for u in range(n):
-        for v in range(u, n):
-            alpha = [0] * n
-            alpha[u] += 1
-            alpha[v] += 1
-            terms[tuple(alpha)] = hess[u, v] * (0.5 if u == v else 1.0)
-    phase = MultiJet.from_terms(terms, n, deg)
-    aterms = {(0,) * n: 1.0 + 0.5j}
-    for alpha in itertools.product(range(deg + 1), repeat=n):
-        degree = sum(alpha)
-        if 3 <= degree <= deg and rng.random() < 0.4:
-            phase = phase + MultiJet.from_terms({alpha: 0.2 * rng.normal()}, n, deg)
-        if 0 < degree <= deg - 2 and rng.random() < 0.4:
-            aterms[alpha] = rng.normal() + 1j * rng.normal()
-    return SPProblem.from_phase(phase, MultiJet.from_terms(aterms, n, deg))
-
-
-def _suite_feynman(rng: np.random.Generator) -> list[dict]:
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        j = int(rng.integers(1, 4))
-        problem = _random_sp_problem(rng, n)
-        lhs = sp_coefficient_diagrams(problem, j)
-        rhs = sp_coefficient_direct(problem, j)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    return [
-        {"check": "diagram-sum vs operator (20 problems)", "residual": worst,
-         "tolerance": 1e-9}
-    ]
-
-
-def _suite_amplitude(rng: np.random.Generator) -> list[dict]:
-    L = 0.9  # like the orbit fixture, but with jets deep enough to shift
-    spec = DomainSpec(
-        "twoarc",
-        L,
-        BoundaryArc((L / 2, 0.0, -0.31, 0.17, 0.09, -0.04, 0.02)),
-        BoundaryArc((-L / 2, 0.0, 0.22, -0.26, 0.05, 0.03, -0.01)),
-    )
-    arcs = (spec.upper, spec.lower)
-    grad = lead = third = mixed = 0.0
-    for r in (1, 2, 3):
-        term = build_principal(spec, r, 4)
-        grad = max(
-            grad,
-            np.abs(term.phase_jets.gradient_at_zero()).max(),
-            np.abs(term.amplitude_jets.gradient_at_zero()).max(),
-        )
-        expect = principal_leading_value(r, spec.L)
-        lead = max(lead, abs(term.amplitude_jets.value - expect) / abs(expect))
-        n = 2 * r
-        for p in range(n):
-            sign = 1.0 if p % 2 == 0 else -1.0
-            alpha = [0] * n
-            alpha[p] = 3
-            got = extract_partial(term.phase_jets, alpha)
-            want = 2.0 * sign * arcs[p % 2].derivative(3)
-            third = max(third, abs(got - want))
-            for q in range(n):
-                if q != p:
-                    alpha = [0] * n
-                    alpha[p], alpha[q] = 2, 1
-                    mixed = max(mixed, abs(extract_partial(term.phase_jets, alpha)))
-    base = build_principal(spec, 1, 4).amplitude_jets
-    moved_spec = dataclasses.replace(
-        spec, f=spec.f.with_derivative(5, spec.f.derivative(5) + 0.7)
-    )
-    freedom = np.abs(
-        base.coeffs - build_principal(moved_spec, 1, 4).amplitude_jets.coeffs
-    ).max()
-    return [
-        {"check": "critical-point gradients", "residual": grad, "tolerance": 1e-11},
-        {"check": "leading amplitude value", "residual": lead, "tolerance": 1e-11},
-        {"check": "pure third phase derivative", "residual": third, "tolerance": 1e-11},
-        {"check": "mixed third phase derivatives", "residual": mixed, "tolerance": 1e-11},
-        {"check": "low amplitude jet free of higher data", "residual": freedom,
-         "tolerance": 1e-12},
-    ]
-
-
-def _suite_decay(rng: np.random.Generator) -> list[dict]:
-    # cubic-perturbed Gaussian with analytic amplitude on a wide window
-    c3 = 0.3
-    deg = 10
-    phase = MultiJet.from_terms({(2,): 0.5, (3,): c3 / 6.0}, 1, deg)
-    amp = MultiJet.from_terms(
-        {(2 * m,): (-0.5) ** m / math.factorial(m) for m in range(deg // 2 + 1)},
-        1,
-        deg,
-    )
-    problem = SPProblem.from_phase(phase, amp)
-    ks = (40.0, 80.0, 160.0)
-    quads = {
-        k: oscillatory_quadrature(
-            lambda x: x**2 / 2.0 + c3 * x**3 / 6.0,
-            lambda x: np.exp(-(x**2) / 2.0),
-            k,
-            -5.5,
-            5.5,
-            limit=3000,
-        )[0]
-        for k in ks
-    }
-    rows = []
-    for j_cap in (0, 1, 2):
-        errors = [abs(quads[k] - full_expansion(problem, k, j_cap)) for k in ks]
-        predicted = 2.0 ** -(j_cap + 1.5)
-        ratios = [errors[i + 1] / errors[i] for i in range(len(ks) - 1)]
-        residual = max(abs(rat / predicted - 1.0) for rat in ratios)
-        rows.append(
-            {"check": f"error halving rate J={j_cap}", "residual": residual,
-             "tolerance": 0.25}
-        )
-    return rows
+# verify: the acceptance gate's identity suites (wavetrace.checks) at the
+# CLI's sizes; every suite draws from one generator seeded by --seed
 
 
 _SUITES = {
-    "circulant": _suite_circulant,
-    "poincare": _suite_poincare,
-    "feynman": _suite_feynman,
-    "amplitude": _suite_amplitude,
-    "decay": _suite_decay,
+    "circulant": lambda rng: checks.circulant_suite(
+        rng, r_values=(1, 2, 3, 5, 8, 13, 25), draws=8
+    ),
+    "poincare": lambda rng: checks.poincare_suite(r_max=3),
+    "feynman": lambda rng: checks.feynman_suite(rng, problems=20, n_max=3),
+    "amplitude": lambda rng: checks.amplitude_suite(),
+    "decay": lambda rng: checks.decay_suite(),
 }
 
 

@@ -392,6 +392,20 @@ def genericity_check(spec: DomainSpec, tol: float = 1e-9) -> GenericityReport:
 # serialization
 
 
+def _finite_number(value, name: str) -> float:
+    """``value`` as a float; ValueError naming the field unless it is a
+    finite JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {name!r} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"field {name!r} must be finite, got {value!r}")
+    return float(value)
+
+
+def _coefficients(values: list, name: str) -> tuple[float, ...]:
+    return tuple(_finite_number(c, f"{name}[{k}]") for k, c in enumerate(values))
+
+
 def parse_spec(text: str) -> DomainSpec:
     """Parse the JSON spec format.
 
@@ -414,23 +428,22 @@ def parse_spec(text: str) -> DomainSpec:
         raise ValueError(f"field 'kind' must be twoarc|updown|dihedral, got {kind!r}")
     if "L" not in obj:
         raise ValueError("missing field 'L'")
-    if not isinstance(obj["L"], (int, float)):
-        raise ValueError("field 'L' must be a number")
+    L = _finite_number(obj["L"], "L")
     if "f" not in obj or not isinstance(obj["f"], list):
         raise ValueError("missing or invalid field 'f' (list of coefficients)")
-    hw = float(obj.get("half_width", 1.0))
-    f = BoundaryArc(tuple(obj["f"]), hw)
+    hw = _finite_number(obj.get("half_width", 1.0), "half_width")
+    f = BoundaryArc(_coefficients(obj["f"], "f"), hw)
     f_minus = None
     m = None
     if kind == "twoarc":
         if "f_minus" not in obj or not isinstance(obj["f_minus"], list):
             raise ValueError("twoarc spec: missing or invalid field 'f_minus'")
-        f_minus = BoundaryArc(tuple(obj["f_minus"]), hw)
+        f_minus = BoundaryArc(_coefficients(obj["f_minus"], "f_minus"), hw)
     if kind == "dihedral":
         if "m" not in obj or not isinstance(obj["m"], int):
             raise ValueError("dihedral spec: missing or invalid integer field 'm'")
         m = obj["m"]
-    return DomainSpec(kind=kind, L=float(obj["L"]), f=f, f_minus=f_minus, m=m)
+    return DomainSpec(kind=kind, L=L, f=f, f_minus=f_minus, m=m)
 
 
 def write_spec(spec: DomainSpec) -> str:

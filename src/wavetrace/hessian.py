@@ -98,11 +98,6 @@ class CirculantHessian:
     def n(self) -> int:
         return 2 * self.r
 
-    def symbol_values(self) -> np.ndarray:
-        """p_{a,r}(w^k) = a + 2 cos(pi k / r) for k = 0..2r-1 (symmetric)."""
-        k = np.arange(self.n)
-        return self.a + 2.0 * np.cos(np.pi * k / self.r)
-
 
 def _require_symmetric(h: CirculantHessian, what: str):
     if not h.symmetric:
@@ -414,11 +409,10 @@ def decoupling_pair(
     for r in range(1, r_max + 1):
         h = CirculantHessian(r=r, L=L, a=a, b=a)
         try:
-            h11 = inverse_fourier(h, 1, 1)
-            f3 = cubic_sum(h, method="direct")
+            row = inverse_row(h)
         except ObstructionError:
             continue
-        rows[r] = (h11**2, f3)
+        rows[r] = (float(row[0]) ** 2, float(np.sum(row**3)))
     best: tuple[int, int, float] | None = None
     for r in sorted(rows):
         for s in sorted(rows):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .billiard import length_jet
-from .domain import DomainSpec, ObstructionError, kt_parameters
+from .domain import DomainSpec, ObstructionError, _finite_number, kt_parameters
 from .feynman import (
     FeynmanGraph,
     SPProblem,
@@ -327,14 +327,36 @@ class InvariantTable:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "InvariantTable":
-        entries = {
-            (int(e["r"]), int(e["j"])): complex(float(e["re"]), float(e["im"]))
-            for e in data["entries"]
-        }
+    def from_json(data) -> "InvariantTable":
+        """Inverse of `to_json`.
+
+        Raises:
+            ValueError: naming the missing or invalid field.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("table must be a JSON object")
+        for name in ("L", "a", "class", "normalization"):
+            if name not in data:
+                raise ValueError(f"table: missing field {name!r}")
+        if not isinstance(data.get("entries"), list):
+            raise ValueError("table: missing or invalid field 'entries' (list)")
+        entries = {}
+        for i, e in enumerate(data["entries"]):
+            if not isinstance(e, dict):
+                raise ValueError(f"table: entries[{i}] must be an object")
+            for name in ("r", "j", "re", "im"):
+                if name not in e:
+                    raise ValueError(f"table: entries[{i}] missing field {name!r}")
+            for name in ("r", "j"):
+                if isinstance(e[name], bool) or not isinstance(e[name], int):
+                    raise ValueError(f"table: entries[{i}].{name} must be an integer")
+            entries[(e["r"], e["j"])] = complex(
+                _finite_number(e["re"], f"entries[{i}].re"),
+                _finite_number(e["im"], f"entries[{i}].im"),
+            )
         return InvariantTable(
-            length=float(data["L"]),
-            floquet_parameter=float(data["a"]),
+            length=_finite_number(data["L"], "L"),
+            floquet_parameter=_finite_number(data["a"], "a"),
             symmetry_class=str(data["class"]),
             normalization=str(data["normalization"]),
             entries=entries,

@@ -25,9 +25,9 @@ from .domain import BoundaryArc, DomainSpec, ObstructionError
 from .feynman import _i_power
 from .hessian import (
     CirculantHessian,
-    cubic_sum,
     dihedral_inverse_entry,
     inverse_fourier,
+    inverse_row,
 )
 from .invariants import (
     InvariantTable,
@@ -113,11 +113,11 @@ def _normalized_rows(values: dict[int, complex], j: int, a: float, L: float):
     for r in sorted(values):
         h = CirculantHessian(r=r, L=L, a=a, b=a)
         try:
-            h11 = inverse_fourier(h, 1, 1)
-            f3 = cubic_sum(h, method="direct")
+            row = inverse_row(h)
         except ObstructionError:
             skipped.append(f"iterate r = {r} skipped: symbol pole at a = {a:g}")
             continue
+        h11, f3 = float(row[0]), float(np.sum(row**3))
         divisor = (
             8.0 * r * _i_power(j + 1)
             * principal_leading_value(r, L)

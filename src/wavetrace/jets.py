@@ -27,9 +27,7 @@ import numpy as np
 
 __all__ = [
     "MultiJet",
-    "jet_add",
     "jet_mul",
-    "jet_scale",
     "jet_compose_scalar",
     "extract_partial",
     "jet_sqrt",
@@ -73,9 +71,8 @@ class _Tables:
         powers = self._radix ** np.arange(num_vars, dtype=np.int64)
         self._powers = powers
         self.codes = self.exponents @ powers
-        code_to_index = np.full(self._radix**num_vars, -1, dtype=np.int64)
-        code_to_index[self.codes] = np.arange(self.size)
-        self._code_to_index = code_to_index
+        self._code_order = np.argsort(self.codes)
+        self._sorted_codes = self.codes[self._code_order]
         self.index = {tuple(int(x) for x in e): i for i, e in enumerate(exps)}
         self.factorials = np.array(
             [math.prod(math.factorial(int(t)) for t in e) for e in exps],
@@ -85,6 +82,10 @@ class _Tables:
         self._diff: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._diff2: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._tensor_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _index_of(self, codes: np.ndarray) -> np.ndarray:
+        """Basis slots of admissible exponent codes."""
+        return self._code_order[np.searchsorted(self._sorted_codes, codes)]
 
     def mul_table(self):
         """(ii, jj, kk, offsets): result[kk] += a[ii]*b[jj]; rows sorted by
@@ -101,7 +102,7 @@ class _Tables:
                 jj_parts.append(np.tile(right, len(left)))
             ii = np.concatenate(ii_parts)
             jj = np.concatenate(jj_parts)
-            kk = self._code_to_index[self.codes[ii] + self.codes[jj]]
+            kk = self._index_of(self.codes[ii] + self.codes[jj])
             order = np.argsort(self.degrees[kk], kind="stable")
             ii, jj, kk = ii[order], jj[order], kk[order]
             degs = self.degrees[kk]
@@ -114,7 +115,7 @@ class _Tables:
         if var not in self._diff:
             e = self.exponents[:, var]
             src = np.nonzero(e >= 1)[0]
-            dst = self._code_to_index[self.codes[src] - self._powers[var]]
+            dst = self._index_of(self.codes[src] - self._powers[var])
             self._diff[var] = (src, dst, e[src].astype(np.float64))
         return self._diff[var]
 
@@ -132,9 +133,7 @@ class _Tables:
                 mask = (eu >= 1) & (ev >= 1)
                 factor = (eu * ev)[mask].astype(np.float64)
             src = np.nonzero(mask)[0]
-            dst = self._code_to_index[
-                self.codes[src] - self._powers[u0] - self._powers[v0]
-            ]
+            dst = self._index_of(self.codes[src] - self._powers[u0] - self._powers[v0])
             self._diff2[key] = (src, dst, factor)
         return self._diff2[key]
 
@@ -150,7 +149,7 @@ class _Tables:
                 codes = np.zeros(grids.shape[1], dtype=np.int64)
                 for axis in range(order):
                     codes += self._powers[grids[axis]]
-                basis_idx = self._code_to_index[codes]
+                basis_idx = self._index_of(codes)
             self._tensor_maps[order] = (basis_idx, self.factorials[basis_idx])
         return self._tensor_maps[order]
 
@@ -374,13 +373,6 @@ class MultiJet:
         out[: len(self.coeffs)] = self.coeffs
         return MultiJet(self.num_vars, new_degree, out)
 
-    def evaluate(self, point: Sequence[float]):
-        """Evaluate the stored polynomial at a point (for oracle tests)."""
-        point = np.asarray(point, dtype=float)
-        tab = self._tab()
-        monomials = np.prod(point[None, :] ** tab.exponents, axis=1)
-        return self.coeffs @ monomials
-
     def allclose(self, other: "MultiJet", rtol=1e-12, atol=1e-12) -> bool:
         self._check_match(other)
         return bool(np.allclose(self.coeffs, other.coeffs, rtol=rtol, atol=atol))
@@ -388,16 +380,6 @@ class MultiJet:
 
 # ---------------------------------------------------------------------------
 # module-level operations
-
-
-def jet_add(a: MultiJet, b: MultiJet) -> MultiJet:
-    """Coefficient-wise sum of two jets of identical shape."""
-    return a + b
-
-
-def jet_scale(a: MultiJet, scalar) -> MultiJet:
-    """Multiply every coefficient by a scalar."""
-    return a * scalar
 
 
 def jet_mul(a: MultiJet, b: MultiJet, degree_cap: int | None = None) -> MultiJet:

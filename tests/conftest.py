@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
-import numpy as np
-
 from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError
-from wavetrace.feynman import MultiJet, SPProblem
 from wavetrace.hessian import dihedral_inverse_entry, dihedral_parameters
 
 EXCEPTIONAL_FLOQUET = (0.0, -1.0, 2.0, -2.0)
@@ -53,25 +49,3 @@ def random_dihedral_spec(rng, m, order=10):
             continue
         return spec
 
-
-def random_sp_problem(rng, n, deg=8):
-    """Seeded stationary-phase problem: positive-definite quadratic part,
-    sparse higher phase terms, complex analytic-style amplitude."""
-    m = rng.normal(size=(n, n))
-    hess = m @ m.T + n * np.eye(n)
-    terms = {}
-    for u in range(n):
-        for v in range(u, n):
-            alpha = [0] * n
-            alpha[u] += 1
-            alpha[v] += 1
-            terms[tuple(alpha)] = hess[u, v] * (0.5 if u == v else 1.0)
-    phase = MultiJet.from_terms(terms, n, deg)
-    aterms = {(0,) * n: 1.0 + 0.5j}
-    for alpha in itertools.product(range(deg + 1), repeat=n):
-        degree = sum(alpha)
-        if 3 <= degree <= deg and rng.random() < 0.4:
-            phase = phase + MultiJet.from_terms({alpha: 0.2 * rng.normal()}, n, deg)
-        if 0 < degree <= deg - 2 and rng.random() < 0.4:
-            aterms[alpha] = rng.normal() + 1j * rng.normal()
-    return SPProblem.from_phase(phase, MultiJet.from_terms(aterms, n, deg))

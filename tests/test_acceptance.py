@@ -1,8 +1,11 @@
 """Acceptance gate: the ten headline properties, one test each, in order.
 
-Each test pins the tolerances it must meet; the timed ones assert their
-own runtime budgets.  Run with ``pytest tests/test_acceptance.py -v`` to
-get one pass/fail line per property.
+Tests #1, #4, #5, #6 and #8 run the identity suites of `wavetrace.checks`,
+the ones `wavetrace verify` runs, at the gate's own seeds and sizes, and
+require every row to be within its tolerance; the other tests pin their
+tolerances themselves.  The timed ones assert their own runtime budgets.
+Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail line
+per property.
 """
 
 from __future__ import annotations
@@ -14,23 +17,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (
-    EXCEPTIONAL_FLOQUET,
-    random_dihedral_spec,
-    random_mirror_spec,
-    random_sp_problem,
-)
-from wavetrace.billiard import find_orbit, poincare_numeric, snell_residual
+from conftest import EXCEPTIONAL_FLOQUET, random_dihedral_spec, random_mirror_spec
+from wavetrace import checks
 from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError, kt_parameters
-from wavetrace.feynman import (
-    FeynmanGraph,
-    SPProblem,
-    full_expansion,
-    max_derivative_report,
-    oscillatory_quadrature,
-    sp_coefficient_diagrams,
-    sp_coefficient_direct,
-)
+from wavetrace.feynman import FeynmanGraph, max_derivative_report
 from wavetrace.hessian import (
     CirculantHessian,
     bad_set,
@@ -51,7 +41,6 @@ from wavetrace.invariants import (
     principal_shift_factory,
 )
 from wavetrace.inverse import convex_representative, recover, recover_symmetric
-from wavetrace.jets import MultiJet, extract_partial
 
 
 def _h(r, a, L=1.0, b=None):
@@ -62,6 +51,11 @@ def _shift(spec, which, k, delta):
     arc = spec.f if which == "top" else spec.f_minus
     shifted = arc.with_derivative(k, arc.derivative(k) + delta)
     return dataclasses.replace(spec, **{("f" if which == "top" else "f_minus"): shifted})
+
+
+def _assert_rows_pass(rows):
+    failed = [row for row in rows if not row["residual"] <= row["tolerance"]]
+    assert not failed, failed
 
 
 def _centered(fn, spec, which, k, delta=1e-3):
@@ -76,23 +70,7 @@ def _centered(fn, spec, which, k, delta=1e-3):
 def test_circulant_inverse_routes_agree_through_r25():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
-    L = 1.3
-    for r in range(1, 26):
-        drawn = 0
-        while drawn < 50:
-            a = float(rng.uniform(-5.0, 5.0))
-            h = _h(r, a, L=L)
-            mat = hessian_matrix(h)
-            symbol_min = float(np.abs(L * np.linalg.eigvalsh(mat)).min())
-            if symbol_min <= 1e-6:
-                continue
-            drawn += 1
-            fourier = inverse_matrix(h, method="fourier")
-            cheb = inverse_matrix(h, method="chebyshev")
-            dense = np.linalg.inv(mat)
-            bound = 1e-9 * L / symbol_min  # 1e-9 x spectral norm of the inverse
-            assert np.abs(fourier - cheb).max() <= bound
-            assert np.abs(fourier - dense).max() <= bound
+    _assert_rows_pass(checks.circulant_suite(rng, r_values=range(1, 26), draws=50))
     assert time.perf_counter() - start < 10.0
 
 
@@ -189,22 +167,7 @@ def test_exceptional_set_and_cubic_sums():
 
 
 def test_length_hessian_matches_poincare_determinant():
-    L = 0.9
-    spec = DomainSpec(
-        "twoarc",
-        L,
-        BoundaryArc((L / 2, 0.0, -0.31, 0.17, 0.09), half_width=4.0),
-        BoundaryArc((-L / 2, 0.0, 0.22, -0.26, 0.05), half_width=4.0),
-    )
-    for r in (1, 2, 3, 4):
-        orbit = find_orbit(spec, r, np.zeros(2 * r))
-        assert snell_residual(spec, orbit) <= 1e-10
-        pdata = poincare_numeric(spec, orbit)
-        lhs = float(np.linalg.det(np.eye(2) - pdata.matrix))
-        rhs = -spec.L ** (2 * r) * float(
-            np.linalg.det(hessian_matrix(CirculantHessian.from_spec(spec, r)))
-        )
-        assert lhs == pytest.approx(rhs, rel=1e-6)
+    _assert_rows_pass(checks.poincare_suite(r_max=4))
 
 
 # 5 -------------------------------------------------------------------------
@@ -213,13 +176,7 @@ def test_length_hessian_matches_poincare_determinant():
 def test_diagram_sum_matches_operator_on_random_problems():
     start = time.perf_counter()
     rng = np.random.default_rng(55)
-    for _ in range(200):
-        n = int(rng.integers(1, 5))
-        j = int(rng.integers(1, 4))
-        problem = random_sp_problem(rng, n)
-        lhs = sp_coefficient_diagrams(problem, j)
-        rhs = sp_coefficient_direct(problem, j)
-        assert abs(lhs - rhs) <= 1e-9 * max(abs(rhs), 1e-12)
+    _assert_rows_pass(checks.feynman_suite(rng, problems=200, n_max=4))
     assert time.perf_counter() - start < 60.0
 
 
@@ -227,33 +184,7 @@ def test_diagram_sum_matches_operator_on_random_problems():
 
 
 def test_expansion_error_halves_at_the_predicted_rate():
-    c3 = 0.3
-    deg = 10
-    phase = MultiJet.from_terms({(2,): 0.5, (3,): c3 / 6.0}, 1, deg)
-    amp = MultiJet.from_terms(
-        {(2 * m,): (-0.5) ** m / math.factorial(m) for m in range(deg // 2 + 1)},
-        1,
-        deg,
-    )
-    problem = SPProblem.from_phase(phase, amp)
-    ks = (40.0, 80.0, 160.0)
-    quads = {
-        k: oscillatory_quadrature(
-            lambda x: x**2 / 2.0 + c3 * x**3 / 6.0,
-            lambda x: np.exp(-(x**2) / 2.0),
-            k,
-            -5.5,
-            5.5,
-            limit=3000,
-        )[0]
-        for k in ks
-    }
-    for j_cap in (0, 1, 2):
-        errors = [abs(quads[k] - full_expansion(problem, k, j_cap)) for k in ks]
-        predicted = 2.0 ** -(j_cap + 1.5)
-        for lo, hi in zip(ks, ks[1:]):
-            ratio = errors[ks.index(hi)] / errors[ks.index(lo)]
-            assert abs(ratio / predicted - 1.0) <= 0.25
+    _assert_rows_pass(checks.decay_suite())
 
 
 # 7 -------------------------------------------------------------------------
@@ -330,51 +261,7 @@ def test_sensitivity_coefficients_and_vanishing_rows():
 
 
 def test_amplitude_identity_suite():
-    from wavetrace.invariants import build_principal, principal_leading_value
-
-    L = 2.0
-    spec = DomainSpec(
-        "twoarc",
-        L,
-        BoundaryArc((L / 2, 0.0, -0.31, 0.12, 0.05, -0.033, 0.021, 0.011, -0.017, 0.009)),
-        BoundaryArc((-L / 2, 0.0, 0.22, -0.26, 0.05, 0.03, -0.01, 0.008, 0.013, -0.005)),
-    )
-    arcs = (spec.f, spec.f_minus)
-    for r in (1, 2, 3):
-        n = 2 * r
-        for j in (1, 2, 3, 4):
-            term = build_principal(spec, r, max(2 * j - 2, 2))
-            # critical point: both jets are gradient-free
-            assert np.abs(term.phase_jets.gradient_at_zero()).max() <= 1e-11
-            assert np.abs(term.amplitude_jets.gradient_at_zero()).max() <= 1e-11
-            # leading value of the principal amplitude
-            lead = principal_leading_value(r, L)
-            assert abs(term.amplitude_jets.value - lead) <= 1e-11 * abs(lead)
-            # the order-(2j-2) amplitude jet never reads f^(2j-1);
-            # j = 1 would probe f'(0), which the normalization pins to zero
-            if j == 1:
-                continue
-            moved = _shift(spec, "top", 2 * j - 1, 0.6)
-            other = build_principal(moved, r, max(2 * j - 2, 2))
-            assert np.abs(
-                term.amplitude_jets.coeffs - other.amplitude_jets.coeffs
-            ).max() <= 1e-11 * max(np.abs(term.amplitude_jets.coeffs).max(), 1.0)
-        # third derivatives of the phase: pure ones are twice the signed
-        # cubic of the bounce arc, mixed ones vanish outright
-        term = build_principal(spec, r, 4)
-        for p in range(n):
-            sign = 1.0 if p % 2 == 0 else -1.0
-            alpha = [0] * n
-            alpha[p] = 3
-            want = 2.0 * sign * arcs[p % 2].derivative(3)
-            assert abs(extract_partial(term.phase_jets, alpha) - want) <= 1e-11 * max(
-                abs(want), 1.0
-            )
-            for q in range(n):
-                if q != p:
-                    alpha = [0] * n
-                    alpha[p], alpha[q] = 2, 1
-                    assert abs(extract_partial(term.phase_jets, alpha)) <= 1e-11
+    _assert_rows_pass(checks.amplitude_suite())
 
 
 # 9 -------------------------------------------------------------------------

@@ -71,6 +71,15 @@ def test_forward_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_forward_rejects_a_nan_coefficient(tmp_path, capsys):
+    bad = dict(UPDOWN, f=[1.0, 0.0, float("nan"), 0.12, 0.05])
+    spec_file = write_updown(tmp_path, payload=bad)
+    out = tmp_path / "t.json"
+    assert main(["forward", str(spec_file), "--out", str(out)]) == 1
+    assert "'f[2]'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # invert / roundtrip
 
@@ -92,6 +101,24 @@ def test_invert_emits_report_and_spec(tmp_path, capsys):
     again = forward_table(recovered, 3, 4)
     for key, value in original.entries.items():
         assert again.entries[key] == pytest.approx(value, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly"}, "'entries'"),
+        ([1, 2], "JSON object"),
+        ({"L": 2, "class": "updown", "normalization": "TopOnly", "entries": []}, "'a'"),
+        ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
+          "entries": [{"r": 1, "j": 1, "re": 0.5}]}, "'im'"),
+    ],
+)
+def test_invert_rejects_a_malformed_table(tmp_path, capsys, payload, named):
+    table_file = tmp_path / "table.json"
+    table_file.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["invert", str(table_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: table") and named in err
 
 
 def test_invert_class_override_can_fail_loudly(tmp_path, capsys):

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from wavetrace.checks import random_sp_problem
 from wavetrace.feynman import (
     FeynmanGraph,
     SPProblem,
@@ -27,27 +28,6 @@ from wavetrace.feynman import (
     sp_coefficient_direct,
 )
 from wavetrace.jets import MultiJet, extract_partial, jet_exp, jet_mul
-
-
-def _random_problem(rng, n, deg=8, amp_complex=True):
-    m = rng.normal(size=(n, n))
-    hess = m @ m.T + n * np.eye(n)
-    terms = {}
-    for u in range(n):
-        for v in range(u, n):
-            alpha = [0] * n
-            alpha[u] += 1
-            alpha[v] += 1
-            terms[tuple(alpha)] = hess[u, v] * (0.5 if u == v else 1.0)
-    phase = MultiJet.from_terms(terms, n, deg)
-    for alpha in itertools.product(range(deg + 1), repeat=n):
-        if 3 <= sum(alpha) <= deg and rng.random() < 0.4:
-            phase = phase + MultiJet.from_terms({alpha: 0.2 * rng.normal()}, n, deg)
-    aterms = {(0,) * n: 1.0 + (0.5j if amp_complex else 0.0)}
-    for alpha in itertools.product(range(deg + 1), repeat=n):
-        if 0 < sum(alpha) <= deg - 2 and rng.random() < 0.4:
-            aterms[alpha] = rng.normal() + (1j * rng.normal() if amp_complex else 0.0)
-    return SPProblem.from_phase(phase, MultiJet.from_terms(aterms, n, deg))
 
 
 def _flower(loops):
@@ -264,14 +244,14 @@ def _explicit_label_sum(g, problem):
 
 def test_amplitude_matches_explicit_label_sum():
     rng = np.random.default_rng(7)
-    problem = _random_problem(rng, 2, deg=8)
+    problem = random_sp_problem(rng, 2, deg=8)
     graphs = [g for j in range(3) for g in enumerate_graphs(j) if g.num_edges <= 4]
     assert len(graphs) > 10
     for g in graphs:
         fast = amplitude(g, problem)
         slow = _explicit_label_sum(g, problem)
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
-    problem3 = _random_problem(rng, 3, deg=6)
+    problem3 = random_sp_problem(rng, 3, deg=6)
     for g in (DUMBBELL, THETA, STUB_LOOP, _flower(2)):
         assert amplitude(g, problem3) == pytest.approx(
             _explicit_label_sum(g, problem3), rel=1e-12, abs=1e-12
@@ -314,7 +294,7 @@ def test_routes_agree_on_random_problems():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):
         for _ in range(3):
-            problem = _random_problem(rng, n, deg=8, amp_complex=True)
+            problem = random_sp_problem(rng, n, deg=8)
             for j in range(4):
                 direct = sp_coefficient_direct(problem, j)
                 diagram = sp_coefficient_diagrams(problem, j)
@@ -364,8 +344,8 @@ def test_separable_two_dim_coefficients_multiply():
 
 def test_coefficients_linear_in_amplitude():
     rng = np.random.default_rng(23)
-    base = _random_problem(rng, 2, deg=8)
-    other = _random_problem(rng, 2, deg=8)
+    base = random_sp_problem(rng, 2, deg=8)
+    other = random_sp_problem(rng, 2, deg=8)
     summed = SPProblem(
         num_vars=2,
         hessian_inverse=base.hessian_inverse,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,15 +14,14 @@ from hypothesis import strategies as st
 
 from wavetrace.jets import (
     MultiJet,
+    _Tables,
     derivative_tensor,
     extract_partial,
-    jet_add,
     jet_compose_scalar,
     jet_exp,
     jet_mul,
     jet_power,
     jet_reciprocal,
-    jet_scale,
     jet_sqrt,
     sqrt_series,
 )
@@ -74,7 +74,7 @@ def test_add_zero_is_identity():
     rng = np.random.default_rng(0)
     jet = random_jet(rng, 3, 4)
     zero = MultiJet.zero(3, 4)
-    assert jet_add(jet, zero).allclose(jet)
+    assert (jet + zero).allclose(jet)
 
 
 def test_mul_against_dict_convolution():
@@ -114,17 +114,17 @@ def test_ring_axioms(n, d, seed):
     b = random_jet(rng, n, d)
     c = random_jet(rng, n, d)
     # distributivity
-    lhs = jet_mul(a, jet_add(b, c))
-    rhs = jet_add(jet_mul(a, b), jet_mul(a, c))
+    lhs = jet_mul(a, b + c)
+    rhs = jet_mul(a, b) + jet_mul(a, c)
     assert lhs.allclose(rhs, rtol=1e-13, atol=1e-13)
     # scalar compatibility
-    assert jet_scale(jet_mul(a, b), 2.5).allclose(jet_mul(jet_scale(a, 2.5), b))
+    assert (jet_mul(a, b) * 2.5).allclose(jet_mul(a * 2.5, b))
 
 
 def test_shape_mismatch_errors():
     a = MultiJet.zero(2, 3)
     with pytest.raises(ValueError, match="mismatch"):
-        jet_add(a, MultiJet.zero(2, 4))
+        a + MultiJet.zero(2, 4)
     with pytest.raises(ValueError, match="mismatch"):
         jet_mul(a, MultiJet.zero(3, 3))
 
@@ -150,7 +150,7 @@ def test_leibniz_rule():
     f = random_jet(rng, 2, 5)
     g = random_jet(rng, 2, 5)
     lhs = jet_mul(f, g).diff(0)
-    rhs = jet_add(jet_mul(f.diff(0), g), jet_mul(f, g.diff(0)))
+    rhs = jet_mul(f.diff(0), g) + jet_mul(f, g.diff(0))
     # product rule holds exactly below the truncation degree
     tab = lhs._tab()
     keep = tab.degrees < 5
@@ -289,6 +289,17 @@ def test_truncate_extend_roundtrip():
     # extension preserves every original coefficient
     for alpha in [(0, 0, 0), (1, 2, 1), (4, 0, 0)]:
         assert up.coefficient(alpha) == jet.coefficient(alpha)
+
+
+def test_index_tables_grow_with_the_basis_not_the_code_range():
+    # (8 vars, degree 6): 3003 monomials, but codes run up to 7**8
+    tracemalloc.start()
+    try:
+        _Tables(8, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_derivative_tensor_symmetry_and_values():
