@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from wavetrace.domain import BoundaryArc, DomainSpec
 from wavetrace.jets import MultiJet, jet_sqrt
@@ -354,6 +353,8 @@ def snell_residual(spec: DomainSpec, orbit: PeriodicOrbit) -> float:
 
 def arclength(chart: Chart, x: float) -> float:
     """Signed arclength along the chart from 0 to x."""
+    from scipy.integrate import quad
+
     speed = lambda u: math.hypot(1.0, chart.arc.deriv_value(u, 1))
     val, _ = quad(speed, 0.0, x, limit=200)
     return float(val)

@@ -327,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("table_file", type=Path)
     p.add_argument("--class", dest="symmetry_class", default=None,
                    help="override the table's symmetry class")
-    add_common(p, j=True, tol=True)
+    add_common(p, j=True)
 
     p = sub.add_parser("roundtrip", help="forward then invert a spec file")
     p.add_argument("spec_file", type=Path)

@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 
 from .jets import MultiJet, derivative_tensor, jet_mul
 
@@ -599,7 +598,8 @@ def oscillatory_quadrature(
     Returns:
         (value, error_estimate)
     """
-    quad = scipy.integrate.quad
+    from scipy.integrate import quad
+
     try:
         bounds = list(zip(lower, upper))
     except TypeError:

@@ -25,9 +25,12 @@ value of the symbol at some frequency is at most 1e-8, reported as the
 ``symbol-pole`` obstruction.  The dihedral m-gon Hessians are circulants
 of the same kind and go through the same routine.
 
-For a = b the module also gives the Chebyshev closed form of the inverse
-entries, row sums, and the cubic sums F_3(r, a) that control the
-decoupling step of the inverse spectral algorithm.
+The top closed form of the invariants and the recovery steps read the
+inverse only through its diagonal and its sums over bounce parities,
+plain and cubed (`parity_sums`); for a = b these give h^11, the row sum
+and the cubic sum F_3(r, a) that controls the decoupling step of the
+inverse spectral algorithm.  For a = b the module also gives the
+Chebyshev closed form of the inverse entries.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_chebyt, eval_chebyu
 
 from wavetrace.domain import DomainSpec, ObstructionError, kt_parameters
 
@@ -47,8 +49,7 @@ __all__ = [
     "inverse_fourier",
     "inverse_chebyshev",
     "inverse_matrix",
-    "inverse_row",
-    "row_sum",
+    "parity_sums",
     "cubic_sum",
     "bad_set",
     "badset_report",
@@ -198,19 +199,11 @@ def determinant_closed_form(h: CirculantHessian) -> float:
     For elliptic parameters T_2r(-a/2) = cos(r * alpha); the same rational
     expression continues the hyperbolic (cosh) case.
     """
+    from scipy.special import eval_chebyt
+
     _require_symmetric(h, "determinant_closed_form")
     t = float(eval_chebyt(h.n, -h.a / 2.0))
     return -float(h.L) ** (-h.n) * (2.0 - 2.0 * t)
-
-
-def inverse_row(h: CirculantHessian) -> np.ndarray:
-    """First row (h^{11}, ..., h^{1,2r}) of the inverse, by Fourier inversion.
-
-    Raises:
-        ObstructionError("symbol-pole"): resonant parameter, naming k.
-    """
-    _require_symmetric(h, "inverse_row")
-    return _inverse_rows(h)[0]
 
 
 def inverse_fourier(h: CirculantHessian, p: int, q: int) -> float:
@@ -235,6 +228,8 @@ def inverse_chebyshev(h: CirculantHessian, p: int, q: int) -> float:
                        / (2 [1 - T_{2r}(-a/2)])  for p <= q, with U_{-1} = 0;
     the matrix is symmetric so p > q swaps the indices.
     """
+    from scipy.special import eval_chebyt
+
     _require_symmetric(h, "inverse_chebyshev")
     _check_index(h, p)
     _check_index(h, q)
@@ -251,6 +246,8 @@ def inverse_chebyshev(h: CirculantHessian, p: int, q: int) -> float:
 
 
 def _chebyu(n: int, x: float) -> float:
+    from scipy.special import eval_chebyu
+
     return 0.0 if n < 0 else float(eval_chebyu(n, x))
 
 
@@ -283,14 +280,28 @@ def inverse_matrix(h: CirculantHessian, method: str = "fourier") -> np.ndarray:
     raise ValueError(f"unknown method {method!r}")
 
 
-def row_sum(h: CirculantHessian) -> float:
-    """sum_q h^{pq}, identical for every p; equals -L/(a+2).
+def parity_sums(h: CirculantHessian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal and parity-block sums of H^{-1}, from its first two rows.
+
+    With s, t the bounce parities (0: the f_+ slots, 1: the f_- slots),
+    returns (d, S1, S3): d[s] = h^{pp}, S1[s, t] = sum over q of parity t
+    of h^{pq}, and S3[s, t] the same sum of (h^{pq})^3, for any p of
+    parity s.  For a = b, h^11 = d[0], the row sum S1[0].sum() is
+    -L/(a+2) and F_3(r, a) = S3[0].sum().
 
     Raises:
-        ObstructionError("symbol-pole"): at a = -2 (the k = 0 symbol value
-            a + 2 vanishes).
+        ObstructionError("symbol-pole"): resonant parameter, naming k.
     """
-    return float(np.sum(inverse_row(h)))
+    rows = _inverse_rows(h)
+    if len(rows) == 1:
+        # a == b: row 1 of the circulant is row 0 moved one slot right
+        rows = np.array([rows[0], np.concatenate((rows[0, -1:], rows[0, :-1]))])
+    blocks = rows.reshape(2, h.r, 2)
+    diagonal = np.array([rows[0, 0], rows[1, 1]])
+    # the sums over the r blocks, as products with ones: recovery calls this
+    # for every iterate and order, and these are the cheapest reductions here
+    ones = np.ones(h.r)
+    return diagonal, ones @ blocks, ones @ (blocks * blocks * blocks)
 
 
 def cubic_sum(h: CirculantHessian, method: str = "both") -> float:
@@ -309,7 +320,8 @@ def cubic_sum(h: CirculantHessian, method: str = "both") -> float:
         raise ValueError(f"unknown method {method!r}")
     direct = dedekind = None
     if method in ("direct", "both"):
-        direct = float(np.sum(inverse_row(h) ** 3))
+        _, _, cubes = parity_sums(h)
+        direct = float(cubes[0].sum())
     if method in ("dedekind", "both"):
         diag, where = _symbol_diagonal(h)
         inv = _symbol_inverse(diag, h.n, where)[:, 0, 0]
@@ -407,12 +419,11 @@ def decoupling_pair(
     """
     rows: dict[int, tuple[float, float]] = {}
     for r in range(1, r_max + 1):
-        h = CirculantHessian(r=r, L=L, a=a, b=a)
         try:
-            row = inverse_row(h)
+            diagonal, _, s3 = parity_sums(CirculantHessian(r=r, L=L, a=a, b=a))
         except ObstructionError:
             continue
-        rows[r] = (float(row[0]) ** 2, float(np.sum(row**3)))
+        rows[r] = (float(diagonal[0]) ** 2, float(s3[0].sum()))
     best: tuple[int, int, float] | None = None
     for r in sorted(rows):
         for s in sorted(rows):

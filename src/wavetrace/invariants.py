@@ -31,7 +31,7 @@ from .hessian import (
     CirculantHessian,
     dihedral_inverse_entry,
     dihedral_parameters,
-    inverse_matrix,
+    parity_sums,
 )
 from .jets import MultiJet, jet_power
 
@@ -208,6 +208,10 @@ def invariant_top(spec: DomainSpec, r: int, j: int) -> complex:
     reciprocal automorphism orders from `contributing_weights`.  For
     j = 1 only the even-derivative term is present.
 
+    Every factor depends on p and q only through their parities, so both
+    sums reduce to r times 2 x 2 sums over the diagonal and parity-block
+    sums of `parity_sums`: O(r log r) per entry, with no 2r x 2r matrix.
+
     Raises:
         ValueError: dihedral spec, j < 1, or arcs shorter than 2j.
         ObstructionError("symbol-pole"): singular orbit Hessian.
@@ -215,22 +219,20 @@ def invariant_top(spec: DomainSpec, r: int, j: int) -> complex:
     _require_two_arc(spec, "invariant_top")
     if j < 1:
         raise ValueError("j must be >= 1")
-    hinv = inverse_matrix(CirculantHessian.from_spec(spec, r), "fourier")
-    n = 2 * r
-    diag = np.diag(hinv)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    diag, s1, s3 = parity_sums(CirculantHessian.from_spec(spec, r))
+    signs = np.array([1.0, -1.0])
     arcs = (spec.upper, spec.lower)
-    even_data = np.array([arcs[p % 2].derivative(2 * j) for p in range(n)])
     w1, w2, w3 = contributing_weights(j)
 
-    even_term = w1 * float(np.sum(diag**j * 2.0 * signs * even_data))
+    even_data = np.array([arc.derivative(2 * j) for arc in arcs])
+    even_term = w1 * r * float(np.sum(diag**j * 2.0 * signs * even_data))
     odd_term = 0.0
     if j >= 2:
-        odd_data = np.array([arcs[p % 2].derivative(2 * j - 1) for p in range(n)])
-        cubic_data = np.array([arcs[p % 2].derivative(3) for p in range(n)])
-        pair = w2 * np.outer(diag ** (j - 1), diag) * hinv
-        pair += w3 * np.outer(diag ** (j - 2), np.ones(n)) * hinv**3
-        odd_term = float((signs * odd_data) @ pair @ (signs * cubic_data))
+        odd_data = signs * np.array([arc.derivative(2 * j - 1) for arc in arcs])
+        cubic_data = signs * np.array([arc.derivative(3) for arc in arcs])
+        pair = w2 * diag[:, None] ** (j - 1) * diag * s1
+        pair += w3 * diag[:, None] ** (j - 2) * s3
+        odd_term = r * float(odd_data @ pair @ cubic_data)
 
     lead = principal_leading_value(r, spec.L)
     return 2.0 * _i_power(j + 1) * lead * (even_term - 4.0 * odd_term)

@@ -23,12 +23,7 @@ import numpy as np
 
 from .domain import BoundaryArc, DomainSpec, ObstructionError
 from .feynman import _i_power
-from .hessian import (
-    CirculantHessian,
-    dihedral_inverse_entry,
-    inverse_fourier,
-    inverse_row,
-)
+from .hessian import CirculantHessian, dihedral_inverse_entry, parity_sums
 from .invariants import (
     InvariantTable,
     contributing_weights,
@@ -101,35 +96,42 @@ def convex_representative(spec: DomainSpec, k_max: int) -> dict[int, float]:
 # shared row machinery
 
 
-def _normalized_rows(values: dict[int, complex], j: int, a: float, L: float):
-    """(r, h11, F3, normalized value) for every admissible iterate.
+def _decouple(
+    j: int, values: dict[int, complex], a: float, L: float
+) -> tuple[float, float, float, list[str]]:
+    """(A, B, residual, skipped-iterate notes) of the order-j decoupling.
 
     The raw entry at (r, j) is divided by 8 r i^(j+1) A_r (h11)^(j-2),
     with A_r the leading principal amplitude, leaving the real linear
-    form (h11)^2 A - F3 B in the per-order unknowns.
+    form (h11)^2 A - F3 B in the per-order unknowns, solved in least
+    squares over every admissible iterate.
+
+    Raises:
+        ObstructionError("singular-decoupling"): fewer than two admissible
+            iterates, or proportional rows.
     """
-    rows = []
-    skipped = []
+    coeffs, rhs, skipped = [], [], []
     for r in sorted(values):
-        h = CirculantHessian(r=r, L=L, a=a, b=a)
         try:
-            row = inverse_row(h)
+            diagonal, _, s3 = parity_sums(CirculantHessian(r=r, L=L, a=a, b=a))
         except ObstructionError:
             skipped.append(f"iterate r = {r} skipped: symbol pole at a = {a:g}")
             continue
-        h11, f3 = float(row[0]), float(np.sum(row**3))
+        h11 = float(diagonal[0])
+        coeffs.append((h11**2, -float(s3[0].sum())))
         divisor = (
             8.0 * r * _i_power(j + 1)
             * principal_leading_value(r, L)
             * h11 ** (j - 2)
         )
-        rows.append((r, h11, f3, complex(values[r]) / divisor))
-    return rows, skipped
-
-
-def _solve_order(rows) -> tuple[float, float, float]:
-    """Least-squares (A, B, residual) of (h11)^2 A - F3 B = y over rows."""
-    matrix = np.array([[h11**2, -f3] for (_, h11, f3, _) in rows])
+        rhs.append(complex(values[r]) / divisor)
+    if len(coeffs) < 2:
+        raise ObstructionError(
+            "singular-decoupling",
+            f"need two admissible iterates to separate order {j}, "
+            f"have {len(coeffs)} at a = {a:g}",
+        )
+    matrix = np.array(coeffs)
     smin, smax = np.linalg.svd(matrix, compute_uv=False)[[-1, 0]]
     if smin <= _SING_TOL * smax:
         raise ObstructionError(
@@ -137,13 +139,13 @@ def _solve_order(rows) -> tuple[float, float, float]:
             "decoupling rows are proportional "
             "(effectively bad Floquet parameter)",
         )
-    rhs = np.array([y for (*_, y) in rows])
+    rhs = np.array(rhs)
     sol_c, *_ = np.linalg.lstsq(matrix.astype(complex), rhs, rcond=None)
     sol = sol_c.real
     resid = float(
         np.linalg.norm(matrix @ sol - rhs) / max(np.linalg.norm(rhs), 1.0)
     )
-    return float(sol[0]), float(sol[1]), resid
+    return float(sol[0]), float(sol[1]), resid, skipped
 
 
 def _solve_single(coeffs, rhs, j: int, a: float) -> tuple[float, float]:
@@ -169,11 +171,7 @@ def _solve_single(coeffs, rhs, j: int, a: float) -> tuple[float, float]:
 
 
 def decouple_order(
-    j: int,
-    values: dict[int, complex],
-    a: float,
-    L: float,
-    pair: tuple[int, int] | None = None,
+    j: int, values: dict[int, complex], a: float, L: float
 ) -> tuple[float, float]:
     """Separate the order-j table row into its two graph-family sums.
 
@@ -189,7 +187,6 @@ def decouple_order(
         j: invariant order, >= 2 (order 1 has a single family).
         values: r -> table entry at (r, j).
         a, L: Floquet datum and half-length.
-        pair: optionally restrict to two specific iterates.
 
     Raises:
         ObstructionError("singular-decoupling"): fewer than two admissible
@@ -198,16 +195,7 @@ def decouple_order(
     """
     if j < 2:
         raise ValueError("decoupling starts at j = 2")
-    rows, _ = _normalized_rows(values, j, a, L)
-    if pair is not None:
-        rows = [row for row in rows if row[0] in pair]
-    if len(rows) < 2:
-        raise ObstructionError(
-            "singular-decoupling",
-            f"need two admissible iterates to separate order {j}, "
-            f"have {len(rows)} at a = {a:g}",
-        )
-    A, B, _ = _solve_order(rows)
+    A, B, *_ = _decouple(j, values, a, L)
     return A, B
 
 
@@ -226,7 +214,8 @@ def _first_order_residual(
     for r in sorted({r for (r, j) in table.entries if j == 1}):
         try:
             if dihedral_m is None:
-                h11 = inverse_fourier(CirculantHessian(r=r, L=L, a=a, b=a), 1, 1)
+                h = CirculantHessian(r=r, L=L, a=a, b=a)
+                h11 = float(parity_sums(h)[0][0])
                 coef = 4.0 * r * principal_leading_value(r, L) * h11
             else:
                 h11 = dihedral_inverse_entry(
@@ -307,15 +296,8 @@ def recover_symmetric(
     for j in range(2, J + 1):
         w1, w2, w3 = contributing_weights(j)
         values = _order_values(table, L, data, j)
-        rows, skipped = _normalized_rows(values, j, a, L)
+        A, B, residuals[j], skipped = _decouple(j, values, a, L)
         notes.extend(skipped)
-        if len(rows) < 2:
-            raise ObstructionError(
-                "singular-decoupling",
-                f"need two admissible iterates to separate order {j}, "
-                f"have {len(rows)} at a = {a:g}",
-            )
-        A, B, residuals[j] = _solve_order(rows)
         odd_product = B / (2.0 * w3)  # = f'''(0) f^(2j-1)(0)
         if j == 2:
             scale = max(1.0, abs(A / w1)) ** 0.5
@@ -366,7 +348,7 @@ def recover_two_symmetry(
         for r in sorted(values):
             h = CirculantHessian(r=r, L=L, a=a, b=a)
             try:
-                h11 = inverse_fourier(h, 1, 1)
+                h11 = float(parity_sums(h)[0][0])
             except ObstructionError:
                 notes.append(f"iterate r = {r} skipped: symbol pole at a = {a:g}")
                 continue

@@ -31,7 +31,7 @@ from wavetrace.hessian import (
     hessian_matrix,
     inverse_fourier,
     inverse_matrix,
-    row_sum,
+    parity_sums,
 )
 from wavetrace.invariants import (
     contributing_graphs,
@@ -98,7 +98,8 @@ def test_closed_form_inverse_displays():
             L = 1.7
             h = _h(r, a, L=L)
             # each inverse row sums to -L/(a+2)
-            assert row_sum(h) == pytest.approx(-L / (a + 2.0), abs=1e-10)
+            _, s1, _ = parity_sums(h)
+            assert s1[0].sum() == pytest.approx(-L / (a + 2.0), abs=1e-10)
             # determinant closed form against the dense determinant
             assert determinant_closed_form(h) == pytest.approx(
                 float(np.linalg.det(hessian_matrix(h))), rel=1e-10

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wavetrace
 from wavetrace.cli import main
 from wavetrace.domain import parse_spec
 from wavetrace.invariants import InvariantTable, forward_table
@@ -220,3 +225,17 @@ def test_graphs_dump_counts_and_cap(tmp_path, capsys):
 def test_usage_error_exits_via_argparse():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the quadrature oracles and the Chebyshev forms,
+    # none of them on the forward or invert path
+    code = (
+        "import sys, wavetrace.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wavetrace.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

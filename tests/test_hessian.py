@@ -22,8 +22,7 @@ from wavetrace.hessian import (
     inverse_chebyshev,
     inverse_fourier,
     inverse_matrix,
-    inverse_row,
-    row_sum,
+    parity_sums,
 )
 from wavetrace.jets import MultiJet, jet_sqrt
 
@@ -221,7 +220,7 @@ def test_elliptic_angle_entry_formula():
 def test_pole_is_reported_with_k():
     # r = 2, a = -2 cos(pi/2) = 0 makes p(w^1) vanish
     with pytest.raises(ObstructionError) as err:
-        inverse_row(_h(2, 0.0))
+        parity_sums(_h(2, 0.0))
     assert err.value.name == "symbol-pole"
     assert "k = 1" in str(err.value)
 
@@ -231,9 +230,10 @@ def test_row_sum():
     for r in (1, 2, 5, 13, 25):
         for a in rng.uniform(2.2, 6.0, size=3):
             L = 1.7
-            assert row_sum(_h(r, float(a), L=L)) == pytest.approx(-L / (a + 2.0), abs=1e-10)
+            _, s1, _ = parity_sums(_h(r, float(a), L=L))
+            assert s1[0].sum() == pytest.approx(-L / (a + 2.0), abs=1e-10)
     with pytest.raises(ObstructionError):
-        row_sum(_h(3, -2.0))
+        parity_sums(_h(3, -2.0))
 
 
 # ---------------------------------------------------------------------------

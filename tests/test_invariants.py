@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from wavetrace import hessian, invariants
 from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError
 from wavetrace.feynman import FeynmanGraph, automorphism_order, max_derivative_report
 from wavetrace.hessian import (
@@ -15,8 +16,8 @@ from wavetrace.hessian import (
     cubic_sum,
     hessian_matrix,
     inverse_fourier,
-    inverse_row,
-    row_sum,
+    inverse_matrix,
+    parity_sums,
 )
 from wavetrace.invariants import (
     InvariantTable,
@@ -30,6 +31,7 @@ from wavetrace.invariants import (
     principal_leading_value,
     principal_shift_factory,
 )
+from wavetrace.inverse import recover
 from wavetrace.jets import extract_partial
 
 TOP_TAYLOR = (1.0, 0.0, -0.21, 0.05, 0.013, -0.007, 0.002, 0.0011, -0.0004,
@@ -241,6 +243,8 @@ def test_symmetric_reduction_row_sums(r, j):
     spec = updown_spec()
     h = CirculantHessian.from_spec(spec, r)
     h11 = inverse_fourier(h, 1, 1)
+    _, s1, _ = parity_sums(h)
+    row_total = s1[0].sum()
     w1, w2, w3 = contributing_weights(j)
     f = spec.f
     even = w1 * h11**j * 4 * r * f.derivative(2 * j)
@@ -249,11 +253,53 @@ def test_symmetric_reduction_row_sums(r, j):
         * f.derivative(3)
         * 2
         * r
-        * (w2 * h11**j * row_sum(h) + w3 * h11 ** (j - 2) * cubic_sum(h))
+        * (w2 * h11**j * row_total + w3 * h11 ** (j - 2) * cubic_sum(h))
     )
     lead = principal_leading_value(r, spec.L)
     expected = 2.0 * 1j ** (j + 1) * lead * (even - 4.0 * odd)
     assert invariant_top(spec, r, j) == pytest.approx(expected, rel=1e-10)
+
+
+def _dense_top(spec, r, j):
+    """The closed form of `invariant_top` summed over every bounce pair,
+    from the dense inverse of the Hessian."""
+    hinv = inverse_matrix(CirculantHessian.from_spec(spec, r), "dense")
+    n = 2 * r
+    diag = np.diag(hinv)
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    arcs = (spec.upper, spec.lower)
+    w1, w2, w3 = contributing_weights(j)
+    even_data = np.array([arcs[p % 2].derivative(2 * j) for p in range(n)])
+    even_term = w1 * np.sum(diag**j * 2.0 * signs * even_data)
+    odd_term = 0.0
+    if j >= 2:
+        odd_data = np.array([arcs[p % 2].derivative(2 * j - 1) for p in range(n)])
+        cubic_data = np.array([arcs[p % 2].derivative(3) for p in range(n)])
+        pair = w2 * np.outer(diag ** (j - 1), diag) * hinv
+        pair += w3 * np.outer(diag ** (j - 2), np.ones(n)) * hinv**3
+        odd_term = (signs * odd_data) @ pair @ (signs * cubic_data)
+    lead = principal_leading_value(r, spec.L)
+    return 2.0 * 1j ** (j + 1) * lead * (even_term - 4.0 * odd_term)
+
+
+@pytest.mark.parametrize("spec", [twoarc_spec(), updown_spec()], ids=["twoarc", "updown"])
+def test_top_closed_form_matches_dense_pair_sum(spec):
+    for r in (1, 2, 3, 7, 25):
+        for j in range(1, 6):
+            want = _dense_top(spec, r, j)
+            assert invariant_top(spec, r, j) == pytest.approx(want, rel=1e-10)
+
+
+def test_top_tables_and_recovery_build_no_dense_matrix(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense Hessian matrix built")
+
+    monkeypatch.setattr(invariants, "inverse_matrix", dense, raising=False)
+    monkeypatch.setattr(hessian, "inverse_matrix", dense)
+    monkeypatch.setattr(hessian, "hessian_matrix", dense)
+    assert len(forward_table(twoarc_spec(), 25, 5).entries) == 125
+    result = recover(forward_table(updown_spec(), 25, 5), 5)
+    assert sorted(result.taylor) == list(range(2, 11))
 
 
 def test_j1_uses_only_the_even_datum():
@@ -399,7 +445,7 @@ def test_resonant_iterate_is_a_symbol_pole_in_forward_and_hessian():
     with pytest.raises(ObstructionError) as forward_err:
         forward_table(spec, 2, 3)
     with pytest.raises(ObstructionError) as row_err:
-        inverse_row(CirculantHessian.from_spec(spec, 2))
+        parity_sums(CirculantHessian.from_spec(spec, 2))
     assert forward_err.value.name == row_err.value.name == "symbol-pole"
 
 

@@ -150,8 +150,8 @@ def test_decouple_pair_choice_is_immaterial():
     table = forward_table(spec, 3, 2)
     values = {r: table.entry(r, 2) for r in (1, 2, 3)}
     results = [
-        decouple_order(2, values, a, L0, pair=p)
-        for p in [(1, 2), (1, 3), (2, 3), None]
+        decouple_order(2, {r: values[r] for r in pair}, a, L0)
+        for pair in [(1, 2), (1, 3), (2, 3), (1, 2, 3)]
     ]
     for A, B in results[1:]:
         assert A == pytest.approx(results[0][0], rel=1e-9)
