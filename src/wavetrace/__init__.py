@@ -46,7 +46,6 @@ from wavetrace.invariants import (
 )
 from wavetrace.inverse import (
     RecoveryResult,
-    decouple_order,
     recover,
     recover_dihedral,
     recover_f2,
@@ -71,7 +70,6 @@ __all__ = [
     "RecoveryResult",
     "SPProblem",
     "build_principal",
-    "decouple_order",
     "enumerate_graphs",
     "extract_partial",
     "floquet",

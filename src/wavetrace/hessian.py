@@ -56,6 +56,7 @@ __all__ = [
     "decoupling_pair",
     "dihedral_hessian",
     "dihedral_parameters",
+    "dihedral_inverse_entry",
 ]
 
 _POLE_TOL = 1e-8
@@ -227,21 +228,22 @@ def inverse_chebyshev(h: CirculantHessian, p: int, q: int) -> float:
     (-L)^{-1} h^{pq} = [U_{2r-q+p-1}(-a/2) + U_{q-p-1}(-a/2)]
                        / (2 [1 - T_{2r}(-a/2)])  for p <= q, with U_{-1} = 0;
     the matrix is symmetric so p > q swaps the indices.
+
+    Raises:
+        ObstructionError("symbol-pole"): resonant parameter, by the same
+            symbol test as every other inverse entry.
     """
     from scipy.special import eval_chebyt
 
     _require_symmetric(h, "inverse_chebyshev")
     _check_index(h, p)
     _check_index(h, q)
+    diag, where = _symbol_diagonal(h)
+    _symbol_inverse(diag, h.n, where)  # the one pole test; raises symbol-pole
     if p > q:
         p, q = q, p
     x = -h.a / 2.0
     denom = 2.0 * (1.0 - float(eval_chebyt(h.n, x)))
-    if abs(denom) <= _POLE_TOL ** 2:
-        raise ObstructionError(
-            "symbol-pole",
-            f"1 - T_2r(-a/2) vanishes (r = {h.r}, a = {h.a:.12g})",
-        )
     return -h.L * (_chebyu(h.n - q + p - 1, x) + _chebyu(q - p - 1, x)) / denom
 
 
@@ -272,11 +274,10 @@ def inverse_matrix(h: CirculantHessian, method: str = "fourier") -> np.ndarray:
         return _entries(_inverse_rows(h), idx[:, None], idx[None, :])
     if method == "chebyshev":
         _require_symmetric(h, "inverse_matrix(chebyshev)")
-        out = np.empty((n, n))
-        for p in range(1, n + 1):
-            for q in range(p, n + 1):
-                out[p - 1, q - 1] = out[q - 1, p - 1] = inverse_chebyshev(h, p, q)
-        return out
+        # entry (p, q) depends on |q - p| only
+        row = np.array([inverse_chebyshev(h, 1, q) for q in range(1, n + 1)])
+        idx = np.arange(n)
+        return row[np.abs(idx[:, None] - idx[None, :])]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -304,42 +305,30 @@ def parity_sums(h: CirculantHessian) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return diagonal, ones @ blocks, ones @ (blocks * blocks * blocks)
 
 
-def cubic_sum(h: CirculantHessian, method: str = "both") -> float:
+def cubic_sum(h: CirculantHessian, method: str = "direct") -> float:
     """F_3(r, a) = sum_q (h^{1q})^3.
 
-    Computed directly (cube-and-sum of the inverse row) and/or as the
-    double trigonometric character sum
+    Computed directly ("direct": cube-and-sum of the inverse row, from
+    `parity_sums`) or as the double trigonometric character sum
+    ("dedekind")
 
         F_3 = (-L)^3/(2r)^2 * sum_{k1,k2} 1/(p(k1) p(k2) p(k1+k2)),
 
-    with p(k) = a + 2 cos(pi k / r).  With method="both" the two routes
-    are cross-checked before returning.
+    with p(k) = a + 2 cos(pi k / r).  The tests hold the two routes to
+    each other.
     """
     _require_symmetric(h, "cubic_sum")
-    if method not in ("direct", "dedekind", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    direct = dedekind = None
-    if method in ("direct", "both"):
-        _, _, cubes = parity_sums(h)
-        direct = float(cubes[0].sum())
-    if method in ("dedekind", "both"):
+    if method == "direct":
+        return float(parity_sums(h)[2][0].sum())
+    if method == "dedekind":
         diag, where = _symbol_diagonal(h)
         inv = _symbol_inverse(diag, h.n, where)[:, 0, 0]
         k = np.arange(h.n)
         wrap = (k[:, None] + k[None, :]) % h.n
-        dedekind = float(
+        return float(
             (-h.L) ** 3 / h.n**2 * np.sum(inv[:, None] * inv[None, :] * inv[wrap])
         )
-    if method == "direct":
-        return direct  # type: ignore[return-value]
-    if method == "dedekind":
-        return dedekind  # type: ignore[return-value]
-    scale = max(1.0, abs(direct))
-    if abs(direct - dedekind) > 1e-9 * scale:  # type: ignore[operator]
-        raise AssertionError(
-            f"cubic-sum routes disagree: direct {direct!r} vs sum {dedekind!r}"
-        )
-    return direct  # type: ignore[return-value]
+    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def invariant_top(spec: DomainSpec, r: int, j: int) -> complex:
 
     Every factor depends on p and q only through their parities, so both
     sums reduce to r times 2 x 2 sums over the diagonal and parity-block
-    sums of `parity_sums`: O(r log r) per entry, with no 2r x 2r matrix.
+    sums of `parity_sums`: O(r log r) per iterate, with no 2r x 2r matrix.
 
     Raises:
         ValueError: dihedral spec, j < 1, or arcs shorter than 2j.
@@ -219,10 +219,17 @@ def invariant_top(spec: DomainSpec, r: int, j: int) -> complex:
     _require_two_arc(spec, "invariant_top")
     if j < 1:
         raise ValueError("j must be >= 1")
-    diag, s1, s3 = parity_sums(CirculantHessian.from_spec(spec, r))
-    signs = np.array([1.0, -1.0])
+    sums = parity_sums(CirculantHessian.from_spec(spec, r))
     arcs = (spec.upper, spec.lower)
-    w1, w2, w3 = contributing_weights(j)
+    return _top_value(arcs, spec.L, r, j, sums, contributing_weights(j))
+
+
+def _top_value(arcs, L: float, r: int, j: int, sums, weights) -> complex:
+    """The closed form of `invariant_top` from the (upper, lower) arcs, the
+    iterate's `parity_sums` and the order's `contributing_weights`."""
+    diag, s1, s3 = sums
+    signs = np.array([1.0, -1.0])
+    w1, w2, w3 = weights
 
     even_data = np.array([arc.derivative(2 * j) for arc in arcs])
     even_term = w1 * r * float(np.sum(diag**j * 2.0 * signs * even_data))
@@ -234,7 +241,7 @@ def invariant_top(spec: DomainSpec, r: int, j: int) -> complex:
         pair += w3 * diag[:, None] ** (j - 2) * s3
         odd_term = r * float(odd_data @ pair @ cubic_data)
 
-    lead = principal_leading_value(r, spec.L)
+    lead = principal_leading_value(r, L)
     return 2.0 * _i_power(j + 1) * lead * (even_term - 4.0 * odd_term)
 
 
@@ -278,6 +285,10 @@ def invariant_dihedral(spec: DomainSpec, r: int, j: int) -> float:
     assert spec.m is not None
     s_param, link = dihedral_parameters(spec)
     h11 = dihedral_inverse_entry(spec.m, r, s_param, link, 1, 1)
+    return _dihedral_value(spec, r, j, h11)
+
+
+def _dihedral_value(spec: DomainSpec, r: int, j: int, h11: float) -> float:
     return spec.m * r * h11**j * spec.f.derivative(2 * j)
 
 
@@ -400,24 +411,32 @@ def forward_table(
         )
     if r_max < 1 or j_max < 1:
         raise ValueError("r_max and j_max must be >= 1")
+    iterates, orders = range(1, r_max + 1), range(1, j_max + 1)
     entries: dict[tuple[int, int], complex] = {}
-    for r in range(1, r_max + 1):
-        for j in range(1, j_max + 1):
-            if spec.kind == "dihedral":
-                if normalization == "FullPrincipal":
-                    raise ObstructionError(
-                        "unsupported",
-                        "FullPrincipal tables are two-arc only",
-                    )
-                entries[(r, j)] = complex(invariant_dihedral(spec, r, j))
-            elif normalization == "TopOnly":
-                entries[(r, j)] = invariant_top(spec, r, j)
-            else:
-                entries[(r, j)] = invariant_full(spec, r, j)
     if spec.kind == "dihedral":
-        param = dihedral_parameters(spec)[0]
+        if normalization == "FullPrincipal":
+            raise ObstructionError(
+                "unsupported", "FullPrincipal tables are two-arc only"
+            )
+        param, link = dihedral_parameters(spec)
+        for r in iterates:
+            h11 = dihedral_inverse_entry(spec.m, r, param, link, 1, 1)
+            for j in orders:
+                entries[(r, j)] = complex(_dihedral_value(spec, r, j, h11))
+    elif normalization == "TopOnly":
+        base = CirculantHessian.from_spec(spec, 1)
+        param = base.a
+        arcs = (spec.upper, spec.lower)
+        weights = [contributing_weights(j) for j in orders]
+        for r in iterates:
+            sums = parity_sums(dataclasses.replace(base, r=r))
+            for j, w in zip(orders, weights):
+                entries[(r, j)] = _top_value(arcs, spec.L, r, j, sums, w)
     else:
         param = kt_parameters(spec)[0]
+        for r in iterates:
+            for j in orders:
+                entries[(r, j)] = invariant_full(spec, r, j)
     return InvariantTable(
         length=spec.L,
         floquet_parameter=param,

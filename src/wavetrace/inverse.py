@@ -96,29 +96,55 @@ def convex_representative(spec: DomainSpec, k_max: int) -> dict[int, float]:
 # shared row machinery
 
 
-def _decouple(
-    j: int, values: dict[int, complex], a: float, L: float
-) -> tuple[float, float, float, list[str]]:
-    """(A, B, residual, skipped-iterate notes) of the order-j decoupling.
+def _iterate_data(
+    table: InvariantTable, J: int, a: float, L: float, m: int | None = None
+) -> tuple[dict[int, tuple[float, ...]], list[str]]:
+    """Inverse-Hessian data of every iterate that orders j <= J read.
 
-    The raw entry at (r, j) is divided by 8 r i^(j+1) A_r (h11)^(j-2),
-    with A_r the leading principal amplitude, leaving the real linear
-    form (h11)^2 A - F3 B in the per-order unknowns, solved in least
-    squares over every admissible iterate.
+    Returns r -> (h11, F3) for the admissible iterates of the two-arc
+    classes (m None, from `parity_sums`), r -> (h11,) for those of the
+    m-gon orbit, and one note per iterate skipped at a symbol pole.  The
+    data depend on r, a and L only, so each iterate is inverted once for
+    all orders.
+    """
+    data: dict[int, tuple[float, ...]] = {}
+    notes = []
+    for r in sorted({r for (r, j) in table.entries if j <= J}):
+        try:
+            if m is None:
+                diagonal, _, s3 = parity_sums(CirculantHessian(r=r, L=L, a=a, b=a))
+                data[r] = (float(diagonal[0]), float(s3[0].sum()))
+            else:
+                data[r] = (dihedral_inverse_entry(m, r, a, 2.0 * L / m, 1, 1),)
+        except ObstructionError:
+            notes.append(f"iterate r = {r} skipped: symbol pole at a = {a:g}")
+    return data, notes
+
+
+def _decouple(
+    j: int, values: dict[int, complex], iterates: dict, a: float, L: float
+) -> tuple[float, float, float]:
+    """(A, B, residual) of the order-j decoupling.
+
+    Separates the order-j table row into its two graph-family sums.  The
+    raw entry at (r, j) is divided by 8 r i^(j+1) A_r (h11)^(j-2), with
+    A_r the leading principal amplitude, leaving the real linear form
+
+        (h11_2r)^2 * A - F3(r, a) * B = y_r
+
+    for A = -w1 f^(2j) + 2 w2 L/(a+2) f''' f^(2j-1) and
+    B = 2 w3 f''' f^(2j-1), in the convex-representative data,
+    in least squares over the admissible iterates (`_iterate_data`).
 
     Raises:
         ObstructionError("singular-decoupling"): fewer than two admissible
-            iterates, or proportional rows.
+            iterates, or the system is rank-deficient — the hallmark of
+            the finitely many bad Floquet parameters.
     """
-    coeffs, rhs, skipped = [], [], []
-    for r in sorted(values):
-        try:
-            diagonal, _, s3 = parity_sums(CirculantHessian(r=r, L=L, a=a, b=a))
-        except ObstructionError:
-            skipped.append(f"iterate r = {r} skipped: symbol pole at a = {a:g}")
-            continue
-        h11 = float(diagonal[0])
-        coeffs.append((h11**2, -float(s3[0].sum())))
+    coeffs, rhs = [], []
+    for r in sorted(iterates.keys() & values):
+        h11, f3 = iterates[r]
+        coeffs.append((h11**2, -f3))
         divisor = (
             8.0 * r * _i_power(j + 1)
             * principal_leading_value(r, L)
@@ -145,7 +171,7 @@ def _decouple(
     resid = float(
         np.linalg.norm(matrix @ sol - rhs) / max(np.linalg.norm(rhs), 1.0)
     )
-    return float(sol[0]), float(sol[1]), resid, skipped
+    return float(sol[0]), float(sol[1]), resid
 
 
 def _solve_single(coeffs, rhs, j: int, a: float) -> tuple[float, float]:
@@ -170,35 +196,6 @@ def _solve_single(coeffs, rhs, j: int, a: float) -> tuple[float, float]:
     return value, resid
 
 
-def decouple_order(
-    j: int, values: dict[int, complex], a: float, L: float
-) -> tuple[float, float]:
-    """Separate the order-j table row into its two graph-family sums.
-
-    Normalizes each entry by its iterate prefactor and solves
-
-        (h11_2r)^2 * A - F3(r, a) * B = y_r
-
-    for A = -w1 f^(2j) + 2 w2 L/(a+2) f''' f^(2j-1) and
-    B = 2 w3 f''' f^(2j-1), in the convex-representative data.  With more
-    than two iterates the system is solved in least squares.
-
-    Args:
-        j: invariant order, >= 2 (order 1 has a single family).
-        values: r -> table entry at (r, j).
-        a, L: Floquet datum and half-length.
-
-    Raises:
-        ObstructionError("singular-decoupling"): fewer than two admissible
-            iterates, or the system is rank-deficient — the hallmark of
-            the finitely many bad Floquet parameters.
-    """
-    if j < 2:
-        raise ValueError("decoupling starts at j = 2")
-    A, B, *_ = _decouple(j, values, a, L)
-    return A, B
-
-
 def _zero_beyond_quadratic(table: InvariantTable) -> bool:
     scale = max([abs(v) for (_, j), v in table.entries.items() if j == 1] + [1.0])
     return all(
@@ -207,23 +204,17 @@ def _zero_beyond_quadratic(table: InvariantTable) -> bool:
 
 
 def _first_order_residual(
-    table: InvariantTable, a: float, L: float, d2: float, dihedral_m: int | None
+    table: InvariantTable, iterates: dict, L: float, d2: float, m: int | None
 ) -> float | None:
-    """Consistency of the j = 1 entries with the Floquet-datum base case."""
+    """Consistency of the j = 1 entries with the Floquet-datum base case,
+    over the admissible iterates of `_iterate_data`."""
     checks = []
-    for r in sorted({r for (r, j) in table.entries if j == 1}):
-        try:
-            if dihedral_m is None:
-                h = CirculantHessian(r=r, L=L, a=a, b=a)
-                h11 = float(parity_sums(h)[0][0])
-                coef = 4.0 * r * principal_leading_value(r, L) * h11
-            else:
-                h11 = dihedral_inverse_entry(
-                    dihedral_m, r, a, 2.0 * L / dihedral_m, 1, 1
-                )
-                coef = dihedral_m * r * h11
-        except ObstructionError:
-            continue
+    for r in sorted(iterates.keys() & {r for (r, j) in table.entries if j == 1}):
+        h11 = iterates[r][0]
+        if m is None:
+            coef = 4.0 * r * principal_leading_value(r, L) * h11
+        else:
+            coef = m * r * h11
         checks.append(abs(table.entry(r, 1) - coef * d2) / max(abs(coef * d2), 1.0))
     return max(checks) if checks else None
 
@@ -280,8 +271,8 @@ def recover_symmetric(
         raise ValueError("J must be >= 1")
     data = {2: recover_f2(a, L)}
     residuals: dict[int, float] = {}
-    notes: list[str] = []
-    first = _first_order_residual(table, a, L, data[2], None)
+    iterates, notes = _iterate_data(table, J, a, L)
+    first = _first_order_residual(table, iterates, L, data[2], None)
     if first is not None:
         residuals[1] = first
 
@@ -296,8 +287,7 @@ def recover_symmetric(
     for j in range(2, J + 1):
         w1, w2, w3 = contributing_weights(j)
         values = _order_values(table, L, data, j)
-        A, B, residuals[j], skipped = _decouple(j, values, a, L)
-        notes.extend(skipped)
+        A, B, residuals[j] = _decouple(j, values, iterates, a, L)
         odd_product = B / (2.0 * w3)  # = f'''(0) f^(2j-1)(0)
         if j == 2:
             scale = max(1.0, abs(A / w1)) ** 0.5
@@ -336,8 +326,8 @@ def recover_two_symmetry(
         raise ValueError("J must be >= 1")
     data = {2: recover_f2(a, L)}
     residuals: dict[int, float] = {}
-    notes: list[str] = []
-    first = _first_order_residual(table, a, L, data[2], None)
+    iterates, notes = _iterate_data(table, J, a, L)
+    first = _first_order_residual(table, iterates, L, data[2], None)
     if first is not None:
         residuals[1] = first
     for j in range(2, J + 1):
@@ -345,13 +335,8 @@ def recover_two_symmetry(
         w1 = contributing_weights(j)[0]
         values = _order_values(table, L, data, j)
         coeffs, rhs = [], []
-        for r in sorted(values):
-            h = CirculantHessian(r=r, L=L, a=a, b=a)
-            try:
-                h11 = float(parity_sums(h)[0][0])
-            except ObstructionError:
-                notes.append(f"iterate r = {r} skipped: symbol pole at a = {a:g}")
-                continue
+        for r in sorted(iterates.keys() & values):
+            h11 = iterates[r][0]
             coeffs.append(
                 -8.0 * r * _i_power(j + 1)
                 * principal_leading_value(r, L) * w1 * h11**j
@@ -386,20 +371,15 @@ def recover_dihedral(
     sin_t = math.sin(math.pi / m)
     data = {2: (a - 2.0) * m * sin_t / (4.0 * L)}
     residuals: dict[int, float] = {}
-    notes: list[str] = []
-    first = _first_order_residual(table, a, L, data[2], m)
+    iterates, notes = _iterate_data(table, J, a, L, m)
+    first = _first_order_residual(table, iterates, L, data[2], m)
     if first is not None:
         residuals[1] = first
-    link = 2.0 * L / m
     for j in range(2, J + 1):
         data[2 * j - 1] = 0.0
         coeffs, rhs = [], []
-        for r in sorted({r for (r, jj) in table.entries if jj == j}):
-            try:
-                h11 = dihedral_inverse_entry(m, r, a, link, 1, 1)
-            except ObstructionError:
-                notes.append(f"iterate r = {r} skipped: symbol pole at a = {a:g}")
-                continue
+        for r in sorted(iterates.keys() & {r for (r, jj) in table.entries if jj == j}):
+            h11 = iterates[r][0]
             coeffs.append(m * r * h11**j)
             rhs.append(complex(table.entry(r, j)))
         data[2 * j], residuals[j] = _solve_single(coeffs, rhs, j, a)

@@ -225,6 +225,16 @@ def test_pole_is_reported_with_k():
     assert "k = 1" in str(err.value)
 
 
+def test_chebyshev_inverse_shares_the_symbol_pole_test():
+    # 5e-9 from the resonance a = -2 cos(pi/5) at r = 5: inside the symbol
+    # test's 1e-8, where 1 - T_10(-a/2) is still far from zero
+    h = _h(5, -2.0 * math.cos(math.pi / 5) + 5e-9)
+    for entry in (inverse_fourier, inverse_chebyshev):
+        with pytest.raises(ObstructionError) as err:
+            entry(h, 1, 1)
+        assert err.value.name == "symbol-pole"
+
+
 def test_row_sum():
     rng = np.random.default_rng(5)
     for r in (1, 2, 5, 13, 25):

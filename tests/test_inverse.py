@@ -22,8 +22,9 @@ from wavetrace.invariants import (
 )
 from wavetrace.inverse import (
     RecoveryResult,
+    _decouple,
+    _iterate_data,
     convex_representative,
-    decouple_order,
     recover,
     recover_dihedral,
     recover_f2,
@@ -113,6 +114,15 @@ def test_convex_representative_negates_and_reflects():
 # decoupling
 
 
+def decouple(j, values, a, L):
+    """(A, B) of `_decouple` on an order-j row, with the row's iterates
+    inverted by `_iterate_data`."""
+    row = InvariantTable(L, a, "updown", "TopOnly", {(r, j): v for r, v in values.items()})
+    iterates, _ = _iterate_data(row, j, a, L)
+    A, B, _ = _decouple(j, values, iterates, a, L)
+    return A, B
+
+
 def _synthetic_values(j, A, B, a, L, iterates=(1, 2, 3)):
     values = {}
     for r in iterates:
@@ -130,16 +140,16 @@ def _synthetic_values(j, A, B, a, L, iterates=(1, 2, 3)):
 def test_decouple_synthetic_round_trip(j):
     A, B = 0.8375, -0.413
     values = _synthetic_values(j, A, B, a=0.48, L=L0)
-    got_A, got_B = decouple_order(j, values, 0.48, L0)
+    got_A, got_B = decouple(j, values, 0.48, L0)
     assert got_A == pytest.approx(A, rel=1e-12)
     assert got_B == pytest.approx(B, rel=1e-12)
 
 
 def test_decouple_is_linear_in_the_table():
     values = _synthetic_values(3, 0.2, 0.7, a=-0.6, L=L0)
-    A1, B1 = decouple_order(3, values, -0.6, L0)
+    A1, B1 = decouple(3, values, -0.6, L0)
     scaled = {r: 2.5 * v for r, v in values.items()}
-    A2, B2 = decouple_order(3, scaled, -0.6, L0)
+    A2, B2 = decouple(3, scaled, -0.6, L0)
     assert A2 == pytest.approx(2.5 * A1, rel=1e-12)
     assert B2 == pytest.approx(2.5 * B1, rel=1e-12)
 
@@ -150,7 +160,7 @@ def test_decouple_pair_choice_is_immaterial():
     table = forward_table(spec, 3, 2)
     values = {r: table.entry(r, 2) for r in (1, 2, 3)}
     results = [
-        decouple_order(2, {r: values[r] for r in pair}, a, L0)
+        decouple(2, {r: values[r] for r in pair}, a, L0)
         for pair in [(1, 2), (1, 3), (2, 3), (1, 2, 3)]
     ]
     for A, B in results[1:]:
@@ -162,15 +172,13 @@ def test_decouple_pair_choice_is_immaterial():
 def test_decouple_fails_on_exceptional_floquet(a_bad):
     values = {1: 1.0 + 0j, 2: 2.0 + 0j, 3: 0.5 + 0j}
     with pytest.raises(ObstructionError) as err:
-        decouple_order(2, values, a_bad, L0)
+        decouple(2, values, a_bad, L0)
     assert err.value.name == "singular-decoupling"
 
 
 def test_decouple_guards():
-    with pytest.raises(ValueError):
-        decouple_order(1, {1: 1.0 + 0j, 2: 1.0 + 0j}, 0.5, L0)
     with pytest.raises(ObstructionError) as err:
-        decouple_order(2, {1: 1.0 + 0j}, 0.5, L0)
+        decouple(2, {1: 1.0 + 0j}, 0.5, L0)
     assert err.value.name == "singular-decoupling"
 
 
@@ -295,8 +303,38 @@ def test_two_symmetry_skips_poles_with_a_note():
     entries.update({(3, j): complex(999.0) for j in (1, 2, 3)})
     table = InvariantTable(L0, a, "twoarc-symmetric", "TopOnly", entries)
     result = recover_two_symmetry(table, L0, a, 3)
-    assert any("r = 3" in note for note in result.obstructions)
+    assert result.obstructions == (
+        f"iterate r = 3 skipped: symbol pole at a = {a:g}",
+    )
     assert worst_rel(result, convex_representative(spec, 6)) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["updown", "twoarc-symmetric", "dihedral"])
+def test_forward_and_recovery_invert_each_iterate_once(monkeypatch, kind):
+    # h11 and F3 depend on the iterate only, not on the order j
+    import wavetrace.invariants
+    import wavetrace.inverse
+
+    spec, name = {
+        "updown": (updown_spec(), "parity_sums"),
+        "twoarc-symmetric": (even_spec(), "parity_sums"),
+        "dihedral": (dihedral_spec(4), "dihedral_inverse_entry"),
+    }[kind]
+    calls = []
+    for module in (wavetrace.invariants, wavetrace.inverse):
+        inner = getattr(module, name)
+
+        def counted(*args, inner=inner):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    table = forward_table(spec, 7, 5)
+    assert len(calls) == 7
+    calls.clear()
+    result = recover(table, 5)
+    assert result.obstructions == ()
+    assert len(calls) == 7
 
 
 def test_two_symmetry_starved_of_iterates_raises():
