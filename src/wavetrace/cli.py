@@ -38,16 +38,12 @@ from .domain import (
     parse_spec,
     write_spec,
 )
-from .feynman import automorphism_order, enumerate_graphs
+from .feynman import MAX_CENSUS_ORDER, automorphism_order, enumerate_graphs
 from .hessian import badset_report
 from .invariants import InvariantTable, forward_table
 from .inverse import convex_representative, recover
 
 _MODES = {"top": "TopOnly", "full": "FullPrincipal"}
-
-# catalog size explodes past order four; the dump is for inspection, not
-# for stress-testing the enumerator
-_GRAPH_ORDER_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -110,14 +106,30 @@ def _flag_obstruction_name(flag: str) -> str:
 # forward / invert / roundtrip
 
 
+def _forward_j_max(cfg: RunConfig) -> int:
+    """--j-max of forward and roundtrip (default 3).
+
+    Raises:
+        ValueError: full mode past the graph census; order j sums the
+            order-(j - 1) graphs.
+    """
+    j_max = 3 if cfg.j_max is None else cfg.j_max
+    if cfg.mode == "full" and j_max > MAX_CENSUS_ORDER + 1:
+        raise ValueError(
+            f"--j-max {j_max} is too large for --mode full: the graph census "
+            f"runs to order {MAX_CENSUS_ORDER}, so --j-max <= {MAX_CENSUS_ORDER + 1}"
+        )
+    return j_max
+
+
 def cmd_forward(cfg: RunConfig) -> int:
+    j_max = _forward_j_max(cfg)
     spec = parse_spec(cfg.require_input().read_text(encoding="utf-8"))
     report = genericity_check(spec)
     if report.flags and cfg.strict:
         raise ObstructionError(_flag_obstruction_name(report.flags[0]), report.flags[0])
     for flag in report.flags:
         print(f"warning: {flag}", file=sys.stderr)
-    j_max = 3 if cfg.j_max is None else cfg.j_max
     table = forward_table(spec, cfg.r_max, j_max, normalization=_MODES[cfg.mode])
     _emit(_dump_json(table.to_json()), cfg.out_path)
     return 0
@@ -173,8 +185,8 @@ def _expected_taylor(spec: DomainSpec, order: int) -> dict[int, float]:
 
 
 def cmd_roundtrip(cfg: RunConfig) -> int:
+    j_max = _forward_j_max(cfg)
     spec = parse_spec(cfg.require_input().read_text(encoding="utf-8"))
-    j_max = 3 if cfg.j_max is None else cfg.j_max
     tol = 1e-8 if cfg.tol is None else cfg.tol
     table = forward_table(spec, cfg.r_max, j_max, normalization=_MODES[cfg.mode])
     result = recover(table, j_max)
@@ -267,8 +279,11 @@ def cmd_badset(cfg: RunConfig) -> int:
 
 def cmd_graphs(cfg: RunConfig) -> int:
     j_max = 2 if cfg.j_max is None else cfg.j_max
-    if not 1 <= j_max <= _GRAPH_ORDER_CAP:
-        raise ValueError(f"graph catalog supports 1 <= j <= {_GRAPH_ORDER_CAP}")
+    if not 1 <= j_max <= MAX_CENSUS_ORDER:
+        raise ValueError(
+            f"--j-max {j_max} is out of range: the graph catalog supports "
+            f"1 <= --j-max <= {MAX_CENSUS_ORDER}"
+        )
     catalog = []
     for j in range(1, j_max + 1):
         graphs = enumerate_graphs(j)

@@ -17,7 +17,6 @@ A graph with ``V`` closed vertices and ``I`` total edges contributes at order
 
 from __future__ import annotations
 
-import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ import numpy as np
 from .jets import MultiJet, derivative_tensor, jet_mul
 
 __all__ = [
+    "MAX_CENSUS_ORDER",
     "FeynmanGraph",
     "SPProblem",
     "amplitude",
@@ -40,6 +40,9 @@ __all__ = [
     "sp_coefficient_diagrams",
     "sp_coefficient_direct",
 ]
+
+# highest census order that finishes in seconds (order 4 ran past 9 minutes)
+MAX_CENSUS_ORDER = 3
 
 # i**m and i**(-m) without trig roundoff
 _IPOW = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -115,10 +118,6 @@ class FeynmanGraph:
     def open_vertex_valence(self) -> int:
         return 2 * self.open_loops + sum(s for _, s in self.closed_vertices)
 
-    def valence(self, v: int) -> int:
-        loops, stubs = self.closed_vertices[v]
-        return 2 * loops + stubs + sum(self.edges_between[v])
-
     @property
     def is_empty(self) -> bool:
         return self.num_closed == 0 and self.num_edges == 0
@@ -135,29 +134,16 @@ class FeynmanGraph:
         return (len(perm), self.open_loops, recs, adj)
 
     def sort_key(self) -> tuple:
-        return self.canonical()._encode(range(self.num_closed))
+        return _search(self)[0]
 
     def canonical(self) -> "FeynmanGraph":
         """Relabel closed vertices into a canonical order.
 
-        Vertices are first partitioned by iterated neighbourhood refinement;
-        the representative is the minimum encoding over all orderings that
-        sort the partition classes (isomorphic graphs share this minimum).
+        The order is the leaf of the individualization-refinement search
+        (`_search`) with the minimum encoding; isomorphic graphs share this
+        minimum.
         """
-        v = self.num_closed
-        if v == 0:
-            return self
-        colors = _refine_colors(self.closed_vertices, self.edges_between)
-        groups: dict[int, list[int]] = {}
-        for idx, c in enumerate(colors):
-            groups.setdefault(c, []).append(idx)
-        blocks = [groups[c] for c in sorted(groups)]
-        best = None
-        for perm in _block_permutations(blocks):
-            key = self._encode(perm)
-            if best is None or key < best[0]:
-                best = (key, perm)
-        _, perm = best
+        _, perm, _ = _search(self)
         recs = tuple(self.closed_vertices[p] for p in perm)
         adj = tuple(tuple(self.edges_between[p][q] for q in perm) for p in perm)
         return FeynmanGraph(recs, self.open_loops, adj)
@@ -172,28 +158,44 @@ class FeynmanGraph:
         }
 
 
-def _refine_colors(records, adj) -> list[int]:
-    """Iterated partition refinement by loop/stub counts and neighbourhoods."""
-    v = len(records)
-    ranks = {r: i for i, r in enumerate(sorted(set(records)))}
-    colors = [ranks[r] for r in records]
-    while True:
-        sigs = []
-        for i in range(v):
-            nbrs = tuple(sorted((adj[i][j], colors[j]) for j in range(v) if adj[i][j]))
-            sigs.append((colors[i], nbrs))
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+@lru_cache(maxsize=None)
+def _search(graph: FeynmanGraph) -> tuple[tuple, tuple[int, ...], int]:
+    """Individualization-refinement search over the closed vertices
+    (McKay & Piperno, J. Symb. Comput. 60, 2014).
 
+    Refinement splits colour cells (first the loop/stub records) by their
+    multisets of (edge multiplicity, neighbour colour) until none splits;
+    the search individualizes each vertex of the first non-singleton cell
+    in turn and recurses.  Returns the minimum `_encode` over the discrete
+    leaves, an ordering attaining it, and how many leaves attain it: the
+    number of vertex automorphisms, which permute those leaves freely.
+    """
+    v, adj = graph.num_closed, graph.edges_between
+    leaves = []
 
-def _block_permutations(blocks):
-    """All vertex orderings obtained by permuting within each colour block."""
-    pools = [itertools.permutations(b) for b in blocks]
-    for combo in itertools.product(*pools):
-        yield tuple(itertools.chain.from_iterable(combo))
+    def visit(colors):
+        while True:
+            sigs = [
+                (colors[i], tuple(sorted((adj[i][j], colors[j]) for j in range(v) if adj[i][j])))
+                for i in range(v)
+            ]
+            ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            split = len(ranks) > len(set(colors))
+            colors = [ranks[s] for s in sigs]
+            if not split:
+                break
+        if len(ranks) == v:
+            perm = tuple(sorted(range(v), key=colors.__getitem__))
+            leaves.append((graph._encode(perm), perm))
+            return
+        cell = min(c for c in ranks.values() if colors.count(c) > 1)
+        for u in range(v):
+            if colors[u] == cell:
+                visit([2 * c + (w != u) for w, c in enumerate(colors)])
+
+    visit(list(graph.closed_vertices))
+    key, perm = min(leaves)
+    return key, perm, sum(k == key for k, _ in leaves)
 
 
 def automorphism_order(graph: FeynmanGraph) -> int:
@@ -211,21 +213,7 @@ def automorphism_order(graph: FeynmanGraph) -> int:
     for i in range(v):
         for j in range(i + 1, v):
             factor *= math.factorial(graph.edges_between[i][j])
-    colors = _refine_colors(graph.closed_vertices, graph.edges_between)
-    groups: dict[int, list[int]] = {}
-    for idx, c in enumerate(colors):
-        groups.setdefault(c, []).append(idx)
-    blocks = [groups[c] for c in sorted(groups)]
-    vertex_perms = 0
-    ident = graph._encode(range(v))
-    for arrangements in itertools.product(*[itertools.permutations(b) for b in blocks]):
-        perm = [0] * v
-        for block, arrangement in zip(blocks, arrangements):
-            for pos, target in zip(block, arrangement):
-                perm[pos] = target
-        if graph._encode(perm) == ident:
-            vertex_perms += 1
-    return vertex_perms * factor
+    return _search(graph)[2] * factor
 
 
 def _self_assignments(v: int, budget: int):
@@ -303,9 +291,9 @@ def enumerate_graphs(order: int) -> tuple[FeynmanGraph, ...]:
     """All isomorphism classes of contraction graphs at the given order.
 
     Every closed vertex must have valence >= 3; disconnected graphs are
-    included.  At order 0 the only class is the empty graph.  Enumeration
-    beyond order 3 works but slows down sharply; keep interactive use at
-    ``order <= 4``.
+    included.  At order 0 the only class is the empty graph.  Orders up to
+    `MAX_CENSUS_ORDER` finish in seconds; past it, candidate generation
+    explodes and the census does not finish in minutes.
 
     Raises:
         ValueError: on a negative order.
@@ -317,11 +305,6 @@ def enumerate_graphs(order: int) -> tuple[FeynmanGraph, ...]:
         budget = order - open_loops
         for v in range(2 * budget + 1):
             total = budget + v  # loops + stubs + internal edges
-            if v == 0:
-                if total == 0:
-                    g = FeynmanGraph((), open_loops, ())
-                    seen.setdefault(g.sort_key(), g)
-                continue
             for recs in _self_assignments(v, total):
                 edge_budget = total - sum(l + s for l, s in recs)
                 if v == 1 and edge_budget > 0:
@@ -331,8 +314,8 @@ def enumerate_graphs(order: int) -> tuple[FeynmanGraph, ...]:
                     continue
                 for degs in _degree_sequences(needs, recs, 2 * edge_budget):
                     for adj in _realizations(degs):
-                        g = FeynmanGraph(recs, open_loops, adj).canonical()
-                        seen.setdefault(g.sort_key(), g)
+                        g = FeynmanGraph(recs, open_loops, adj)
+                        seen.setdefault(g.sort_key(), g.canonical())
     return tuple(seen[k] for k in sorted(seen))
 
 
@@ -423,53 +406,69 @@ def _require_jet_orders(problem: SPProblem, j: int):
 # graph route
 
 
+@lru_cache(maxsize=None)
+def _plan(graph: FeynmanGraph) -> tuple[int, tuple[int, ...], tuple]:
+    """Contraction plan of one graph class, built once per process: the edge
+    count, the derivative order of each vertex tensor (closed vertices, then
+    the open one), and numpy's greedy path over the operands (one inverse
+    Hessian per edge, then the tensors) as steps ``(positions, subscripts)``:
+    pop the operands at ``positions``, contract them, append the result.
+
+    Raises:
+        ValueError: if the graph needs more than 52 contraction symbols.
+    """
+    ends: list[tuple[int, int]] = []
+    v = graph.num_closed
+    for idx, (loops, stubs) in enumerate(graph.closed_vertices):
+        ends.extend([(idx, idx)] * loops)
+        ends.extend([(idx, v)] * stubs)
+    for i in range(v):
+        for j in range(i + 1, v):
+            ends.extend([(i, j)] * graph.edges_between[i][j])
+    ends.extend([(v, v)] * graph.open_loops)
+    letters = string.ascii_letters
+    if 2 * len(ends) > len(letters):
+        raise ValueError(f"graph needs {2 * len(ends)} contraction symbols; 52 available")
+    terms, slots = [], [""] * (v + 1)
+    for e, (p, q) in enumerate(ends):
+        terms.append(letters[2 * e : 2 * e + 2])
+        slots[p] += letters[2 * e]
+        slots[q] += letters[2 * e + 1]
+    terms += slots
+    # every axis has length n, and the greedy path is the same for every n
+    shapes = [np.broadcast_to(0.0, (2,) * len(t)) for t in terms]
+    path, _ = np.einsum_path(",".join(terms) + "->", *shapes, optimize="greedy")
+    steps = []
+    for positions in path[1:]:
+        positions = sorted(positions, reverse=True)
+        inputs = [terms.pop(i) for i in positions]
+        joined = "".join(inputs)
+        # every symbol occurs twice: one that occurs once here stays open
+        terms.append("".join(c for c in joined if joined.count(c) == 1))
+        steps.append((positions, ",".join(inputs) + "->" + terms[-1]))
+    return len(ends), tuple(map(len, slots)), tuple(steps)
+
+
 def amplitude(graph: FeynmanGraph, problem: SPProblem) -> complex:
     """Contraction value of one graph (with the k-power stripped off).
 
     Sums, over all assignments of variable indices to edge ends, the product
-    of an inverse-Hessian entry per edge, a phase-remainder partial of order
-    ``valence(v)`` per closed vertex, and an amplitude partial of order equal
-    to the open valence; the whole is multiplied by ``i**(edges + closed)``.
+    of an inverse-Hessian entry per edge, a phase-remainder partial per
+    closed vertex and an amplitude partial at the open vertex, each of order
+    equal to the vertex's valence; the whole is multiplied by
+    ``i**(edges + closed)``.
 
     Raises:
         ValueError: if a stored jet is too short for a required valence, or
             the graph needs more than 26 edges' worth of contraction symbols.
     """
-    ends: list[tuple[int, int]] = []
-    v = graph.num_closed
-    open_slot = v
-    for idx, (loops, stubs) in enumerate(graph.closed_vertices):
-        ends.extend([(idx, idx)] * loops)
-        ends.extend([(idx, open_slot)] * stubs)
-    for i in range(v):
-        for j in range(i + 1, v):
-            ends.extend([(i, j)] * graph.edges_between[i][j])
-    ends.extend([(open_slot, open_slot)] * graph.open_loops)
-    n_edges = len(ends)
-    if graph.is_empty and graph.open_vertex_valence == 0:
-        return complex(problem.amplitude.value)
-    if 2 * n_edges > len(string.ascii_letters):
-        raise ValueError(f"graph needs {2 * n_edges} contraction symbols; 52 available")
-
-    letters = string.ascii_letters
-    slots: list[list[str]] = [[] for _ in range(v + 1)]
-    subscripts = []
-    operands = []
-    for e, (p, q) in enumerate(ends):
-        a, b = letters[2 * e], letters[2 * e + 1]
-        subscripts.append(a + b)
-        operands.append(problem.hessian_inverse)
-        slots[p].append(a)
-        slots[q].append(b)
-    for idx in range(v):
-        val = graph.valence(idx)
-        subscripts.append("".join(slots[idx]))
-        operands.append(derivative_tensor(problem.phase_tensors, val))
-    open_val = graph.open_vertex_valence
-    subscripts.append("".join(slots[open_slot]))
-    operands.append(derivative_tensor(problem.amplitude, open_val))
-    value = np.einsum(",".join(subscripts) + "->", *operands, optimize=True)
-    return _i_power(n_edges + v) * complex(value)
+    n_edges, orders, steps = _plan(graph)
+    operands = [problem.hessian_inverse] * n_edges
+    operands += [derivative_tensor(problem.phase_tensors, k) for k in orders[:-1]]
+    operands.append(derivative_tensor(problem.amplitude, orders[-1]))
+    for positions, subscripts in steps:
+        operands.append(np.einsum(subscripts, *[operands.pop(i) for i in positions]))
+    return _i_power(n_edges + graph.num_closed) * complex(operands[0])
 
 
 def sp_coefficient_diagrams(problem: SPProblem, j: int) -> complex:

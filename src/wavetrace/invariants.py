@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .billiard import length_jet
-from .domain import DomainSpec, ObstructionError, _finite_number, kt_parameters
+from .domain import DomainSpec, ObstructionError, _finite_number
 from .feynman import (
     FeynmanGraph,
     SPProblem,
@@ -404,6 +404,8 @@ def forward_table(
     Raises:
         ValueError: bad normalization, or FullPrincipal with a dihedral
             spec (propagated as ObstructionError("unsupported")).
+        ObstructionError("symbol-pole"): a resonant iterate, in either
+            normalization.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(
@@ -423,20 +425,21 @@ def forward_table(
             h11 = dihedral_inverse_entry(spec.m, r, param, link, 1, 1)
             for j in orders:
                 entries[(r, j)] = complex(_dihedral_value(spec, r, j, h11))
-    elif normalization == "TopOnly":
+    else:
         base = CirculantHessian.from_spec(spec, 1)
         param = base.a
-        arcs = (spec.upper, spec.lower)
-        weights = [contributing_weights(j) for j in orders]
-        for r in iterates:
-            sums = parity_sums(dataclasses.replace(base, r=r))
-            for j, w in zip(orders, weights):
-                entries[(r, j)] = _top_value(arcs, spec.L, r, j, sums, w)
-    else:
-        param = kt_parameters(spec)[0]
-        for r in iterates:
-            for j in orders:
-                entries[(r, j)] = invariant_full(spec, r, j)
+        # also the symbol-pole test of every iterate, before any jet is built
+        sums = [parity_sums(dataclasses.replace(base, r=r)) for r in iterates]
+        if normalization == "TopOnly":
+            arcs = (spec.upper, spec.lower)
+            weights = [contributing_weights(j) for j in orders]
+            for r, r_sums in zip(iterates, sums):
+                for j, w in zip(orders, weights):
+                    entries[(r, j)] = _top_value(arcs, spec.L, r, j, r_sums, w)
+        else:
+            for r in iterates:
+                for j in orders:
+                    entries[(r, j)] = invariant_full(spec, r, j)
     return InvariantTable(
         length=spec.L,
         floquet_parameter=param,

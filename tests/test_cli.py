@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import wavetrace
+from wavetrace import cli, feynman
 from wavetrace.cli import main
 from wavetrace.domain import parse_spec
 from wavetrace.invariants import InvariantTable, forward_table
@@ -83,6 +84,34 @@ def test_forward_rejects_a_nan_coefficient(tmp_path, capsys):
     assert main(["forward", str(spec_file), "--out", str(out)]) == 1
     assert "'f[2]'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["top", "full"])
+def test_forward_names_a_resonant_iterate_in_both_modes(tmp_path, capsys, mode):
+    # a = 1 puts a symbol pole at r = 3, k = 2
+    resonant = dict(UPDOWN, f=[1.0, 0.0, -0.375, 0.203, 0.031, -0.136, 0.231, -0.157, -0.037])
+    spec_file = write_updown(tmp_path, payload=resonant)
+    rc = main(["forward", str(spec_file), "--mode", mode, "--r-max", "3", "--j-max", "4"])
+    assert rc == 2
+    assert "obstruction[symbol-pole]" in capsys.readouterr().err
+
+
+def test_census_limits_are_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    def census(order):
+        raise AssertionError(f"order-{order} census started")
+
+    monkeypatch.setattr(feynman, "enumerate_graphs", census)
+    monkeypatch.setattr(cli, "enumerate_graphs", census)
+    limit = feynman.MAX_CENSUS_ORDER
+    assert main(["graphs", "--j-max", str(limit + 1)]) == 1
+    err = capsys.readouterr().err
+    assert "--j-max" in err and f"<= {limit}" in err
+    spec_file = write_updown(tmp_path)
+    for command in ("forward", "roundtrip"):
+        argv = [command, str(spec_file), "--mode", "full", "--j-max", str(limit + 2)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--j-max" in err and f"<= {limit + 1}" in err
 
 
 # ---------------------------------------------------------------------------

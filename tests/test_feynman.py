@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+import string
 
 import numpy as np
 import pytest
 
 from wavetrace.checks import random_sp_problem
+from wavetrace.domain import parse_spec
 from wavetrace.feynman import (
     FeynmanGraph,
     SPProblem,
@@ -27,7 +30,8 @@ from wavetrace.feynman import (
     sp_coefficient_diagrams,
     sp_coefficient_direct,
 )
-from wavetrace.jets import MultiJet, extract_partial, jet_exp, jet_mul
+from wavetrace.invariants import build_principal
+from wavetrace.jets import MultiJet, derivative_tensor, extract_partial, jet_exp, jet_mul
 
 
 def _flower(loops):
@@ -219,6 +223,41 @@ def test_automorphism_exhaustive_halfedge_oracle():
         assert automorphism_order(g) == _exhaustive_aut_count(g), g
 
 
+def _edge_factor(g):
+    """Loop end swaps, loop permutations and bundle permutations."""
+    factor = 2**g.open_loops * math.factorial(g.open_loops)
+    for loops, stubs in g.closed_vertices:
+        factor *= 2**loops * math.factorial(loops) * math.factorial(stubs)
+    for i in range(g.num_closed):
+        for j in range(i + 1, g.num_closed):
+            factor *= math.factorial(g.edges_between[i][j])
+    return factor
+
+
+def _relabeled(g, perm):
+    return FeynmanGraph(
+        tuple(g.closed_vertices[p] for p in perm),
+        g.open_loops,
+        tuple(tuple(g.edges_between[p][q] for q in perm) for p in perm),
+    )
+
+
+def test_canonical_form_and_automorphisms_match_brute_force():
+    rng = random.Random(5)
+    for j in range(4):
+        for g in enumerate_graphs(j):
+            v = g.num_closed
+            for _ in range(3):
+                h = _relabeled(g, rng.sample(range(v), v))
+                assert h.canonical() == g
+                assert h.sort_key() == g.sort_key()
+            ident = g._encode(range(v))
+            vertex_perms = sum(
+                g._encode(perm) == ident for perm in itertools.permutations(range(v))
+            )
+            assert automorphism_order(g) == vertex_perms * _edge_factor(g), g
+
+
 # ---------------------------------------------------------------------------
 # amplitudes
 
@@ -256,6 +295,41 @@ def test_amplitude_matches_explicit_label_sum():
         assert amplitude(g, problem3) == pytest.approx(
             _explicit_label_sum(g, problem3), rel=1e-12, abs=1e-12
         )
+
+
+def _fresh_path_amplitude(g, problem):
+    """The contraction with numpy searching its path on this call, and the
+    same contraction of the operands' absolute values, which bounds the
+    rounding of any summation order."""
+    ends = _halfedge_ends(g)
+    letters = string.ascii_letters
+    slots = [""] * (g.num_closed + 1)
+    terms = []
+    for e, (p, q) in enumerate(ends):
+        terms.append(letters[2 * e] + letters[2 * e + 1])
+        slots[p] += letters[2 * e]
+        slots[q] += letters[2 * e + 1]
+    operands = [problem.hessian_inverse] * len(ends)
+    operands += [derivative_tensor(problem.phase_tensors, len(s)) for s in slots[:-1]]
+    operands.append(derivative_tensor(problem.amplitude, len(slots[-1])))
+    subscripts = ",".join(terms + slots) + "->"
+    value = np.einsum(subscripts, *operands, optimize=True)
+    scale = np.einsum(subscripts, *map(np.abs, operands), optimize=True)
+    return (1j) ** (len(ends) + g.num_closed) * complex(value), float(scale)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_planned_contraction_matches_a_fresh_path_search(r):
+    spec = parse_spec(
+        '{"kind": "updown", "L": 2.0, "f": [1.0, 0.0, 0.6, 0.15, -0.2, 0.1, 0.05, -0.12, 0.2]}'
+    )
+    problem = build_principal(spec, r, 8).problem()
+    assert problem.num_vars == 2 * r
+    graphs = [g for j in range(4) for g in enumerate_graphs(j)]
+    assert len(graphs) == 425
+    for g in graphs:
+        want, scale = _fresh_path_amplitude(g, problem)
+        assert abs(amplitude(g, problem) - want) <= 1e-13 * scale, g
 
 
 def test_classical_first_correction_one_dim():

@@ -6,6 +6,7 @@ import dataclasses
 import math
 
 import numpy as np
+import numpy._core.einsumfunc as einsumfunc
 import pytest
 
 from wavetrace import hessian, invariants
@@ -447,6 +448,28 @@ def test_resonant_iterate_is_a_symbol_pole_in_forward_and_hessian():
     with pytest.raises(ObstructionError) as row_err:
         parity_sums(CirculantHessian.from_spec(spec, 2))
     assert forward_err.value.name == row_err.value.name == "symbol-pole"
+
+
+def test_second_full_table_searches_no_contraction_path(monkeypatch):
+    # each graph class plans its contraction once per process, and a repeated
+    # table reuses every plan
+    spec = DomainSpec(
+        "updown", 2.0, BoundaryArc((1.0, 0.0, 0.6, 0.15, -0.2, 0.1, 0.05, -0.12, 0.2))
+    )
+    first = forward_table(spec, 3, 4, "FullPrincipal")
+    searches = []
+    search = einsumfunc.einsum_path
+
+    def counted(*args, **kwargs):
+        searches.append(args[0])
+        return search(*args, **kwargs)
+
+    # np.einsum(..., optimize=...) calls the module function, not np.einsum_path
+    monkeypatch.setattr(einsumfunc, "einsum_path", counted)
+    monkeypatch.setattr(np, "einsum_path", counted)
+    second = forward_table(spec, 3, 4, "FullPrincipal")
+    assert len(searches) == 0
+    assert second.entries == first.entries
 
 
 def test_symmetry_class_labels():
