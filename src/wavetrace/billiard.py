@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from wavetrace.domain import BoundaryArc, DomainSpec
-from wavetrace.jets import MultiJet, jet_sqrt
+from wavetrace.jets import MultiJet, jet_power
 
 __all__ = [
     "Chart",
@@ -31,9 +31,6 @@ __all__ = [
     "find_orbit",
     "poincare_numeric",
     "snell_residual",
-    "length_value",
-    "length_gradient",
-    "length_hessian",
     "length_jet",
     "arclength",
     "x_from_arclength",
@@ -249,6 +246,8 @@ def _chord_blocks(
 
 
 def _assemble(spec: DomainSpec, word: tuple[int, ...], x: np.ndarray):
+    """(length, gradient, Hessian) of the cyclic chord-length sum along the
+    bounce word, at chart coordinates x."""
     chs = charts(spec)
     n = len(word)
     total = 0.0
@@ -261,28 +260,6 @@ def _assemble(spec: DomainSpec, word: tuple[int, ...], x: np.ndarray):
         grad[[p, q]] += gr
         hess[np.ix_([p, q], [p, q])] += hb
     return total, grad, hess
-
-
-def length_value(spec: DomainSpec, points, r: int | None = None) -> float:
-    word = bounce_sequence(spec, _infer_r(spec, len(points)) if r is None else r)
-    return _assemble(spec, word, np.asarray(points, dtype=float))[0]
-
-
-def length_gradient(spec: DomainSpec, points) -> np.ndarray:
-    word = bounce_sequence(spec, _infer_r(spec, len(points)))
-    return _assemble(spec, word, np.asarray(points, dtype=float))[1]
-
-
-def length_hessian(spec: DomainSpec, points) -> np.ndarray:
-    word = bounce_sequence(spec, _infer_r(spec, len(points)))
-    return _assemble(spec, word, np.asarray(points, dtype=float))[2]
-
-
-def _infer_r(spec: DomainSpec, n: int) -> int:
-    cycle = spec.m if spec.kind == "dihedral" else 2
-    if n % cycle:
-        raise ValueError(f"{n} bounce points do not close a {cycle}-site word")
-    return n // cycle
 
 
 def find_orbit(spec: DomainSpec, r: int, initial_guess) -> PeriodicOrbit:
@@ -423,9 +400,7 @@ def poincare_numeric(spec: DomainSpec, orbit: PeriodicOrbit) -> PoincareData:
 # chord-length sums as jets
 
 
-def length_jet(
-    spec: DomainSpec, r: int, degree: int, word: tuple[int, ...] | None = None
-) -> MultiJet:
+def length_jet(spec: DomainSpec, r: int, degree: int) -> MultiJet:
     """Jet of the cyclic chord-length sum at the distinguished orbit.
 
     Variables are the chart coordinates (x_0, ..., x_{n-1}) in bounce
@@ -433,7 +408,7 @@ def length_jet(
     must carry Taylor data to the requested degree (coefficients beyond
     what an arc stores are treated as zero by the truncation).
     """
-    word = bounce_sequence(spec, r) if word is None else word
+    word = bounce_sequence(spec, r)
     n = len(word)
     chs = charts(spec)
     comps = []
@@ -448,5 +423,5 @@ def length_jet(
         q = (p + 1) % n
         dx = comps[q][0] - comps[p][0]
         dy = comps[q][1] - comps[p][1]
-        total = total + jet_sqrt(dx * dx + dy * dy)
+        total = total + jet_power(dx * dx + dy * dy, 0.5)
     return total

@@ -24,7 +24,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,26 +45,10 @@ from .inverse import convex_representative, recover
 _MODES = {"top": "TopOnly", "full": "FullPrincipal"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, resolved from the parsed arguments."""
-
-    command: str
-    input_path: Path | None = None
-    out_path: Path | None = None
-    r_max: int = 3
-    j_max: int | None = None
-    mode: str = "top"
-    tol: float | None = None
-    seed: int = 0
-    strict: bool = False
-    symmetry_class: str | None = None
-    suites: tuple[str, ...] = ()
-
-    def require_input(self) -> Path:
-        if self.input_path is None or not self.input_path.is_file():
-            raise ValueError(f"input file not found: {self.input_path}")
-        return self.input_path
+def _read_input(path: Path) -> str:
+    if not path.is_file():
+        raise ValueError(f"input file not found: {path}")
+    return path.read_text(encoding="utf-8")
 
 
 def _dump_json(payload) -> str:
@@ -106,32 +89,32 @@ def _flag_obstruction_name(flag: str) -> str:
 # forward / invert / roundtrip
 
 
-def _forward_j_max(cfg: RunConfig) -> int:
-    """--j-max of forward and roundtrip (default 3).
+def _check_census(j_max: int, name: str, what: str):
+    """Refuse a diagram-sum order past the graph census, before any work:
+    order j sums the order-(j - 1) graphs.  ``name`` is the input that set
+    j_max, ``what`` the full-mode input that asks for diagram sums.
 
     Raises:
-        ValueError: full mode past the graph census; order j sums the
-            order-(j - 1) graphs.
+        ValueError: naming ``name`` and the limit.
     """
-    j_max = 3 if cfg.j_max is None else cfg.j_max
-    if cfg.mode == "full" and j_max > MAX_CENSUS_ORDER + 1:
+    if j_max > MAX_CENSUS_ORDER + 1:
         raise ValueError(
-            f"--j-max {j_max} is too large for --mode full: the graph census "
-            f"runs to order {MAX_CENSUS_ORDER}, so --j-max <= {MAX_CENSUS_ORDER + 1}"
+            f"{name} {j_max} is too large for {what}: the graph census "
+            f"runs to order {MAX_CENSUS_ORDER}, so {name} <= {MAX_CENSUS_ORDER + 1}"
         )
-    return j_max
 
 
-def cmd_forward(cfg: RunConfig) -> int:
-    j_max = _forward_j_max(cfg)
-    spec = parse_spec(cfg.require_input().read_text(encoding="utf-8"))
+def cmd_forward(args: argparse.Namespace) -> int:
+    if args.mode == "full":
+        _check_census(args.j_max, "--j-max", "--mode full")
+    spec = parse_spec(_read_input(args.spec_file))
     report = genericity_check(spec)
-    if report.flags and cfg.strict:
+    if report.flags and args.strict:
         raise ObstructionError(_flag_obstruction_name(report.flags[0]), report.flags[0])
     for flag in report.flags:
         print(f"warning: {flag}", file=sys.stderr)
-    table = forward_table(spec, cfg.r_max, j_max, normalization=_MODES[cfg.mode])
-    _emit(_dump_json(table.to_json()), cfg.out_path)
+    table = forward_table(spec, args.r_max, args.j_max, normalization=_MODES[args.mode])
+    _emit(_dump_json(table.to_json()), args.out)
     return 0
 
 
@@ -155,13 +138,16 @@ def _spec_from_recovery(symmetry_class: str, L: float, taylor: dict[int, float])
     return DomainSpec("updown", L, BoundaryArc(tuple(coeffs)))
 
 
-def cmd_invert(cfg: RunConfig) -> int:
-    table = InvariantTable.from_json(
-        json.loads(cfg.require_input().read_text(encoding="utf-8"))
-    )
-    if cfg.symmetry_class is not None:
-        table = dataclasses.replace(table, symmetry_class=cfg.symmetry_class)
-    j_max = max(j for (_, j) in table.entries) if cfg.j_max is None else cfg.j_max
+def cmd_invert(args: argparse.Namespace) -> int:
+    table = InvariantTable.from_json(json.loads(_read_input(args.table_file)))
+    if args.symmetry_class is not None:
+        table = dataclasses.replace(table, symmetry_class=args.symmetry_class)
+    if args.j_max is None:
+        j_max, name = max(j for (_, j) in table.entries), "entries[].j"
+    else:
+        j_max, name = args.j_max, "--j-max"
+    if table.normalization == "FullPrincipal":
+        _check_census(j_max, name, "a FullPrincipal table")
     result = recover(table, j_max)
     spec = _spec_from_recovery(table.symmetry_class, table.length, result.taylor)
     payload = {
@@ -170,8 +156,8 @@ def cmd_invert(cfg: RunConfig) -> int:
         "spec": json.loads(write_spec(spec)),
     }
     sys.stdout.write(_dump_json(payload))
-    if cfg.out_path is not None:
-        cfg.out_path.write_text(write_spec(spec) + "\n", encoding="utf-8")
+    if args.out is not None:
+        args.out.write_text(write_spec(spec) + "\n", encoding="utf-8")
     return 0
 
 
@@ -184,11 +170,12 @@ def _expected_taylor(spec: DomainSpec, order: int) -> dict[int, float]:
     return convex_representative(spec, order)
 
 
-def cmd_roundtrip(cfg: RunConfig) -> int:
-    j_max = _forward_j_max(cfg)
-    spec = parse_spec(cfg.require_input().read_text(encoding="utf-8"))
-    tol = 1e-8 if cfg.tol is None else cfg.tol
-    table = forward_table(spec, cfg.r_max, j_max, normalization=_MODES[cfg.mode])
+def cmd_roundtrip(args: argparse.Namespace) -> int:
+    j_max, tol = args.j_max, args.tol
+    if args.mode == "full":
+        _check_census(j_max, "--j-max", "--mode full")
+    spec = parse_spec(_read_input(args.spec_file))
+    table = forward_table(spec, args.r_max, j_max, normalization=_MODES[args.mode])
     result = recover(table, j_max)
     want = _expected_taylor(spec, 2 * j_max)
     rows = []
@@ -210,13 +197,13 @@ def cmd_roundtrip(cfg: RunConfig) -> int:
         "status": "pass" if worst <= tol else "fail",
         "tolerance": tol,
     }
-    if cfg.out_path is not None and cfg.out_path.suffix == ".csv":
+    if args.out is not None and args.out.suffix == ".csv":
         _emit(
             _rows_to_csv(rows, ["order", "recovered", "expected", "rel_error"]),
-            cfg.out_path,
+            args.out,
         )
     else:
-        _emit(_dump_json(payload), cfg.out_path)
+        _emit(_dump_json(payload), args.out)
     return 0 if worst <= tol else 1
 
 
@@ -236,18 +223,18 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    names = cfg.suites or tuple(sorted(_SUITES))
+def cmd_verify(args: argparse.Namespace) -> int:
+    names = args.suites or sorted(_SUITES)
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise ValueError(
             f"unknown suite(s) {unknown}; available: {sorted(_SUITES)}"
         )
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     for name in names:
         for row in _SUITES[name](rng):
-            tol = cfg.tol if cfg.tol is not None else row["tolerance"]
+            tol = args.tol if args.tol is not None else row["tolerance"]
             status = "pass" if row["residual"] <= tol else "fail"
             rows.append({"suite": name, **row, "tolerance": tol, "status": status})
     for row in rows:
@@ -257,14 +244,14 @@ def cmd_verify(cfg: RunConfig) -> int:
         )
     failed = sum(row["status"] == "fail" for row in rows)
     print(f"{len(rows) - failed}/{len(rows)} checks passed")
-    if cfg.out_path is not None:
-        if cfg.out_path.suffix == ".csv":
+    if args.out is not None:
+        if args.out.suffix == ".csv":
             text = _rows_to_csv(
                 rows, ["suite", "check", "residual", "tolerance", "status"]
             )
         else:
-            text = _dump_json({"seed": cfg.seed, "checks": rows})
-        cfg.out_path.write_text(text, encoding="utf-8")
+            text = _dump_json({"seed": args.seed, "checks": rows})
+        args.out.write_text(text, encoding="utf-8")
     return 1 if failed else 0
 
 
@@ -272,13 +259,13 @@ def cmd_verify(cfg: RunConfig) -> int:
 # dumps
 
 
-def cmd_badset(cfg: RunConfig) -> int:
-    _emit(_dump_json(badset_report()), cfg.out_path)
+def cmd_badset(args: argparse.Namespace) -> int:
+    _emit(_dump_json(badset_report()), args.out)
     return 0
 
 
-def cmd_graphs(cfg: RunConfig) -> int:
-    j_max = 2 if cfg.j_max is None else cfg.j_max
+def cmd_graphs(args: argparse.Namespace) -> int:
+    j_max = args.j_max
     if not 1 <= j_max <= MAX_CENSUS_ORDER:
         raise ValueError(
             f"--j-max {j_max} is out of range: the graph catalog supports "
@@ -297,7 +284,7 @@ def cmd_graphs(cfg: RunConfig) -> int:
                 ],
             }
         )
-    _emit(_dump_json(catalog), cfg.out_path)
+    _emit(_dump_json(catalog), args.out)
     return 0
 
 
@@ -337,16 +324,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="treat genericity flags as errors (exit 2)")
     add_common(p, r=True, j=True, mode=True)
+    p.set_defaults(j_max=3)
 
     p = sub.add_parser("invert", help="invariant table -> boundary data")
     p.add_argument("table_file", type=Path)
     p.add_argument("--class", dest="symmetry_class", default=None,
                    help="override the table's symmetry class")
-    add_common(p, j=True)
+    add_common(p, j=True)  # default: the table's largest order
 
     p = sub.add_parser("roundtrip", help="forward then invert a spec file")
     p.add_argument("spec_file", type=Path)
     add_common(p, r=True, j=True, mode=True, tol=True)
+    p.set_defaults(j_max=3, tol=1e-8)
 
     p = sub.add_parser("verify", help="run the identity suites")
     p.add_argument("suites", nargs="*", metavar="suite",
@@ -358,23 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graphs", help="diagram census per order")
     add_common(p, j=True)
+    p.set_defaults(j_max=2)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "spec_file", None) or getattr(args, "table_file", None),
-        out_path=args.out,
-        r_max=getattr(args, "r_max", 3),
-        j_max=getattr(args, "j_max", None),
-        mode=getattr(args, "mode", "top"),
-        tol=getattr(args, "tol", None),
-        seed=getattr(args, "seed", 0),
-        strict=getattr(args, "strict", False),
-        symmetry_class=getattr(args, "symmetry_class", None),
-        suites=tuple(getattr(args, "suites", ())),
-    )
 
 
 _COMMANDS = {
@@ -389,9 +363,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except ObstructionError as exc:
         detail = str(exc).removeprefix(f"{exc.name}: ")
         print(f"obstruction[{exc.name}]: {detail}", file=sys.stderr)

@@ -35,6 +35,7 @@ __all__ = [
     "BAD_FLOQUET_SET",
     "floquet",
     "genericity_check",
+    "dihedral_parameters",
     "parse_spec",
     "write_spec",
 ]
@@ -329,6 +330,22 @@ def kt_parameters(spec: DomainSpec) -> tuple[float, float]:
     return a, b
 
 
+def dihedral_parameters(spec: DomainSpec) -> tuple[float, float]:
+    """(s_param, link_length) of a dihedral spec's polygon orbit.
+
+    ``s_param = 2 + 4 L f''(0) / (m sin(pi/m))`` is the diagonal parameter
+    of the orbit's circulant length Hessian and ``link_length = 2L/m``;
+    the two-arc counterpart is `kt_parameters`.
+    """
+    if spec.kind != "dihedral":
+        raise ValueError("dihedral_parameters applies to dihedral specs")
+    m = spec.m
+    assert m is not None
+    sin_t = math.sin(math.pi / m)
+    s_param = 2.0 + 4.0 * spec.L * spec.f.derivative(2) / (m * sin_t)
+    return s_param, 2.0 * spec.L / m
+
+
 @dataclass
 class GenericityReport:
     """Outcome of the genericity checks required by the inverse algorithm."""
@@ -342,7 +359,7 @@ class GenericityReport:
         return not self.flags
 
 
-def genericity_check(spec: DomainSpec, tol: float = 1e-9) -> GenericityReport:
+def genericity_check(spec: DomainSpec) -> GenericityReport:
     """Collect the genericity flags relevant to inversion.
 
     Flags raised (never errors; this is a report):
@@ -353,17 +370,18 @@ def genericity_check(spec: DomainSpec, tol: float = 1e-9) -> GenericityReport:
           the cubic has no replacement implemented;
         * ``degenerate orbit``: the linearized return map is parabolic.
 
+    Every flag uses the absolute tolerance 1e-9.
+
     Args:
         spec: any spec.
-        tol: absolute tolerance used for the flags.
 
     Returns:
         GenericityReport; ``report.clean`` is True for generic input.
     """
+    tol = 1e-9
     report = GenericityReport()
     if spec.kind == "dihedral":
-        sin_t = math.sin(math.pi / spec.m)  # type: ignore[arg-type]
-        d = 2.0 + 4.0 * spec.L * spec.f.derivative(2) / (spec.m * sin_t)  # type: ignore[operator]
+        d, _ = dihedral_parameters(spec)
         report.a = d
         if abs(abs(d) - 2.0) <= tol:
             report.flags.append("degenerate orbit")

@@ -110,18 +110,6 @@ class FeynmanGraph:
         """Inverse power of the large parameter carried by this graph."""
         return self.num_edges - self.num_closed
 
-    @property
-    def k_power(self) -> int:
-        return -self.order
-
-    @property
-    def open_vertex_valence(self) -> int:
-        return 2 * self.open_loops + sum(s for _, s in self.closed_vertices)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.num_closed == 0 and self.num_edges == 0
-
     # -- normal form -----------------------------------------------------------
 
     def _encode(self, perm: Sequence[int]) -> tuple:
@@ -363,7 +351,7 @@ class SPProblem:
             raise ValueError(f"signature {self.signature} impossible in dimension {n}")
 
     @staticmethod
-    def from_phase(phase: MultiJet, amplitude: MultiJet, grad_tol: float = 1e-9) -> "SPProblem":
+    def from_phase(phase: MultiJet, amplitude: MultiJet) -> "SPProblem":
         """Split a full phase jet at a critical point into problem data.
 
         Raises:
@@ -371,7 +359,7 @@ class SPProblem:
                 singular.
         """
         grad = phase.gradient_at_zero()
-        if np.linalg.norm(grad, np.inf) > grad_tol:
+        if np.linalg.norm(grad, np.inf) > 1e-9:
             raise ValueError("phase gradient does not vanish: not a critical point")
         hess = phase.hessian_at_zero().real
         eig = np.linalg.eigvalsh(hess)
@@ -550,24 +538,21 @@ def sp_coefficient_direct(problem: SPProblem, j: int) -> complex:
 # assembled expansion and quadrature oracle
 
 
-def full_expansion(problem: SPProblem, k: float, order_cap: int, method: str = "direct") -> complex:
+def full_expansion(problem: SPProblem, k: float, order_cap: int) -> complex:
     """Truncated stationary-phase value of the oscillatory integral.
 
     Multiplies the Gaussian prefactor
     ``(2 pi / k)**(n/2) * exp(i pi sgn / 4) / sqrt(|det H|) * exp(i k S(0))``
-    by the coefficient series through order ``order_cap`` in ``1/k``.
+    by the operator-route coefficient series through order ``order_cap`` in
+    ``1/k``.
 
     Args:
         problem: local data at the critical point.
         k: large positive parameter.
         order_cap: highest inverse power retained.
-        method: "direct" (operator route) or "diagrams".
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    if method not in ("direct", "diagrams"):
-        raise ValueError(f"unknown method {method!r}")
-    coeff_fn = sp_coefficient_direct if method == "direct" else sp_coefficient_diagrams
     n = problem.num_vars
     det_h = np.linalg.det(problem.hessian_inverse)
     prefactor = (
@@ -576,7 +561,7 @@ def full_expansion(problem: SPProblem, k: float, order_cap: int, method: str = "
         * np.sqrt(abs(det_h))
         * np.exp(1j * k * problem.phase_value)
     )
-    series = sum(coeff_fn(problem, j) * k ** (-j) for j in range(order_cap + 1))
+    series = sum(sp_coefficient_direct(problem, j) * k ** (-j) for j in range(order_cap + 1))
     return complex(prefactor * series)
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "badset_report",
     "decoupling_pair",
     "dihedral_hessian",
-    "dihedral_parameters",
     "dihedral_inverse_entry",
 ]
 
@@ -346,25 +345,26 @@ def _difference_polynomial() -> np.ndarray:
     return np.polysub(lhs, rhs)
 
 
-def bad_set(cluster_tol: float = 1e-4) -> set[float]:
+def bad_set() -> set[float]:
     """The exceptional Floquet parameters {0, -1, 2, -2}, recomputed.
 
     Solves the degree-9 coefficient identity equating the r = 1 and r = 2
     ratios F_3 / (h^11)^2.  Multiple roots (the polynomial has a triple
     root) come out of the companion-matrix solve with O(eps^(1/3)) errors,
-    so any root within ``cluster_tol`` of an integer is certified against
-    the exact integer-coefficient polynomial and snapped.
+    so any root within 1e-4 of an integer is certified against the exact
+    integer-coefficient polynomial and snapped.
     """
+    tol = 1e-4
     coeffs = np.trim_zeros(_difference_polynomial(), "f")
     int_coeffs = [int(round(c)) for c in coeffs]
     roots = np.roots(coeffs)
-    real = roots[np.abs(roots.imag) <= cluster_tol].real
+    real = roots[np.abs(roots.imag) <= tol].real
     out: list[float] = []
     for value in real:
         snapped = round(value)
         exact = sum(c * snapped**k for k, c in enumerate(reversed(int_coeffs)))
-        canon = float(snapped) if abs(value - snapped) <= cluster_tol and exact == 0 else float(value)
-        if not any(abs(canon - seen) <= cluster_tol for seen in out):
+        canon = float(snapped) if abs(value - snapped) <= tol and exact == 0 else float(value)
+        if not any(abs(canon - seen) <= tol for seen in out):
             out.append(canon)
     return set(out)
 
@@ -440,8 +440,8 @@ def dihedral_hessian(
     """Length Hessian of the r-fold iterated regular m-gon orbit.
 
     The matrix is (sin^2(pi/m) / link_length) * C(s_param, 1, 0, ..., 0, 1)
-    of size mr, where the diagonal parameter for a boundary with profile f
-    is s_param = 2 + 4 L f''(0) / (m sin(pi/m)) and link_length = 2L/m.
+    of size mr, with (s_param, link_length) from
+    `wavetrace.domain.dihedral_parameters` for a boundary with profile f.
     The overall scale (positive, not -1/link) and the unit off-diagonals
     are pinned by the jet oracle in the test suite; at m = 2 the matrix
     coincides with the bouncing-ball Hessian up to conjugation by
@@ -461,17 +461,6 @@ def dihedral_hessian(
         mat[idx, (idx + 1) % n] += 1.0
         mat[idx, (idx - 1) % n] += 1.0
     return math.sin(math.pi / m) ** 2 / link_length * mat
-
-
-def dihedral_parameters(spec: DomainSpec) -> tuple[float, float]:
-    """(s_param, link_length) of a dihedral spec's polygon orbit."""
-    if spec.kind != "dihedral":
-        raise ValueError("dihedral_parameters applies to dihedral specs")
-    m = spec.m
-    assert m is not None
-    sin_t = math.sin(math.pi / m)
-    s_param = 2.0 + 4.0 * spec.L * spec.f.derivative(2) / (m * sin_t)
-    return s_param, 2.0 * spec.L / m
 
 
 def dihedral_inverse_entry(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .billiard import length_jet
-from .domain import DomainSpec, ObstructionError, _finite_number
+from .domain import DomainSpec, ObstructionError, _finite_number, dihedral_parameters
 from .feynman import (
     FeynmanGraph,
     SPProblem,
@@ -27,12 +27,7 @@ from .feynman import (
     automorphism_order,
     sp_coefficient_diagrams,
 )
-from .hessian import (
-    CirculantHessian,
-    dihedral_inverse_entry,
-    dihedral_parameters,
-    parity_sums,
-)
+from .hessian import CirculantHessian, dihedral_inverse_entry, parity_sums
 from .jets import MultiJet, jet_power
 
 NORMALIZATIONS = ("TopOnly", "FullPrincipal")
@@ -57,25 +52,13 @@ class PrincipalTerm:
     """Stationary-phase data of one orbit iterate.
 
     Attributes:
-        r: iterate count (the orbit bounces 2r times).
         phase_jets: jet of the chord-length sum at the orbit.
-        amplitude_jets: complex jet of the principal amplitude.
-        orbit_length: 2rL, the geometric length of the iterate.
-        length_power: L^-r from the chord denominators.
-        propagator_constant: (i/2pi)^r, the product of per-link constants.
+        amplitude_jets: complex jet of the principal amplitude; its value
+            at the orbit is `principal_leading_value`.
     """
 
-    r: int
     phase_jets: MultiJet
     amplitude_jets: MultiJet
-    orbit_length: float
-    length_power: float
-    propagator_constant: complex
-
-    @property
-    def leading_value(self) -> complex:
-        """Amplitude at the orbit, orbit_length * length_power * constant."""
-        return self.orbit_length * self.length_power * self.propagator_constant
 
     def problem(self) -> SPProblem:
         """Package the jets for the stationary-phase engine."""
@@ -139,15 +122,7 @@ def build_principal(spec: DomainSpec, r: int, order: int) -> PrincipalTerm:
         numer = dx * slope - df
         product = product * (numer * jet_power(chord_sq, -0.75)) * sign
     amplitude = (phase * product) * LINK_CONSTANT_SQ**r
-
-    return PrincipalTerm(
-        r=r,
-        phase_jets=phase,
-        amplitude_jets=amplitude,
-        orbit_length=2.0 * r * spec.L,
-        length_power=spec.L ** (-r),
-        propagator_constant=LINK_CONSTANT_SQ**r,
-    )
+    return PrincipalTerm(phase_jets=phase, amplitude_jets=amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +328,8 @@ class InvariantTable:
                 raise ValueError(f"table: missing field {name!r}")
         if not isinstance(data.get("entries"), list):
             raise ValueError("table: missing or invalid field 'entries' (list)")
+        if not data["entries"]:
+            raise ValueError("table: field 'entries' is empty")
         entries = {}
         for i, e in enumerate(data["entries"]):
             if not isinstance(e, dict):
@@ -363,6 +340,8 @@ class InvariantTable:
             for name in ("r", "j"):
                 if isinstance(e[name], bool) or not isinstance(e[name], int):
                     raise ValueError(f"table: entries[{i}].{name} must be an integer")
+                if e[name] < 1:
+                    raise ValueError(f"table: entries[{i}].{name} must be >= 1")
             entries[(e["r"], e["j"])] = complex(
                 _finite_number(e["re"], f"entries[{i}].re"),
                 _finite_number(e["im"], f"entries[{i}].im"),

@@ -30,14 +30,8 @@ __all__ = [
     "jet_mul",
     "jet_compose_scalar",
     "extract_partial",
-    "jet_sqrt",
     "jet_power",
-    "jet_reciprocal",
-    "jet_exp",
-    "sqrt_series",
     "power_series",
-    "reciprocal_series",
-    "exp_series",
     "derivative_tensor",
 ]
 
@@ -79,7 +73,6 @@ class _Tables:
             dtype=np.float64,
         )
         self._mul: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._diff: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._diff2: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._tensor_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -110,17 +103,9 @@ class _Tables:
             self._mul = (ii, jj, kk, offsets)
         return self._mul
 
-    def diff_table(self, var: int):
-        """(src, dst, factor) with out[dst] = factor * in[src] for d/dx_var."""
-        if var not in self._diff:
-            e = self.exponents[:, var]
-            src = np.nonzero(e >= 1)[0]
-            dst = self._index_of(self.codes[src] - self._powers[var])
-            self._diff[var] = (src, dst, e[src].astype(np.float64))
-        return self._diff[var]
-
     def diff2_table(self, u: int, v: int):
-        """Like diff_table for the second derivative d2/dx_u dx_v."""
+        """(src, dst, factor) with out[dst] = factor * in[src] for the second
+        derivative d2/dx_u dx_v."""
         key = (u, v) if u <= v else (v, u)
         if key not in self._diff2:
             u0, v0 = key
@@ -304,27 +289,9 @@ class MultiJet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, MultiJet):
-            return jet_mul(self, jet_reciprocal(other))
         return MultiJet(self.num_vars, self.max_degree, self.coeffs / other)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("jet ** n requires a non-negative integer n")
-        out = MultiJet.constant(1.0, self.num_vars, self.max_degree)
-        for _ in range(n):
-            out = jet_mul(out, self)
-        return out
-
     # -- calculus ----------------------------------------------------------
-
-    def diff(self, var: int) -> "MultiJet":
-        """Partial derivative along x_var (exact through degree max_degree-1)."""
-        tab = self._tab()
-        src, dst, factor = tab.diff_table(var)
-        out = np.zeros_like(self.coeffs)
-        out[dst] = factor * self.coeffs[src]
-        return MultiJet(self.num_vars, self.max_degree, out)
 
     def gradient_at_zero(self) -> np.ndarray:
         tab = self._tab()
@@ -465,13 +432,6 @@ def _binomial_series(p: float, c0, length: int) -> np.ndarray:
     return out
 
 
-def sqrt_series(c0, length: int) -> np.ndarray:
-    """Taylor coefficients of sqrt(c0 + t); requires c0 > 0."""
-    if not (np.real(c0) > 0) or np.imag(c0) != 0:
-        raise ValueError(f"sqrt series needs a positive expansion point, got {c0}")
-    return _binomial_series(0.5, float(np.real(c0)), length)
-
-
 def power_series(p: float, c0, length: int) -> np.ndarray:
     """Taylor coefficients of (c0 + t)^p about t = 0; requires c0 > 0."""
     if not (np.real(c0) > 0) or np.imag(c0) != 0:
@@ -479,34 +439,8 @@ def power_series(p: float, c0, length: int) -> np.ndarray:
     return _binomial_series(p, float(np.real(c0)), length)
 
 
-def reciprocal_series(c0, length: int) -> np.ndarray:
-    """Taylor coefficients of 1/(c0 + t); requires c0 != 0."""
-    if c0 == 0:
-        raise ValueError("reciprocal series at a zero expansion point")
-    m = np.arange(length)
-    return ((-1.0) ** m) * (1.0 / c0) ** (m + 1)
-
-
-def exp_series(c0, length: int) -> np.ndarray:
-    """Taylor coefficients of exp(c0 + t)."""
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, length))))
-    return np.exp(c0) / fact
-
-
-def jet_sqrt(jet: MultiJet) -> MultiJet:
-    return jet_compose_scalar(sqrt_series(jet.value, jet.max_degree + 1), jet)
-
-
 def jet_power(jet: MultiJet, p: float) -> MultiJet:
     return jet_compose_scalar(power_series(p, jet.value, jet.max_degree + 1), jet)
-
-
-def jet_reciprocal(jet: MultiJet) -> MultiJet:
-    return jet_compose_scalar(reciprocal_series(jet.value, jet.max_degree + 1), jet)
-
-
-def jet_exp(jet: MultiJet) -> MultiJet:
-    return jet_compose_scalar(exp_series(jet.value, jet.max_degree + 1), jet)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 
-from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError
-from wavetrace.hessian import dihedral_inverse_entry, dihedral_parameters
+from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError, dihedral_parameters
+from wavetrace.hessian import dihedral_inverse_entry
 
 EXCEPTIONAL_FLOQUET = (0.0, -1.0, 2.0, -2.0)
 

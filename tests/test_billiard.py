@@ -9,21 +9,19 @@ import pytest
 from scipy.special import eval_chebyt
 
 from wavetrace.billiard import (
+    _assemble,
     arclength,
     billiard_map,
     bounce_sequence,
     charts,
     find_orbit,
-    length_gradient,
-    length_hessian,
     length_jet,
-    length_value,
     poincare_numeric,
     snell_residual,
     x_from_arclength,
 )
-from wavetrace.domain import BoundaryArc, DomainSpec, floquet, kt_parameters
-from wavetrace.hessian import CirculantHessian, dihedral_hessian, dihedral_parameters, hessian_matrix
+from wavetrace.domain import BoundaryArc, DomainSpec, dihedral_parameters, floquet, kt_parameters
+from wavetrace.hessian import CirculantHessian, dihedral_hessian, hessian_matrix
 
 
 def perturbed_spec(L=1.0, c2=(-0.31, 0.22), c3=(0.17, -0.26), c4=(0.09, 0.05)):
@@ -165,18 +163,18 @@ def test_length_routes_jet_vs_analytic():
     for r in (1, 2):
         n = 2 * r
         jet = length_jet(spec, r, 3)
-        zeros = np.zeros(n)
-        assert jet.value == pytest.approx(length_value(spec, zeros), rel=1e-13)
+        value, gradient, hessian = _assemble(spec, bounce_sequence(spec, r), np.zeros(n))
+        assert jet.value == pytest.approx(value, rel=1e-13)
         assert jet.value == pytest.approx(2 * r * spec.L)
-        np.testing.assert_allclose(jet.gradient_at_zero(), length_gradient(spec, zeros), atol=1e-12)
-        np.testing.assert_allclose(jet.hessian_at_zero(), length_hessian(spec, zeros), atol=1e-12)
+        np.testing.assert_allclose(jet.gradient_at_zero(), gradient, atol=1e-12)
+        np.testing.assert_allclose(jet.hessian_at_zero(), hessian, atol=1e-12)
 
 
 def test_length_hessian_matches_circulant_form():
     spec = perturbed_spec()
     for r in (1, 2, 3):
         np.testing.assert_allclose(
-            length_hessian(spec, np.zeros(2 * r)),
+            _assemble(spec, bounce_sequence(spec, r), np.zeros(2 * r))[2],
             hessian_matrix(CirculantHessian.from_spec(spec, r)),
             atol=1e-12,
         )
@@ -199,7 +197,7 @@ def test_third_order_length_jet_vs_finite_differences():
     h = 1e-3
 
     def lv(x0, x1):
-        return length_value(spec, [x0, x1])
+        return _assemble(spec, bounce_sequence(spec, 1), np.array([x0, x1]))[0]
 
     # d^3 L / dx0^2 dx1: second difference in x0 times central difference in x1
     fd = (
@@ -268,7 +266,7 @@ def test_kta_identity_two_link():
     orbit = find_orbit(spec, 1, np.zeros(2))
     pdata = poincare_numeric(spec, orbit)
     lhs = float(np.linalg.det(np.eye(2) - pdata.matrix))
-    hess = length_hessian(spec, orbit.points)
+    hess = _assemble(spec, orbit.word, orbit.points)[2]
     # both chords of the 2-bounce cycle have mixed partial -1/L
     b_prod = (-1.0 / spec.L) ** 2
     rhs = -float(np.linalg.det(-hess)) / b_prod  # = -det(H)/prod b, n even
@@ -282,7 +280,7 @@ def test_kta_identity_three_link():
     pdata = poincare_numeric(spec, orbit)
     assert pdata.det == pytest.approx(1.0, abs=1e-6)
     lhs = float(np.linalg.det(np.eye(2) - pdata.matrix))
-    hess = length_hessian(spec, orbit.points)
+    hess = _assemble(spec, orbit.word, orbit.points)[2]
     s_param, ell = dihedral_parameters(spec)
     b_j = math.sin(math.pi / 3) ** 2 / ell  # mixed partial of one chord
     # odd cycle: the inner sign matters, det(I - P) = -det(-H) / prod(b_j)
@@ -305,7 +303,7 @@ def test_angular_vs_cartesian_hessian():
         for p in range(n):
             sign = -1.0 if word[p] == 0 else 1.0
             xs.append(x_from_arclength(chs[word[p]], sign * svec[p]))
-        return length_value(spec, xs)
+        return _assemble(spec, word, np.array(xs))[0]
 
     h = 1e-4
     fd = np.zeros((n, n))
@@ -324,7 +322,7 @@ def test_angular_vs_cartesian_hessian():
                     length_of_s(ep + eq) - length_of_s(ep - eq)
                     - length_of_s(eq - ep) + length_of_s(-ep - eq)
                 ) / (4 * h**2)
-    cart = length_hessian(spec, np.zeros(n))
+    cart = _assemble(spec, word, np.zeros(n))[2]
     j_signs = np.array([-1.0 if word[p] == 0 else 1.0 for p in range(n)])
     expected = j_signs[:, None] * cart * j_signs[None, :]
     np.testing.assert_allclose(fd, expected, atol=2e-5 * np.abs(cart).max())

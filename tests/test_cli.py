@@ -145,6 +145,13 @@ def test_invert_emits_report_and_spec(tmp_path, capsys):
         ({"L": 2, "class": "updown", "normalization": "TopOnly", "entries": []}, "'a'"),
         ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
           "entries": [{"r": 1, "j": 1, "re": 0.5}]}, "'im'"),
+        ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
+          "entries": []}, "'entries'"),
+        ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
+          "entries": [{"r": 0, "j": 1, "re": 0.5, "im": 0.0}]}, "entries[0].r"),
+        ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
+          "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0},
+                      {"r": 1, "j": 0, "re": 0.5, "im": 0.0}]}, "entries[1].j"),
     ],
 )
 def test_invert_rejects_a_malformed_table(tmp_path, capsys, payload, named):
@@ -153,6 +160,35 @@ def test_invert_rejects_a_malformed_table(tmp_path, capsys, payload, named):
     assert main(["invert", str(table_file)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: table") and named in err
+
+
+def test_invert_checks_the_census_limit_of_a_full_table(tmp_path, capsys, monkeypatch):
+    # FullPrincipal rows to j = 4 plus closed-form rows at j = 5: recovering
+    # order 5 would need the order-4 census for its remainders
+    spec = parse_spec(json.dumps(UPDOWN))
+    table = forward_table(spec, 2, 4, normalization="FullPrincipal")
+    top = forward_table(spec, 2, 5)
+    table.entries.update({(r, 5): top.entry(r, 5) for r in (1, 2)})
+    table_file = tmp_path / "table.json"
+    table_file.write_text(json.dumps(table.to_json()), encoding="utf-8")
+
+    census = feynman.enumerate_graphs
+
+    def guarded(order):
+        if order > feynman.MAX_CENSUS_ORDER:
+            raise AssertionError(f"census of order {order} started")
+        return census(order)
+
+    monkeypatch.setattr(feynman, "enumerate_graphs", guarded)
+    limit = feynman.MAX_CENSUS_ORDER + 1
+    assert main(["invert", str(table_file)]) == 1
+    err = capsys.readouterr().err
+    assert "entries" in err and f"<= {limit}" in err
+    assert main(["invert", str(table_file), "--j-max", str(limit + 1)]) == 1
+    err = capsys.readouterr().err
+    assert "--j-max" in err and f"<= {limit}" in err
+    # the orders the census covers still recover
+    assert main(["invert", str(table_file), "--j-max", str(limit)]) == 0
 
 
 def test_invert_class_override_can_fail_loudly(tmp_path, capsys):

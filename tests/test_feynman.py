@@ -31,7 +31,13 @@ from wavetrace.feynman import (
     sp_coefficient_direct,
 )
 from wavetrace.invariants import build_principal
-from wavetrace.jets import MultiJet, derivative_tensor, extract_partial, jet_exp, jet_mul
+from wavetrace.jets import (
+    MultiJet,
+    derivative_tensor,
+    extract_partial,
+    jet_compose_scalar,
+    jet_mul,
+)
 
 
 def _flower(loops):
@@ -52,8 +58,8 @@ def test_order_zero_census():
     graphs = enumerate_graphs(0)
     assert len(graphs) == 1
     (g,) = graphs
-    assert g.is_empty
-    assert g.order == 0 and g.k_power == 0
+    assert g.num_closed == 0 and g.num_edges == 0
+    assert g.order == 0
     assert automorphism_order(g) == 1
 
 
@@ -448,11 +454,7 @@ def test_k_power_bookkeeping():
     for j in range(3):
         for g in enumerate_graphs(j):
             assert g.order == g.num_edges - g.num_closed == j
-            assert g.k_power == -j
     assert _flower(3).order == 2
-    assert THETA.open_vertex_valence == 0
-    assert STUB_LOOP.open_vertex_valence == 1
-    assert OPEN_LOOP.open_vertex_valence == 2
 
 
 def test_insufficient_jets_raise():
@@ -489,14 +491,6 @@ def test_from_phase_validation():
 # quadrature oracle
 
 
-def _bump_jet(width, deg):
-    # exp(1 - 1/(1 - (x/width)^2)) = exp(-sum_m (x/width)^(2m)); exact jet at 0
-    series = np.zeros(deg + 1)
-    for m in range(1, deg // 2 + 1):
-        series[2 * m] = -1.0 / width ** (2 * m)
-    return jet_exp(MultiJet.from_univariate(series, 0, 1, deg))
-
-
 def _bump_value(x, width):
     s = (x / width) ** 2
     return np.exp(1.0 - 1.0 / (1.0 - s)) if s < 1.0 else 0.0
@@ -511,7 +505,9 @@ def test_quadrature_matches_expansion_orders():
     phase = MultiJet.from_terms({(2,): 0.5, (3,): c3 / 6.0}, 1, deg)
     gauss = np.zeros(deg + 1)
     gauss[2] = -0.5
-    problem = SPProblem.from_phase(phase, jet_exp(MultiJet.from_univariate(gauss, 0, 1, deg)))
+    series = 1.0 / np.cumprod(np.concatenate(([1.0], np.arange(1.0, deg + 1))))
+    amp = jet_compose_scalar(series, MultiJet.from_univariate(gauss, 0, 1, deg))
+    problem = SPProblem.from_phase(phase, amp)
     k = 40.0
     value, err = oscillatory_quadrature(
         lambda x: x**2 / 2 + c3 * x**3 / 6,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError
+from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError, dihedral_parameters
 from wavetrace.hessian import (
     CirculantHessian,
     bad_set,
@@ -17,14 +17,13 @@ from wavetrace.hessian import (
     determinant_closed_form,
     dihedral_hessian,
     dihedral_inverse_entry,
-    dihedral_parameters,
     hessian_matrix,
     inverse_chebyshev,
     inverse_fourier,
     inverse_matrix,
     parity_sums,
 )
-from wavetrace.jets import MultiJet, jet_sqrt
+from wavetrace.jets import MultiJet, jet_power
 
 # a-values clear of the symbol poles a = -2 cos(pi k / r) in [-2, 2]
 SAFE_AS = [3.7, 2.9, -3.3, 5.1, -6.4, 1.31, -0.57, 0.83, 1.77, -1.45]
@@ -67,7 +66,7 @@ def length_hessian_by_jets(spec: DomainSpec, r: int) -> np.ndarray:
         dy = MultiJet.from_univariate(arcs[q].taylor, q, n, 2) - MultiJet.from_univariate(
             arcs[p].taylor, p, n, 2
         )
-        total = total + jet_sqrt(dx * dx + dy * dy)
+        total = total + jet_power(dx * dx + dy * dy, 0.5)
     return total.hessian_at_zero()
 
 
@@ -358,7 +357,7 @@ def dihedral_length_hessian_by_jets(spec: DomainSpec, r: int) -> np.ndarray:
         q = (p + 1) % n
         dx = comps[q][0] - comps[p][0]
         dy = comps[q][1] - comps[p][1]
-        total = total + jet_sqrt(dx * dx + dy * dy)
+        total = total + jet_power(dx * dx + dy * dy, 0.5)
     return total.hessian_at_zero()
 
 

@@ -11,9 +11,10 @@ from wavetrace.domain import (
     BoundaryArc,
     DomainSpec,
     ObstructionError,
+    dihedral_parameters,
     kt_parameters,
 )
-from wavetrace.hessian import CirculantHessian, cubic_sum, dihedral_parameters, inverse_fourier
+from wavetrace.hessian import CirculantHessian, cubic_sum, inverse_fourier
 from wavetrace.invariants import (
     InvariantTable,
     contributing_weights,

@@ -18,12 +18,9 @@ from wavetrace.jets import (
     derivative_tensor,
     extract_partial,
     jet_compose_scalar,
-    jet_exp,
     jet_mul,
     jet_power,
-    jet_reciprocal,
-    jet_sqrt,
-    sqrt_series,
+    power_series,
 )
 
 # ---------------------------------------------------------------------------
@@ -136,30 +133,9 @@ def test_extract_partial_factorial_convention():
         extract_partial(jet, (4,))
 
 
-def test_mixed_partial_symmetry():
-    rng = np.random.default_rng(3)
-    jet = random_jet(rng, 3, 5)
-    dxy = jet.diff(0).diff(1)
-    dyx = jet.diff(1).diff(0)
-    # derivatives lose top-degree information symmetrically
-    assert np.allclose(dxy.coeffs, dyx.coeffs)
-
-
-def test_leibniz_rule():
-    rng = np.random.default_rng(4)
-    f = random_jet(rng, 2, 5)
-    g = random_jet(rng, 2, 5)
-    lhs = jet_mul(f, g).diff(0)
-    rhs = jet_mul(f.diff(0), g) + jet_mul(f, g.diff(0))
-    # product rule holds exactly below the truncation degree
-    tab = lhs._tab()
-    keep = tab.degrees < 5
-    assert np.allclose(lhs.coeffs[keep], rhs.coeffs[keep], rtol=1e-13, atol=1e-12)
-
-
 def test_sqrt_binomial_series():
     u = MultiJet.variable(0, 1, 4)  # u with zero constant term
-    jet = jet_compose_scalar(sqrt_series(1.0, 5), u)
+    jet = jet_compose_scalar(power_series(0.5, 1.0, 5), u)
     # sqrt(1 + u) = 1 + u/2 - u^2/8 + u^3/16 - 5u^4/128
     want = [1.0, 0.5, -0.125, 1.0 / 16, -5.0 / 128]
     got = [jet.coefficient((k,)) for k in range(5)]
@@ -169,7 +145,7 @@ def test_sqrt_binomial_series():
 def test_sqrt_rejects_nonpositive_point():
     u = MultiJet.variable(0, 1, 3)
     with pytest.raises(ValueError, match="positive"):
-        jet_sqrt(u)  # constant term 0
+        jet_power(u, 0.5)  # constant term 0
 
 
 def test_compose_exp_with_quadratic_jet():
@@ -177,7 +153,8 @@ def test_compose_exp_with_quadratic_jet():
     inner = MultiJet.from_terms(
         {(0, 0): 0.3, (1, 0): 1.0, (0, 1): 0.5, (2, 0): 0.2, (1, 1): -0.1}, 2, 5
     )
-    jet = jet_exp(inner)
+    # exp(0.3 + t) = e^0.3 sum_m t^m / m!
+    jet = jet_compose_scalar(math.exp(0.3) / np.cumprod([1.0, 1.0, 2.0, 3.0, 4.0, 5.0]), inner)
 
     def g(x, y):
         return math.exp(0.3 + x + 0.5 * y + 0.2 * x * x - 0.1 * x * y)
@@ -216,7 +193,7 @@ def test_chord_length_jet_matches_finite_differences():
     dx = MultiJet.variable(0, 2, d) - MultiJet.variable(1, 2, d)
     dy = x1 - x2
     c2 = jet_mul(dx, dx) + jet_mul(dy, dy)
-    cjet = jet_sqrt(c2)
+    cjet = jet_power(c2, 0.5)
 
     h = 1e-2
     for alpha in [(1, 0), (0, 1), (2, 0), (1, 1), (2, 1), (3, 2), (0, 5)]:
@@ -262,7 +239,9 @@ def test_chord_length_jet_matches_finite_differences():
 def test_chain_rule_against_reciprocal():
     # 1/(2 + x + y^2) has an elementary expansion; verify against compose
     inner = MultiJet.from_terms({(0, 0): 2.0, (1, 0): 1.0, (0, 2): 1.0}, 2, 4)
-    jet = jet_reciprocal(inner)
+    # 1/(2 + t) = sum_m (-1)^m t^m / 2^(m+1)
+    m = np.arange(5)
+    jet = jet_compose_scalar((-1.0) ** m / 2.0 ** (m + 1), inner)
 
     def f(x, y):
         return 1.0 / (2.0 + x + y * y)
@@ -271,13 +250,6 @@ def test_chain_rule_against_reciprocal():
     val = (f(h, 0) - f(-h, 0)) / (2 * h)
     assert math.isclose(extract_partial(jet, (1, 0)), val, rel_tol=1e-4)
     assert math.isclose(jet.value, 0.5, rel_tol=1e-15)
-
-
-def test_power_composition_matches_sqrt():
-    rng = np.random.default_rng(6)
-    base = random_jet(rng, 2, 4)
-    base.coeffs[0] = 3.0
-    assert jet_power(base, 0.5).allclose(jet_sqrt(base), rtol=1e-12, atol=1e-12)
 
 
 def test_truncate_extend_roundtrip():
