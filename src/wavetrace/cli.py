@@ -89,6 +89,19 @@ def _flag_obstruction_name(flag: str) -> str:
 # forward / invert / roundtrip
 
 
+def _check_sizes(args: argparse.Namespace):
+    """Refuse a size flag below 1, naming it, before any work.
+
+    Raises:
+        ValueError: naming ``--r-max`` or ``--j-max``.
+    """
+    for dest in ("r_max", "j_max"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} {value} is out of range: {flag} must be >= 1")
+
+
 def _check_census(j_max: int, name: str, what: str):
     """Refuse a diagram-sum order past the graph census, before any work:
     order j sums the order-(j - 1) graphs.  ``name`` is the input that set
@@ -266,7 +279,7 @@ def cmd_badset(args: argparse.Namespace) -> int:
 
 def cmd_graphs(args: argparse.Namespace) -> int:
     j_max = args.j_max
-    if not 1 <= j_max <= MAX_CENSUS_ORDER:
+    if j_max > MAX_CENSUS_ORDER:
         raise ValueError(
             f"--j-max {j_max} is out of range: the graph catalog supports "
             f"1 <= --j-max <= {MAX_CENSUS_ORDER}"
@@ -364,6 +377,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_sizes(args)
         return _COMMANDS[args.command](args)
     except ObstructionError as exc:
         detail = str(exc).removeprefix(f"{exc.name}: ")

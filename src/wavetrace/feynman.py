@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -331,6 +331,7 @@ class SPProblem:
     amplitude: MultiJet
     phase_value: float
     signature: int
+    _tensors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n = self.num_vars
@@ -349,6 +350,18 @@ class SPProblem:
             raise ValueError("phase_tensors must not carry terms of degree < 3")
         if abs(self.signature) > n or (self.signature - n) % 2 != 0:
             raise ValueError(f"signature {self.signature} impossible in dimension {n}")
+
+    def vertex_tensor(self, open_vertex: bool, valence: int) -> np.ndarray:
+        """Derivative tensor of order ``valence`` of the amplitude (the open
+        vertex) or of the phase remainder (a closed vertex).  Each is
+        extracted once per problem and shared by every graph contracted on
+        it.
+        """
+        key = (open_vertex, valence)
+        if key not in self._tensors:
+            jet = self.amplitude if open_vertex else self.phase_tensors
+            self._tensors[key] = derivative_tensor(jet, valence)
+        return self._tensors[key]
 
     @staticmethod
     def from_phase(phase: MultiJet, amplitude: MultiJet) -> "SPProblem":
@@ -402,6 +415,17 @@ def _plan(graph: FeynmanGraph) -> tuple[int, tuple[int, ...], tuple]:
     Hessian per edge, then the tensors) as steps ``(positions, subscripts)``:
     pop the operands at ``positions``, contract them, append the result.
 
+    The search may keep intermediates up to twice the largest operand of the
+    n = 2 planning shapes, one rank more than the class's largest tensor.
+    With numpy's default limit (the largest operand) a pairwise step whose
+    result outgrows its inputs, such as rank 3 x rank 3 -> rank 4, is
+    refused, and the greedy search then falls back to one step over all the
+    remaining operands: for K_3,3 at n = 6 that loops over 6**9 index
+    values.  With the wider limit every step joins two operands.  Through
+    order 3 the largest intermediate at orders 1, 2, 3 still has rank 3, 4,
+    6, below the rank 2o + 2 of the largest vertex tensor at order o, so
+    peak memory does not rise.
+
     Raises:
         ValueError: if the graph needs more than 52 contraction symbols.
     """
@@ -425,7 +449,8 @@ def _plan(graph: FeynmanGraph) -> tuple[int, tuple[int, ...], tuple]:
     terms += slots
     # every axis has length n, and the greedy path is the same for every n
     shapes = [np.broadcast_to(0.0, (2,) * len(t)) for t in terms]
-    path, _ = np.einsum_path(",".join(terms) + "->", *shapes, optimize="greedy")
+    limit = 2 * max(s.size for s in shapes)
+    path, _ = np.einsum_path(",".join(terms) + "->", *shapes, optimize=("greedy", limit))
     steps = []
     for positions in path[1:]:
         positions = sorted(positions, reverse=True)
@@ -452,8 +477,8 @@ def amplitude(graph: FeynmanGraph, problem: SPProblem) -> complex:
     """
     n_edges, orders, steps = _plan(graph)
     operands = [problem.hessian_inverse] * n_edges
-    operands += [derivative_tensor(problem.phase_tensors, k) for k in orders[:-1]]
-    operands.append(derivative_tensor(problem.amplitude, orders[-1]))
+    operands += [problem.vertex_tensor(False, k) for k in orders[:-1]]
+    operands.append(problem.vertex_tensor(True, orders[-1]))
     for positions, subscripts in steps:
         operands.append(np.einsum(subscripts, *[operands.pop(i) for i in positions]))
     return _i_power(n_edges + graph.num_closed) * complex(operands[0])

@@ -241,8 +241,11 @@ def invariant_full(spec: DomainSpec, r: int, j: int) -> complex:
         )
     if j < 1:
         raise ValueError("j must be >= 1")
-    term = build_principal(spec, r, 2 * j)
-    return 2.0 * sp_coefficient_diagrams(term.problem(), j - 1)
+    return _full_value(build_principal(spec, r, 2 * j).problem(), j)
+
+
+def _full_value(problem: SPProblem, j: int) -> complex:
+    return 2.0 * sp_coefficient_diagrams(problem, j - 1)
 
 
 def invariant_dihedral(spec: DomainSpec, r: int, j: int) -> float:
@@ -342,6 +345,10 @@ class InvariantTable:
                     raise ValueError(f"table: entries[{i}].{name} must be an integer")
                 if e[name] < 1:
                     raise ValueError(f"table: entries[{i}].{name} must be >= 1")
+            if (e["r"], e["j"]) in entries:
+                raise ValueError(
+                    f"table: entries[{i}] repeats (r, j) = ({e['r']}, {e['j']})"
+                )
             entries[(e["r"], e["j"])] = complex(
                 _finite_number(e["re"], f"entries[{i}].re"),
                 _finite_number(e["im"], f"entries[{i}].im"),
@@ -416,9 +423,12 @@ def forward_table(
                 for j, w in zip(orders, weights):
                     entries[(r, j)] = _top_value(arcs, spec.L, r, j, r_sums, w)
         else:
+            # one principal problem per iterate at degree 2 j_max serves every
+            # order: order j reads its jets to degree 2j only
             for r in iterates:
+                problem = build_principal(spec, r, 2 * j_max).problem()
                 for j in orders:
-                    entries[(r, j)] = invariant_full(spec, r, j)
+                    entries[(r, j)] = _full_value(problem, j)
     return InvariantTable(
         length=spec.L,
         floquet_parameter=param,

@@ -114,6 +114,28 @@ def test_census_limits_are_checked_before_any_work(tmp_path, capsys, monkeypatch
         assert "--j-max" in err and f"<= {limit + 1}" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("forward", "--r-max"),
+        ("forward", "--j-max"),
+        ("roundtrip", "--r-max"),
+        ("roundtrip", "--j-max"),
+        ("invert", "--j-max"),
+        ("graphs", "--j-max"),
+    ],
+)
+def test_size_flags_below_one_are_named(tmp_path, capsys, command, flag):
+    spec_file = write_updown(tmp_path)
+    table_file = tmp_path / "table.json"
+    main(["forward", str(spec_file), "--out", str(table_file)])
+    source = {"forward": [str(spec_file)], "roundtrip": [str(spec_file)],
+              "invert": [str(table_file)], "graphs": []}[command]
+    assert main([command, *source, flag, "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{flag} 0" in err and ">= 1" in err
+
+
 # ---------------------------------------------------------------------------
 # invert / roundtrip
 
@@ -152,6 +174,9 @@ def test_invert_emits_report_and_spec(tmp_path, capsys):
         ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
           "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0},
                       {"r": 1, "j": 0, "re": 0.5, "im": 0.0}]}, "entries[1].j"),
+        ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
+          "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0},
+                      {"r": 1, "j": 1, "re": 123.0, "im": 0.0}]}, "entries[1]"),
     ],
 )
 def test_invert_rejects_a_malformed_table(tmp_path, capsys, payload, named):

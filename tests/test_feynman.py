@@ -16,6 +16,7 @@ import string
 import numpy as np
 import pytest
 
+from wavetrace import feynman
 from wavetrace.checks import random_sp_problem
 from wavetrace.domain import parse_spec
 from wavetrace.feynman import (
@@ -336,6 +337,38 @@ def test_planned_contraction_matches_a_fresh_path_search(r):
     for g in graphs:
         want, scale = _fresh_path_amplitude(g, problem)
         assert abs(amplitude(g, problem) - want) <= 1e-13 * scale, g
+
+
+def test_every_planned_step_joins_two_operands():
+    # a step over more operands loops over all their indices at once
+    # (K_3,3 at n = 6: 6**9 terms)
+    graphs = [g for j in range(4) for g in enumerate_graphs(j)]
+    for g in graphs:
+        _, _, steps = feynman._plan(g)
+        assert all(len(positions) <= 2 for positions, _ in steps), g
+
+
+def test_each_derivative_tensor_is_extracted_once_per_problem(monkeypatch):
+    spec = parse_spec(
+        '{"kind": "updown", "L": 2.0, "f": [1.0, 0.0, 0.6, 0.15, -0.2, 0.1, 0.05, -0.12, 0.2]}'
+    )
+    problem = build_principal(spec, 2, 8).problem()
+    calls = []
+    extract = feynman.derivative_tensor
+
+    def counted(jet, order):
+        calls.append((jet is problem.amplitude, order))
+        return extract(jet, order)
+
+    monkeypatch.setattr(feynman, "derivative_tensor", counted)
+    values = [sp_coefficient_diagrams(problem, j) for j in range(4)]
+    needed = set()
+    for j in range(4):
+        for g in enumerate_graphs(j):
+            orders = feynman._plan(g)[1]
+            needed |= {(False, k) for k in orders[:-1]} | {(True, orders[-1])}
+    assert sorted(calls) == sorted(needed)
+    assert [sp_coefficient_diagrams(problem, j) for j in range(4)] == values
 
 
 def test_classical_first_correction_one_dim():

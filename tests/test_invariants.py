@@ -471,6 +471,24 @@ def test_second_full_table_searches_no_contraction_path(monkeypatch):
     assert second.entries == first.entries
 
 
+def test_full_table_builds_each_iterate_once(monkeypatch):
+    # one principal problem per iterate, at degree 2 j_max, serves every order
+    spec = updown_spec()
+    want = {(r, j): invariant_full(spec, r, j) for r in (1, 2, 3) for j in (1, 2, 3, 4)}
+    degrees = []
+    build = invariants.build_principal
+
+    def counted(spec, r, order):
+        degrees.append((r, order))
+        return build(spec, r, order)
+
+    monkeypatch.setattr(invariants, "build_principal", counted)
+    table = forward_table(spec, 3, 4, "FullPrincipal")
+    assert degrees == [(1, 8), (2, 8), (3, 8)]
+    for key, value in want.items():
+        assert table.entry(*key) == pytest.approx(value, rel=1e-13)
+
+
 def test_symmetry_class_labels():
     assert forward_table(updown_spec(), 1, 1).symmetry_class == "updown"
     # a mirror twoarc is the same recovery class as an updown spec
