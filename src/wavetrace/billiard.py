@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from wavetrace.domain import BoundaryArc, DomainSpec
-from wavetrace.jets import MultiJet, jet_power
+from wavetrace.jets import MultiJet, embed_pair, jet_power
 
 __all__ = [
     "Chart",
@@ -31,6 +31,7 @@ __all__ = [
     "find_orbit",
     "poincare_numeric",
     "snell_residual",
+    "chord_jets",
     "length_jet",
     "arclength",
     "x_from_arclength",
@@ -400,28 +401,66 @@ def poincare_numeric(spec: DomainSpec, orbit: PeriodicOrbit) -> PoincareData:
 # chord-length sums as jets
 
 
-def length_jet(spec: DomainSpec, r: int, degree: int) -> MultiJet:
-    """Jet of the cyclic chord-length sum at the distinguished orbit.
+def chord_jets(
+    spec: DomainSpec, r: int, degree: int
+) -> tuple[MultiJet, list[tuple[int, int, MultiJet, MultiJet]]]:
+    """Chord factors of the r-fold orbit and the cyclic length sum they add
+    up to.
 
-    Variables are the chart coordinates (x_0, ..., x_{n-1}) in bounce
-    order; the jet is taken at x = 0 to total degree ``degree``.  Arcs
-    must carry Taylor data to the requested degree (coefficients beyond
-    what an arc stores are treated as zero by the truncation).
+    Chord p joins bounce p to bounce q = (p + 1) mod n and depends on the
+    chart coordinates x_p, x_q only, so its factors are 2-variable jets in
+    (y_0, y_1) = (x_p, x_q), taken at 0 to total degree ``degree``:
+
+    * ``chord_sq`` = |P_q - P_p|^2, with P the chart point;
+    * ``cross`` = T_p x (P_q - P_p), with T_p = dP_p/dx_p the chart tangent;
+      on the two-arc charts it is (x_p - x_q) f'_p(x_p) - (f_p(x_p) - f_q(x_q)).
+
+    The wrap-around chord p = n - 1 joins x_{n-1} to x_0; at n = 2 it
+    joins the same two variables as chord 0, in the other order.
+
+    Returns:
+        (length, chords): the jet in all n variables of the chord-length
+        sum, and one ``(p, q, chord_sq, cross)`` per chord in bounce order.
     """
     word = bounce_sequence(spec, r)
     n = len(word)
     chs = charts(spec)
-    comps = []
-    for p, w in enumerate(word):
-        ch = chs[w]
-        c, s = math.cos(ch.angle), math.sin(ch.angle)
-        x = MultiJet.variable(p, n, degree)
-        f = MultiJet.from_univariate(ch.arc.taylor, p, n, degree)
-        comps.append((x * c - f * s, x * s + f * c))
-    total = MultiJet.zero(n, degree)
+    length = MultiJet.zero(n, degree)
+    chords = []
     for p in range(n):
         q = (p + 1) % n
-        dx = comps[q][0] - comps[p][0]
-        dy = comps[q][1] - comps[p][1]
-        total = total + jet_power(dx * dx + dy * dy, 0.5)
-    return total
+        cha, chb = chs[word[p]], chs[word[q]]
+        c, s = math.cos(cha.angle), math.sin(cha.angle)
+        xa, ya = _point_jet(cha, 0, degree)
+        xb, yb = _point_jet(chb, 1, degree)
+        dx, dy = xb - xa, yb - ya
+        taylor = cha.arc.taylor
+        slope = MultiJet.from_univariate(
+            [k * taylor[k] for k in range(1, len(taylor))], 0, 2, degree
+        )
+        chord_sq = dx * dx + dy * dy
+        cross = (dy * c - dx * s) - (dx * c + dy * s) * slope
+        length = length + embed_pair(jet_power(chord_sq, 0.5), p, q, n)
+        chords.append((p, q, chord_sq, cross))
+    return length, chords
+
+
+def _point_jet(chart: Chart, var: int, degree: int) -> tuple[MultiJet, MultiJet]:
+    """Both components of the chart point as 2-variable jets in y_var."""
+    c, s = math.cos(chart.angle), math.sin(chart.angle)
+    x = MultiJet.variable(var, 2, degree)
+    f = MultiJet.from_univariate(chart.arc.taylor, var, 2, degree)
+    return x * c - f * s, x * s + f * c
+
+
+def length_jet(spec: DomainSpec, r: int, degree: int) -> MultiJet:
+    """Jet of the cyclic chord-length sum at the distinguished orbit.
+
+    Variables are the chart coordinates (x_0, ..., x_{n-1}) in bounce
+    order; the jet is taken at x = 0 to total degree ``degree``.  Each
+    chord is built as a 2-variable jet and placed into the n-variable
+    basis (`chord_jets`).  Arcs must carry Taylor data to the requested
+    degree (coefficients beyond what an arc stores are treated as zero by
+    the truncation).
+    """
+    return chord_jets(spec, r, degree)[0]

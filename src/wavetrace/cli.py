@@ -39,7 +39,7 @@ from .domain import (
 )
 from .feynman import MAX_CENSUS_ORDER, automorphism_order, enumerate_graphs
 from .hessian import badset_report
-from .invariants import InvariantTable, forward_table
+from .invariants import InvariantTable, check_iterate, forward_table
 from .inverse import convex_representative, recover
 
 _MODES = {"top": "TopOnly", "full": "FullPrincipal"}
@@ -117,10 +117,23 @@ def _check_census(j_max: int, name: str, what: str):
         )
 
 
+def _read_spec(args: argparse.Namespace) -> DomainSpec:
+    """The spec of ``spec_file``; a two-arc spec must also admit ``--r-max``
+    (`invariants.max_iterate`).
+
+    Raises:
+        ValueError: naming the spec field, or ``--r-max`` and its limit.
+    """
+    spec = parse_spec(_read_input(args.spec_file))
+    if spec.kind != "dihedral":
+        check_iterate(args.r_max, spec.L, "--r-max")
+    return spec
+
+
 def cmd_forward(args: argparse.Namespace) -> int:
     if args.mode == "full":
         _check_census(args.j_max, "--j-max", "--mode full")
-    spec = parse_spec(_read_input(args.spec_file))
+    spec = _read_spec(args)
     report = genericity_check(spec)
     if report.flags and args.strict:
         raise ObstructionError(_flag_obstruction_name(report.flags[0]), report.flags[0])
@@ -187,7 +200,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     j_max, tol = args.j_max, args.tol
     if args.mode == "full":
         _check_census(j_max, "--j-max", "--mode full")
-    spec = parse_spec(_read_input(args.spec_file))
+    spec = _read_spec(args)
     table = forward_table(spec, args.r_max, j_max, normalization=_MODES[args.mode])
     result = recover(table, j_max)
     want = _expected_taylor(spec, 2 * j_max)

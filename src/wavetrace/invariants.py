@@ -13,12 +13,13 @@ together; the recovery pipeline consumes the closed form.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .billiard import length_jet
+from .billiard import chord_jets
 from .domain import DomainSpec, ObstructionError, _finite_number, dihedral_parameters
 from .feynman import (
     FeynmanGraph,
@@ -28,7 +29,7 @@ from .feynman import (
     sp_coefficient_diagrams,
 )
 from .hessian import CirculantHessian, dihedral_inverse_entry, parity_sums
-from .jets import MultiJet, jet_power
+from .jets import MultiJet, embed_pair, jet_power
 
 NORMALIZATIONS = ("TopOnly", "FullPrincipal")
 
@@ -42,8 +43,68 @@ LINK_CONSTANT_SQ = 1j / (2.0 * math.pi)
 # the principal term of one orbit
 
 
+# Every two-arc entry carries A_r = 2rL (i/(2 pi L))^r, and recovery divides
+# by it.  `principal_leading_value` computes it as 2rL * L^-r * (i/(2 pi))^r;
+# both powers and the product are kept inside [1e-250, 1e250].  The normal
+# doubles reach 2.2e-308 and 1.8e308, which leaves 58 decades for the rest of
+# an entry, (h^pp)^j times the boundary data.
+_LEAD_DECADES = 250.0
+_LOG10_2PI = math.log10(2.0 * math.pi)
+
+
+def _lead_in_range(r: int, length: float) -> bool:
+    log_length = math.log10(length)
+    decades = (
+        r * log_length,
+        r * _LOG10_2PI,
+        math.log10(r / math.pi) + (1 - r) * (_LOG10_2PI + log_length),
+    )
+    return max(map(abs, decades)) <= _LEAD_DECADES
+
+
+@functools.lru_cache(maxsize=64)
+def max_iterate(length: float) -> int:
+    """Largest r for which A_r = 2rL (i/(2 pi L))^r, and the powers L^-r
+    and (2 pi)^-r it is computed from, stay inside [1e-250, 1e250]; 0 if
+    even r = 1 does not.
+
+    The magnitude of each is monotone in r wherever it can leave the
+    range, so the admissible r form an interval [1, max_iterate(L)];
+    (2 pi)^-r alone caps it at 313.  Cached per L: every entry of a
+    table checks it.
+    """
+    lo, hi = 0, 1024
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _lead_in_range(mid, length):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def check_iterate(r: int, length: float, name: str):
+    """Refuse an iterate whose leading amplitude A_r leaves the double
+    range (`max_iterate`).
+
+    Raises:
+        ValueError: naming ``name`` and the limit.
+    """
+    limit = max_iterate(length)
+    if r > limit:
+        raise ValueError(
+            f"{name} {r} is out of range: at L = {length:g} the leading "
+            f"amplitude 2rL / (2 pi L)^r leaves [1e-250, 1e250] past r = {limit}"
+        )
+
+
 def principal_leading_value(r: int, length: float) -> complex:
-    """Amplitude of the principal term at the orbit: 2rL * L^-r * (i/2pi)^r."""
+    """Amplitude of the principal term at the orbit: 2rL * L^-r * (i/2pi)^r.
+
+    Raises:
+        ValueError: r past `max_iterate`.
+    """
+    check_iterate(r, length, "r")
     return 2.0 * r * length * length ** (-r) * LINK_CONSTANT_SQ**r
 
 
@@ -77,6 +138,11 @@ def build_principal(spec: DomainSpec, r: int, order: int) -> PrincipalTerm:
     arc at bounce p.  At the orbit the amplitude equals
     2rL * L^-r * (i/2pi)^r and its gradient vanishes.
 
+    Each chord factor depends on x_p and x_q only: it is built as a
+    2-variable jet from `chord_jets` and placed into the 2r-variable basis,
+    so the 2r - 1 products over chords and the final phase x product are
+    the only products at full size.
+
     Args:
         spec: two-arc domain ("twoarc" or "updown").
         r: iterate count, >= 1.
@@ -100,27 +166,12 @@ def build_principal(spec: DomainSpec, r: int, order: int) -> PrincipalTerm:
             raise ValueError(
                 f"insufficient jet order: arc stores {arc.order}, need {order}"
             )
-    n = 2 * r
-    phase = length_jet(spec, r, order)
-
-    product = MultiJet.constant(1.0 + 0.0j, n, order)
-    for p in range(n):
-        q = (p + 1) % n
-        arc_p, arc_q = arcs[p % 2], arcs[q % 2]
-        sign = 1.0 if p % 2 == 0 else -1.0
-        xp = MultiJet.variable(p, n, order)
-        xq = MultiJet.variable(q, n, order)
-        fp = MultiJet.from_univariate(arc_p.taylor, p, n, order)
-        fq = MultiJet.from_univariate(arc_q.taylor, q, n, order)
-        dfp = tuple(
-            (k + 1) * arc_p.taylor[k + 1] for k in range(len(arc_p.taylor) - 1)
-        )
-        slope = MultiJet.from_univariate(dfp, p, n, order)
-        dx = xp - xq
-        df = fp - fq
-        chord_sq = dx * dx + df * df
-        numer = dx * slope - df
-        product = product * (numer * jet_power(chord_sq, -0.75)) * sign
+    phase, chords = chord_jets(spec, r, order)
+    factors = [
+        embed_pair(cross * jet_power(chord_sq, -0.75) * (-1.0) ** p, p, q, 2 * r)
+        for p, q, chord_sq, cross in chords
+    ]
+    product = math.prod(factors)
     amplitude = (phase * product) * LINK_CONSTANT_SQ**r
     return PrincipalTerm(phase_jets=phase, amplitude_jets=amplitude)
 
@@ -195,28 +246,40 @@ def invariant_top(spec: DomainSpec, r: int, j: int) -> complex:
     if j < 1:
         raise ValueError("j must be >= 1")
     sums = parity_sums(CirculantHessian.from_spec(spec, r))
-    arcs = (spec.upper, spec.lower)
-    return _top_value(arcs, spec.L, r, j, sums, contributing_weights(j))
+    data = _arc_data((spec.upper, spec.lower), j)
+    lead = principal_leading_value(r, spec.L)
+    return _top_value(lead, r, j, sums, contributing_weights(j), data)
 
 
-def _top_value(arcs, L: float, r: int, j: int, sums, weights) -> complex:
-    """The closed form of `invariant_top` from the (upper, lower) arcs, the
-    iterate's `parity_sums` and the order's `contributing_weights`."""
-    diag, s1, s3 = sums
+def _arc_data(arcs, j: int) -> tuple:
+    """Signed boundary data that order j of `invariant_top` reads from the
+    (upper, lower) arcs, one entry per arc with w = (+1, -1):
+    2 w_p f_p^(2j)(0), and for j >= 2 also w_p f_p^(2j-1)(0) and
+    w_p f_p'''(0) (None at j = 1)."""
     signs = np.array([1.0, -1.0])
-    w1, w2, w3 = weights
+    even = 2.0 * signs * np.array([arc.derivative(2 * j) for arc in arcs])
+    if j == 1:
+        return even, None, None
+    odd = signs * np.array([arc.derivative(2 * j - 1) for arc in arcs])
+    cubic = signs * np.array([arc.derivative(3) for arc in arcs])
+    return even, odd, cubic
 
-    even_data = np.array([arc.derivative(2 * j) for arc in arcs])
-    even_term = w1 * r * float(np.sum(diag**j * 2.0 * signs * even_data))
+
+def _top_value(lead: complex, r: int, j: int, sums, weights, data) -> complex:
+    """The closed form of `invariant_top` from the iterate's
+    `principal_leading_value` and `parity_sums`, and the order's
+    `contributing_weights` and `_arc_data`."""
+    diag, s1, s3 = sums
+    w1, w2, w3 = weights
+    even_data, odd_data, cubic_data = data
+
+    even_term = w1 * r * float(np.sum(diag**j * even_data))
     odd_term = 0.0
     if j >= 2:
-        odd_data = signs * np.array([arc.derivative(2 * j - 1) for arc in arcs])
-        cubic_data = signs * np.array([arc.derivative(3) for arc in arcs])
         pair = w2 * diag[:, None] ** (j - 1) * diag * s1
         pair += w3 * diag[:, None] ** (j - 2) * s3
         odd_term = r * float(odd_data @ pair @ cubic_data)
 
-    lead = principal_leading_value(r, L)
     return 2.0 * _i_power(j + 1) * lead * (even_term - 4.0 * odd_term)
 
 
@@ -333,6 +396,11 @@ class InvariantTable:
             raise ValueError("table: missing or invalid field 'entries' (list)")
         if not data["entries"]:
             raise ValueError("table: field 'entries' is empty")
+        length = _finite_number(data["L"], "L")
+        if length <= 0:
+            raise ValueError(f"table: field 'L' must be positive, got {length!r}")
+        # dihedral entries carry no A_r (`invariant_dihedral`)
+        two_arc = not str(data["class"]).startswith("dihedral-")
         entries = {}
         for i, e in enumerate(data["entries"]):
             if not isinstance(e, dict):
@@ -345,6 +413,8 @@ class InvariantTable:
                     raise ValueError(f"table: entries[{i}].{name} must be an integer")
                 if e[name] < 1:
                     raise ValueError(f"table: entries[{i}].{name} must be >= 1")
+            if two_arc:
+                check_iterate(e["r"], length, f"table: entries[{i}].r")
             if (e["r"], e["j"]) in entries:
                 raise ValueError(
                     f"table: entries[{i}] repeats (r, j) = ({e['r']}, {e['j']})"
@@ -354,7 +424,7 @@ class InvariantTable:
                 _finite_number(e["im"], f"entries[{i}].im"),
             )
         return InvariantTable(
-            length=_finite_number(data["L"], "L"),
+            length=length,
             floquet_parameter=_finite_number(data["a"], "a"),
             symmetry_class=str(data["class"]),
             normalization=str(data["normalization"]),
@@ -388,8 +458,9 @@ def forward_table(
     diagram sum (two-arc classes only).
 
     Raises:
-        ValueError: bad normalization, or FullPrincipal with a dihedral
-            spec (propagated as ObstructionError("unsupported")).
+        ValueError: bad normalization, r_max past `max_iterate` (two-arc
+            classes), or FullPrincipal with a dihedral spec (propagated as
+            ObstructionError("unsupported")).
         ObstructionError("symbol-pole"): a resonant iterate, in either
             normalization.
     """
@@ -412,16 +483,18 @@ def forward_table(
             for j in orders:
                 entries[(r, j)] = complex(_dihedral_value(spec, r, j, h11))
     else:
+        check_iterate(r_max, spec.L, "r_max")
         base = CirculantHessian.from_spec(spec, 1)
         param = base.a
         # also the symbol-pole test of every iterate, before any jet is built
         sums = [parity_sums(dataclasses.replace(base, r=r)) for r in iterates]
         if normalization == "TopOnly":
             arcs = (spec.upper, spec.lower)
-            weights = [contributing_weights(j) for j in orders]
+            per_order = [(contributing_weights(j), _arc_data(arcs, j)) for j in orders]
             for r, r_sums in zip(iterates, sums):
-                for j, w in zip(orders, weights):
-                    entries[(r, j)] = _top_value(arcs, spec.L, r, j, r_sums, w)
+                lead = principal_leading_value(r, spec.L)
+                for j, (w, data) in zip(orders, per_order):
+                    entries[(r, j)] = _top_value(lead, r, j, r_sums, w, data)
         else:
             # one principal problem per iterate at degree 2 j_max serves every
             # order: order j reads its jets to degree 2j only

@@ -13,6 +13,11 @@ are grouped by the degree of ``e_k`` so products truncated below the storage
 order use only a prefix.  Tables are cached per ``(num_vars, max_degree)``
 and shared by every jet of that shape.
 
+A jet that depends on two variables only is built in a 2-variable basis and
+placed into the full basis by `embed_pair`: the orbit phase and amplitude
+are sums and products of such chord factors, so only their assembly runs at
+full size.
+
 Values at the expansion point are coefficients: the partial derivative
 ``d^alpha`` at 0 equals ``alpha! * c_alpha``.
 """
@@ -31,6 +36,7 @@ __all__ = [
     "jet_compose_scalar",
     "extract_partial",
     "jet_power",
+    "embed_pair",
     "power_series",
     "derivative_tensor",
 ]
@@ -75,6 +81,7 @@ class _Tables:
         self._mul: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._diff2: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._tensor_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._pair_maps: dict[tuple[int, int], np.ndarray] = {}
 
     def _index_of(self, codes: np.ndarray) -> np.ndarray:
         """Basis slots of admissible exponent codes."""
@@ -137,6 +144,15 @@ class _Tables:
                 basis_idx = self._index_of(codes)
             self._tensor_maps[order] = (basis_idx, self.factorials[basis_idx])
         return self._tensor_maps[order]
+
+    def pair_map(self, p: int, q: int) -> np.ndarray:
+        """Basis slots of the 2-variable basis of this degree under
+        y_0 -> x_p, y_1 -> x_q."""
+        if (p, q) not in self._pair_maps:
+            pair = _tables(2, self.max_degree).exponents
+            codes = pair[:, 0] * self._powers[p] + pair[:, 1] * self._powers[q]
+            self._pair_maps[(p, q)] = self._index_of(codes)
+        return self._pair_maps[(p, q)]
 
 
 _TABLE_CACHE: dict[tuple[int, int], _Tables] = {}
@@ -441,6 +457,23 @@ def power_series(p: float, c0, length: int) -> np.ndarray:
 
 def jet_power(jet: MultiJet, p: float) -> MultiJet:
     return jet_compose_scalar(power_series(p, jet.value, jet.max_degree + 1), jet)
+
+
+def embed_pair(jet: MultiJet, p: int, q: int, num_vars: int) -> MultiJet:
+    """The 2-variable jet ``g(y_0, y_1)`` as the ``num_vars``-variable jet
+    ``g(x_p, x_q)``, at the same degree.
+
+    Raises:
+        ValueError: ``jet`` not in 2 variables, or p, q equal or out of range.
+    """
+    if jet.num_vars != 2:
+        raise ValueError(f"embed_pair needs a 2-variable jet, got {jet.num_vars}")
+    if p == q or not (0 <= p < num_vars and 0 <= q < num_vars):
+        raise ValueError(f"variables ({p}, {q}) invalid for {num_vars} vars")
+    tab = _tables(num_vars, jet.max_degree)
+    out = np.zeros(tab.size, dtype=jet.coeffs.dtype)
+    out[tab.pair_map(p, q)] = jet.coeffs
+    return MultiJet(num_vars, jet.max_degree, out)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,57 @@ def test_size_flags_below_one_are_named(tmp_path, capsys, command, flag):
     assert err.startswith("error:") and f"{flag} 0" in err and ">= 1" in err
 
 
+@pytest.mark.parametrize(
+    "command, payload, r_max, limit",
+    [
+        ("forward", UPDOWN, 300, 230),
+        ("roundtrip", UPDOWN, 300, 230),
+        ("forward", dict(UPDOWN, L=0.1, f=[0.05, 0.0, -2.0, 0.2, 0.13]), 1600, 250),
+    ],
+)
+def test_iterates_past_the_range_limit_are_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, command, payload, r_max, limit
+):
+    # A_r = 2rL (i/(2 pi L))^r: at L = 2 the r >= 298 entries underflowed
+    # to 0, which recovery divided by; at L = 0.1 L^-r overflowed
+    def no_work(*args, **kwargs):
+        raise AssertionError("forward_table started")
+
+    monkeypatch.setattr(cli, "forward_table", no_work)
+    spec_file = write_updown(tmp_path, payload=payload)
+    assert main([command, str(spec_file), "--r-max", str(r_max), "--j-max", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --r-max {r_max} is out of range")
+    assert f"r = {limit}" in err
+
+
+def test_a_table_at_the_range_limit_holds_normal_numbers(tmp_path, capsys):
+    spec_file = write_updown(tmp_path)
+    table_file = tmp_path / "table.json"
+    argv = ["--r-max", "230", "--j-max", "2"]
+    assert main(["forward", str(spec_file), *argv, "--out", str(table_file)]) == 0
+    table = InvariantTable.from_json(json.loads(table_file.read_text()))
+    assert min(abs(v) for v in table.entries.values()) > 1e-290
+    assert main(["roundtrip", str(spec_file), *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+def test_invert_names_an_entry_past_the_range_limit(tmp_path, capsys):
+    # the r <= 300 table the forward map wrote before the limit: its
+    # entries past r = 297 were exactly 0, and recovery divided by A_r
+    table = forward_table(parse_spec(json.dumps(UPDOWN)), 230, 2)
+    entries = dict(table.entries)
+    entries.update({(r, j): 0j for r in range(231, 301) for j in (1, 2)})
+    table_file = tmp_path / "table.json"
+    payload = InvariantTable(table.length, table.floquet_parameter, table.symmetry_class,
+                             table.normalization, entries).to_json()
+    table_file.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["invert", str(table_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: table: entries[460].r 231 is out of range")
+    assert "r = 230" in err
+
+
 # ---------------------------------------------------------------------------
 # invert / roundtrip
 
@@ -177,6 +228,11 @@ def test_invert_emits_report_and_spec(tmp_path, capsys):
         ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
           "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0},
                       {"r": 1, "j": 1, "re": 123.0, "im": 0.0}]}, "entries[1]"),
+        ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
+          "entries": [{"r": 231, "j": 1, "re": 0.5, "im": 0.0}]}, "entries[0].r"),
+        ({"L": 0, "a": 3, "class": "dihedral-3", "normalization": "TopOnly",
+          "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0},
+                      {"r": 1, "j": 2, "re": 0.5, "im": 0.0}]}, "'L'"),
     ],
 )
 def test_invert_rejects_a_malformed_table(tmp_path, capsys, payload, named):

@@ -1,0 +1,157 @@
+"""Seeded, bounded fuzzing of the parsers and the command line.
+
+Every input ends one of three ways: a value, a `ValueError` naming what is
+wrong (exit 1), or a named obstruction (exit 2); never another exception.
+The CLI examples stay at r <= 4 and j <= 3 so that each one is cheap.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from wavetrace.cli import main
+from wavetrace.domain import DomainSpec, parse_spec
+from wavetrace.invariants import InvariantTable
+
+FUZZ = settings(max_examples=25, deadline=None, database=None)
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.floats(-2.0, 2.0), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+COEFF = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def mutated(draw, payload: dict) -> dict:
+    """``payload`` as is, or with one field dropped or replaced by junk."""
+    how = draw(st.sampled_from(["keep", "keep", "keep", "drop", "junk"]))
+    if how != "keep":
+        key = draw(st.sampled_from(sorted(payload)))
+        if how == "drop":
+            del payload[key]
+        else:
+            payload[key] = draw(JUNK)
+    return payload
+
+
+@st.composite
+def spec_payloads(draw, order=st.integers(2, 8)) -> dict:
+    """Spec objects that are mostly valid: the orbit normalization holds
+    unless a mutation breaks it.  ``order`` draws the arcs' Taylor order;
+    the curvature comes from a Floquet or circulant parameter in [-4, 4],
+    so most draws give a non-degenerate orbit."""
+    kind = draw(st.sampled_from(["updown", "twoarc", "dihedral"]))
+    L = draw(st.floats(0.05, 5.0))
+    a = draw(st.floats(-4.0, 4.0))
+    tail = draw(st.lists(COEFF, min_size=draw(order) - 2, max_size=8))
+    if kind == "dihedral":
+        m = draw(st.integers(2, 5))
+        sin_t = math.sin(math.pi / m)
+        even = [0.0 if k % 2 else c for k, c in enumerate(tail, start=3)]
+        payload = {"kind": kind, "L": L, "m": m,
+                   "f": [L / (m * sin_t), 0.0, (a - 2.0) * m * sin_t / (8.0 * L), *even]}
+    else:
+        # a = -2 (1 + 2 L c_2) for the upper arc
+        payload = {"kind": kind, "L": L, "f": [L / 2.0, 0.0, -(a + 2.0) / (4.0 * L), *tail]}
+        if kind == "twoarc":
+            lower = draw(st.lists(COEFF, min_size=len(tail) + 1, max_size=len(tail) + 1))
+            payload["f_minus"] = [-L / 2.0, 0.0, *lower]
+    return draw(mutated(payload))
+
+
+@st.composite
+def table_payloads(draw) -> dict:
+    """Table objects that are mostly valid, with one entry per (r, j)."""
+    keys = draw(st.sets(st.tuples(st.integers(1, 4), st.integers(1, 3)),
+                        min_size=1, max_size=8))
+    entries = [
+        draw(mutated({"r": r, "j": j, "re": draw(COEFF), "im": draw(COEFF)}))
+        for r, j in sorted(keys)
+    ]
+    payload = {
+        "L": draw(st.floats(0.05, 5.0)),
+        "a": draw(st.floats(-4.0, 4.0)),
+        "class": draw(st.sampled_from(
+            ["updown", "twoarc", "twoarc-symmetric", "dihedral-3", "dihedral-x"])),
+        "normalization": draw(st.sampled_from(["TopOnly", "FullPrincipal", "Other"])),
+        "entries": entries,
+    }
+    return draw(mutated(payload))
+
+
+def run_cli(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@seed(20261018)
+@FUZZ
+@given(text=st.one_of(st.text(max_size=40), spec_payloads().map(json.dumps)))
+def test_parse_spec_returns_a_spec_or_names_the_fault(text):
+    try:
+        assert isinstance(parse_spec(text), DomainSpec)
+    except ValueError as exc:
+        assert str(exc)
+
+
+@seed(20261018)
+@FUZZ
+@given(data=st.one_of(JUNK, table_payloads()))
+def test_table_parser_returns_a_table_or_names_the_fault(data):
+    try:
+        assert isinstance(InvariantTable.from_json(data), InvariantTable)
+    except ValueError as exc:
+        assert str(exc)
+
+
+@st.composite
+def cli_runs(draw) -> tuple[dict, list[str]]:
+    """A spec object and the size flags of one CLI run; the arcs mostly
+    carry the 2 j_max orders that the run reads."""
+    r_max, j_max = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["top", "full"]))
+    payload = draw(spec_payloads(st.integers(max(2, 2 * j_max - 1), 2 * j_max + 2)))
+    return payload, ["--r-max", str(r_max), "--j-max", str(j_max), "--mode", mode]
+
+
+@seed(20261018)
+@settings(FUZZ, max_examples=30)
+@given(run=cli_runs())
+def test_cli_exits_with_a_code_on_any_spec(run):
+    payload, sizes = run
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_file = Path(tmp) / "spec.json"
+        spec_file.write_text(json.dumps(payload), encoding="utf-8")
+        table_file = Path(tmp) / "table.json"
+        codes = [run_cli(["forward", str(spec_file), *sizes, "--out", str(table_file)])]
+        if codes[0] == 0:
+            codes.append(run_cli(["invert", str(table_file)]))
+        codes.append(run_cli(["roundtrip", str(spec_file), *sizes]))
+    assert set(codes) <= {0, 1, 2}
+
+
+@seed(20261018)
+@FUZZ
+@given(payload=table_payloads(), j_max=st.one_of(st.none(), st.integers(0, 3)))
+def test_cli_invert_exits_with_a_code_on_any_table(payload, j_max):
+    with tempfile.TemporaryDirectory() as tmp:
+        table_file = Path(tmp) / "table.json"
+        table_file.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["invert", str(table_file)]
+        if j_max is not None:
+            argv += ["--j-max", str(j_max)]
+        assert run_cli(argv) in {0, 1, 2}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 
@@ -9,7 +10,8 @@ import numpy as np
 import numpy._core.einsumfunc as einsumfunc
 import pytest
 
-from wavetrace import hessian, invariants
+from wavetrace import hessian, invariants, jets
+from wavetrace.billiard import bounce_sequence, charts, length_jet
 from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError, dihedral_parameters
 from wavetrace.feynman import FeynmanGraph, automorphism_order, max_derivative_report
 from wavetrace.hessian import (
@@ -29,11 +31,12 @@ from wavetrace.invariants import (
     invariant_dihedral,
     invariant_full,
     invariant_top,
+    max_iterate,
     principal_leading_value,
     principal_shift_factory,
 )
 from wavetrace.inverse import recover
-from wavetrace.jets import extract_partial
+from wavetrace.jets import MultiJet, extract_partial, jet_power
 
 TOP_TAYLOR = (1.0, 0.0, -0.21, 0.05, 0.013, -0.007, 0.002, 0.0011, -0.0004,
               0.0002, -0.00008)
@@ -487,6 +490,118 @@ def test_full_table_builds_each_iterate_once(monkeypatch):
     assert degrees == [(1, 8), (2, 8), (3, 8)]
     for key, value in want.items():
         assert table.entry(*key) == pytest.approx(value, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the chord jets against the all-variable construction
+
+
+def _all_variable_length(spec, r, degree):
+    """Reference only: every chord term built in all n variables."""
+    word = bounce_sequence(spec, r)
+    n = len(word)
+    comps = []
+    for p, chart in enumerate(charts(spec)[w] for w in word):
+        c, s = math.cos(chart.angle), math.sin(chart.angle)
+        x = MultiJet.variable(p, n, degree)
+        f = MultiJet.from_univariate(chart.arc.taylor, p, n, degree)
+        comps.append((x * c - f * s, x * s + f * c))
+    total = MultiJet.zero(n, degree)
+    for p in range(n):
+        q = (p + 1) % n
+        dx = comps[q][0] - comps[p][0]
+        dy = comps[q][1] - comps[p][1]
+        total = total + jet_power(dx * dx + dy * dy, 0.5)
+    return total
+
+
+def _all_variable_amplitude(spec, r, order):
+    """Reference only: the principal amplitude, every chord factor built in
+    all 2r variables."""
+    n = 2 * r
+    arcs = (spec.upper, spec.lower)
+    product = MultiJet.constant(1.0 + 0.0j, n, order)
+    for p in range(n):
+        q = (p + 1) % n
+        arc_p, arc_q = arcs[p % 2], arcs[q % 2]
+        dx = MultiJet.variable(p, n, order) - MultiJet.variable(q, n, order)
+        df = (MultiJet.from_univariate(arc_p.taylor, p, n, order)
+              - MultiJet.from_univariate(arc_q.taylor, q, n, order))
+        slope = MultiJet.from_univariate(
+            [k * arc_p.taylor[k] for k in range(1, len(arc_p.taylor))], p, n, order
+        )
+        factor = (dx * slope - df) * jet_power(dx * dx + df * df, -0.75)
+        product = product * factor * (1.0 if p % 2 == 0 else -1.0)
+    return _all_variable_length(spec, r, order) * product * invariants.LINK_CONSTANT_SQ**r
+
+
+def assert_same_jet(got, want, rel=1e-13):
+    assert (got.num_vars, got.max_degree) == (want.num_vars, want.max_degree)
+    scale = np.max(np.abs(want.coeffs))
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= rel * scale
+
+
+@pytest.mark.parametrize(
+    "spec, r, degree",
+    [(updown_spec(), 1, 8), (updown_spec(), 2, 8), (updown_spec(), 3, 8),
+     (twoarc_spec(), 1, 6), (twoarc_spec(), 2, 6)],
+    ids=["updown-r1", "updown-r2", "updown-r3", "twoarc-r1", "twoarc-r2"],
+)
+def test_chord_jets_match_the_all_variable_construction(spec, r, degree):
+    # r = 1 includes the wrap-around chord, which joins x_1 to x_0
+    term = build_principal(spec, r, degree)
+    assert_same_jet(term.phase_jets, _all_variable_length(spec, r, degree))
+    assert_same_jet(length_jet(spec, r, degree), _all_variable_length(spec, r, degree))
+    assert_same_jet(term.amplitude_jets, _all_variable_amplitude(spec, r, degree))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_dihedral_chord_jets_match_the_all_variable_construction(m):
+    spec = dihedral_spec(m)
+    for r in (1, 2):
+        assert_same_jet(length_jet(spec, r, 6), _all_variable_length(spec, r, 6))
+
+
+def test_full_table_makes_few_full_size_products(monkeypatch):
+    # each build multiplies its 2r chord factors and then phase x product at
+    # full size; everything else runs on 2-variable chord jets.  At r = 1
+    # the full basis is the chord basis, so only r = 2, 3 are told apart.
+    counts = collections.Counter()
+    mul = jets.jet_mul
+
+    def counted(a, b, degree_cap=None):
+        counts[a.num_vars] += 1
+        return mul(a, b, degree_cap)
+
+    monkeypatch.setattr(jets, "jet_mul", counted)
+    forward_table(updown_spec(), 3, 4, "FullPrincipal")
+    for r in (2, 3):
+        assert counts[2 * r] <= 2 * r + 1
+
+
+# ---------------------------------------------------------------------------
+# the range of the leading amplitude
+
+
+def test_range_limit_of_the_leading_amplitude():
+    assert max_iterate(2.0) == 230
+    assert max_iterate(0.1) == 250
+    for L in (0.1, 2.0):
+        r = max_iterate(L)
+        assert 1e-251 < abs(principal_leading_value(r, L)) < 1e251
+        with pytest.raises(ValueError, match=f"r {r + 1} is out of range"):
+            principal_leading_value(r + 1, L)
+    with pytest.raises(ValueError, match="r_max 300 is out of range"):
+        forward_table(updown_spec(), 300, 2)
+    # A_r underflows to 0 past r = 297 at L = 2, and recovery divides by it
+    entries = {(r, j): 0j for r in range(1, 301) for j in (1, 2)}
+    table = InvariantTable(2.0, 0.5, "updown", "TopOnly", entries)
+    with pytest.raises(ValueError, match="out of range"):
+        recover(table, 2)
+    # dihedral entries carry no A_r
+    dihedral = forward_table(dihedral_spec(3), 2, 1).to_json()
+    dihedral["entries"][0]["r"] = 300
+    assert (300, 1) in InvariantTable.from_json(dihedral).entries
 
 
 def test_symmetry_class_labels():
