@@ -17,7 +17,7 @@ are reported in the chart convention of the forward map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,11 +51,16 @@ class RecoveryResult:
             solve (includes any imaginary leakage of the table values).
         obstructions: non-fatal notes, e.g. iterates skipped at symbol
             poles.  Fatal problems raise ObstructionError instead.
+        cancellation: j -> largest cancellation ratio
+            max(|entry|, |remainder|) / |entry - remainder| over the rows
+            of that order's decoupling solve, for FullPrincipal tables of
+            the mirror-symmetric class (empty otherwise).
     """
 
     taylor: dict[int, float]
     residuals: dict[int, float]
     obstructions: tuple[str, ...] = ()
+    cancellation: dict[int, float] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -101,11 +106,11 @@ def _iterate_data(
 ) -> tuple[dict[int, tuple[float, ...]], list[str]]:
     """Inverse-Hessian data of every iterate that orders j <= J read.
 
-    Returns r -> (h11, F3) for the admissible iterates of the two-arc
-    classes (m None, from `parity_sums`), r -> (h11,) for those of the
-    m-gon orbit, and one note per iterate skipped at a symbol pole.  The
-    data depend on r, a and L only, so each iterate is inverted once for
-    all orders.
+    Returns r -> (h11, F3, A_r) for the admissible iterates of the
+    two-arc classes (m None, from `parity_sums` and
+    `principal_leading_value`), r -> (h11,) for those of the m-gon orbit,
+    and one note per iterate skipped at a symbol pole.  The data depend on
+    r, a and L only, so each iterate is inverted once for all orders.
     """
     data: dict[int, tuple[float, ...]] = {}
     notes = []
@@ -113,7 +118,11 @@ def _iterate_data(
         try:
             if m is None:
                 diagonal, _, s3 = parity_sums(CirculantHessian(r=r, L=L, a=a, b=a))
-                data[r] = (float(diagonal[0]), float(s3[0].sum()))
+                data[r] = (
+                    float(diagonal[0]),
+                    float(s3[0].sum()),
+                    principal_leading_value(r, L),
+                )
             else:
                 data[r] = (dihedral_inverse_entry(m, r, a, 2.0 * L / m, 1, 1),)
         except ObstructionError:
@@ -122,9 +131,13 @@ def _iterate_data(
 
 
 def _decouple(
-    j: int, values: dict[int, complex], iterates: dict, a: float, L: float
-) -> tuple[float, float, float]:
-    """(A, B, residual) of the order-j decoupling.
+    j: int,
+    values: dict[int, complex],
+    scales: dict[int, float] | None,
+    iterates: dict,
+    a: float,
+) -> tuple[float, float, float, float | None]:
+    """(A, B, residual, cancellation) of the order-j decoupling.
 
     Separates the order-j table row into its two graph-family sums.  The
     raw entry at (r, j) is divided by 8 r i^(j+1) A_r (h11)^(j-2), with
@@ -136,21 +149,29 @@ def _decouple(
     B = 2 w3 f''' f^(2j-1), in the convex-representative data,
     in least squares over the admissible iterates (`_iterate_data`).
 
+    With ``scales`` (FullPrincipal tables, see `_order_values`) each row
+    is weighted by |divisor| / scale, the inverse of its rounding level:
+    where entry and remainder nearly cancel, y_r keeps the rounding of the
+    larger of the two (weighted least squares; Bjorck, *Numerical Methods
+    for Least Squares Problems*, 1996, ch. 4).  The cancellation returned
+    is the largest scale / |y_r| over the rows, None without scales.
+    TopOnly rows keep unit weight.  The singularity test and the residual
+    read the unweighted rows.
+
     Raises:
         ObstructionError("singular-decoupling"): fewer than two admissible
             iterates, or the system is rank-deficient — the hallmark of
             the finitely many bad Floquet parameters.
     """
-    coeffs, rhs = [], []
-    for r in sorted(iterates.keys() & values):
-        h11, f3 = iterates[r]
+    rows = sorted(iterates.keys() & values)
+    coeffs, rhs, weights = [], [], []
+    for r in rows:
+        h11, f3, lead = iterates[r]
         coeffs.append((h11**2, -f3))
-        divisor = (
-            8.0 * r * _i_power(j + 1)
-            * principal_leading_value(r, L)
-            * h11 ** (j - 2)
-        )
+        divisor = 8.0 * r * _i_power(j + 1) * lead * h11 ** (j - 2)
         rhs.append(complex(values[r]) / divisor)
+        if scales is not None:
+            weights.append(abs(divisor) / scales[r])
     if len(coeffs) < 2:
         raise ObstructionError(
             "singular-decoupling",
@@ -166,12 +187,19 @@ def _decouple(
             "(effectively bad Floquet parameter)",
         )
     rhs = np.array(rhs)
-    sol_c, *_ = np.linalg.lstsq(matrix.astype(complex), rhs, rcond=None)
+    system, target, cancellation = matrix, rhs, None
+    if scales is not None:
+        w = np.array(weights)
+        system, target = matrix * w[:, None], rhs * w
+        cancellation = max(
+            scales[r] / abs(values[r]) if values[r] else math.inf for r in rows
+        )
+    sol_c, *_ = np.linalg.lstsq(system.astype(complex), target, rcond=None)
     sol = sol_c.real
     resid = float(
         np.linalg.norm(matrix @ sol - rhs) / max(np.linalg.norm(rhs), 1.0)
     )
-    return float(sol[0]), float(sol[1]), resid
+    return float(sol[0]), float(sol[1]), resid, cancellation
 
 
 def _solve_single(coeffs, rhs, j: int, a: float) -> tuple[float, float]:
@@ -204,7 +232,7 @@ def _zero_beyond_quadratic(table: InvariantTable) -> bool:
 
 
 def _first_order_residual(
-    table: InvariantTable, iterates: dict, L: float, d2: float, m: int | None
+    table: InvariantTable, iterates: dict, d2: float, m: int | None
 ) -> float | None:
     """Consistency of the j = 1 entries with the Floquet-datum base case,
     over the admissible iterates of `_iterate_data`."""
@@ -212,7 +240,7 @@ def _first_order_residual(
     for r in sorted(iterates.keys() & {r for (r, j) in table.entries if j == 1}):
         h11 = iterates[r][0]
         if m is None:
-            coef = 4.0 * r * principal_leading_value(r, L) * h11
+            coef = 4.0 * r * iterates[r][2] * h11
         else:
             coef = m * r * h11
         checks.append(abs(table.entry(r, 1) - coef * d2) / max(abs(coef * d2), 1.0))
@@ -224,8 +252,6 @@ def _remainder(
 ) -> complex:
     """FullPrincipal remainder: the (r, j) value of an auxiliary domain
     carrying the already-recovered data and zeros at orders 2j-1, 2j."""
-    if table.normalization == "TopOnly":
-        return 0.0
     taylor = [L / 2.0, 0.0]
     taylor += [-data.get(k, 0.0) / math.factorial(k) for k in range(2, 2 * j + 1)]
     aux = DomainSpec("updown", L, BoundaryArc(tuple(taylor)))
@@ -234,12 +260,21 @@ def _remainder(
 
 def _order_values(
     table: InvariantTable, L: float, data: dict[int, float], j: int
-) -> dict[int, complex]:
-    return {
-        r: table.entry(r, j) - _remainder(table, L, data, r, j)
-        for (r, jj) in table.entries
-        if jj == j
-    }
+) -> tuple[dict[int, complex], dict[int, float] | None]:
+    """The order-j top parts y_r = entry - remainder by iterate, and for
+    FullPrincipal tables each one's scale max(|entry|, |remainder|), the
+    level its rounding is relative to.  TopOnly tables subtract no
+    remainder and get no scales."""
+    rows = [r for (r, jj) in table.entries if jj == j]
+    if table.normalization == "TopOnly":
+        return {r: table.entry(r, j) for r in rows}, None
+    values, scales = {}, {}
+    for r in rows:
+        entry = table.entry(r, j)
+        remainder = _remainder(table, L, data, r, j)
+        values[r] = entry - remainder
+        scales[r] = max(abs(entry), abs(remainder))
+    return values, scales
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +307,7 @@ def recover_symmetric(
     data = {2: recover_f2(a, L)}
     residuals: dict[int, float] = {}
     iterates, notes = _iterate_data(table, J, a, L)
-    first = _first_order_residual(table, iterates, L, data[2], None)
+    first = _first_order_residual(table, iterates, data[2], None)
     if first is not None:
         residuals[1] = first
 
@@ -283,11 +318,14 @@ def recover_symmetric(
             residuals[j] = 0.0
         return RecoveryResult(data, residuals, tuple(notes))
 
+    cancellation: dict[int, float] = {}
     cubic_floor = _CUBIC_TOL
     for j in range(2, J + 1):
         w1, w2, w3 = contributing_weights(j)
-        values = _order_values(table, L, data, j)
-        A, B, residuals[j] = _decouple(j, values, iterates, a, L)
+        values, scales = _order_values(table, L, data, j)
+        A, B, residuals[j], ratio = _decouple(j, values, scales, iterates, a)
+        if ratio is not None:
+            cancellation[j] = ratio
         odd_product = B / (2.0 * w3)  # = f'''(0) f^(2j-1)(0)
         if j == 2:
             scale = max(1.0, abs(A / w1)) ** 0.5
@@ -309,7 +347,7 @@ def recover_symmetric(
                 )
             data[2 * j - 1] = odd_product / data[3]
         data[2 * j] = -(A - 2.0 * w2 * (L / (a + 2.0)) * odd_product) / w1
-    return RecoveryResult(data, residuals, tuple(notes))
+    return RecoveryResult(data, residuals, tuple(notes), cancellation)
 
 
 def recover_two_symmetry(
@@ -327,20 +365,17 @@ def recover_two_symmetry(
     data = {2: recover_f2(a, L)}
     residuals: dict[int, float] = {}
     iterates, notes = _iterate_data(table, J, a, L)
-    first = _first_order_residual(table, iterates, L, data[2], None)
+    first = _first_order_residual(table, iterates, data[2], None)
     if first is not None:
         residuals[1] = first
     for j in range(2, J + 1):
         data[2 * j - 1] = 0.0
         w1 = contributing_weights(j)[0]
-        values = _order_values(table, L, data, j)
+        values, _ = _order_values(table, L, data, j)
         coeffs, rhs = [], []
         for r in sorted(iterates.keys() & values):
-            h11 = iterates[r][0]
-            coeffs.append(
-                -8.0 * r * _i_power(j + 1)
-                * principal_leading_value(r, L) * w1 * h11**j
-            )
+            h11, _, lead = iterates[r]
+            coeffs.append(-8.0 * r * _i_power(j + 1) * lead * w1 * h11**j)
             rhs.append(complex(values[r]))
         data[2 * j], residuals[j] = _solve_single(coeffs, rhs, j, a)
     return RecoveryResult(data, residuals, tuple(notes))
@@ -372,7 +407,7 @@ def recover_dihedral(
     data = {2: (a - 2.0) * m * sin_t / (4.0 * L)}
     residuals: dict[int, float] = {}
     iterates, notes = _iterate_data(table, J, a, L, m)
-    first = _first_order_residual(table, iterates, L, data[2], m)
+    first = _first_order_residual(table, iterates, data[2], m)
     if first is not None:
         residuals[1] = first
     for j in range(2, J + 1):

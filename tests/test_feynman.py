@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,25 +349,79 @@ def test_every_planned_step_joins_two_operands():
         assert all(len(positions) <= 2 for positions, _ in steps), g
 
 
+def _census_sum(problem, j):
+    return sum(amplitude(g, problem) / automorphism_order(g) for g in enumerate_graphs(j))
+
+
+def test_linked_clusters_match_the_whole_census():
+    spec = parse_spec(
+        '{"kind": "updown", "L": 2.0, "f": [1.0, 0.0, 0.6, 0.15, -0.2, 0.1, 0.05, -0.12, 0.2]}'
+    )
+    problems = [build_principal(spec, r, 8).problem() for r in (1, 3)]
+    rng = np.random.default_rng(17)
+    problems += [random_sp_problem(rng, n) for n in (1, 2, 3, 4)]
+    # the vacuum sums must not be read off through the amplitude's value
+    base = problems[-1]
+    problems.append(
+        SPProblem(
+            num_vars=base.num_vars,
+            hessian_inverse=base.hessian_inverse,
+            phase_tensors=base.phase_tensors,
+            amplitude=base.amplitude - base.amplitude.value,
+            phase_value=base.phase_value,
+            signature=base.signature,
+        )
+    )
+    for problem in problems:
+        for j in range(4):
+            want = _census_sum(problem, j)
+            got = sp_coefficient_diagrams(problem, j)
+            assert abs(got - want) <= 1e-12 * abs(want), (problem.num_vars, j)
+
+
+def test_diagram_sum_memory_is_bounded():
+    # with loops as operands the order-3 flower alone is a rank-8 tensor:
+    # 6**8 doubles, 13 MB, at r = 3
+    spec = parse_spec(
+        '{"kind": "updown", "L": 2.0, "f": [1.0, 0.0, 0.6, 0.15, -0.2, 0.1, 0.05, -0.12, 0.2]}'
+    )
+    problem = build_principal(spec, 3, 8).problem()
+    enumerate_graphs(3)  # cached per process: keep the census out of the bound
+    tracemalloc.start()
+    try:
+        sp_coefficient_diagrams(problem, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_each_derivative_tensor_is_extracted_once_per_problem(monkeypatch):
     spec = parse_spec(
         '{"kind": "updown", "L": 2.0, "f": [1.0, 0.0, 0.6, 0.15, -0.2, 0.1, 0.05, -0.12, 0.2]}'
     )
     problem = build_principal(spec, 2, 8).problem()
+
+    def loop_key(jet):
+        # (open, loops) such that jet is Delta_H**loops of the vertex's jet
+        for open_vertex in (False, True):
+            ref = problem.amplitude if open_vertex else problem.phase_tensors
+            for loops in range(5):
+                if np.array_equal(jet.coeffs, ref.coeffs):
+                    return open_vertex, loops
+                ref = feynman._apply_inverse_hessian_operator(ref, problem.hessian_inverse)
+        raise AssertionError("tensor taken from an unexpected jet")
+
     calls = []
     extract = feynman.derivative_tensor
 
     def counted(jet, order):
-        calls.append((jet is problem.amplitude, order))
+        calls.append(loop_key(jet) + (order,))
         return extract(jet, order)
 
     monkeypatch.setattr(feynman, "derivative_tensor", counted)
     values = [sp_coefficient_diagrams(problem, j) for j in range(4)]
-    needed = set()
-    for j in range(4):
-        for g in enumerate_graphs(j):
-            orders = feynman._plan(g)[1]
-            needed |= {(False, k) for k in orders[:-1]} | {(True, orders[-1])}
+    needed = {key for j in range(4) for g in enumerate_graphs(j) for key in feynman._plan(g)[1]}
     assert sorted(calls) == sorted(needed)
     assert [sp_coefficient_diagrams(problem, j) for j in range(4)] == values
 

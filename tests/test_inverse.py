@@ -116,11 +116,11 @@ def test_convex_representative_negates_and_reflects():
 
 
 def decouple(j, values, a, L):
-    """(A, B) of `_decouple` on an order-j row, with the row's iterates
-    inverted by `_iterate_data`."""
+    """(A, B) of `_decouple` on an unweighted (TopOnly) order-j row, with
+    the row's iterates inverted by `_iterate_data`."""
     row = InvariantTable(L, a, "updown", "TopOnly", {(r, j): v for r, v in values.items()})
     iterates, _ = _iterate_data(row, j, a, L)
-    A, B, _ = _decouple(j, values, iterates, a, L)
+    A, B, _, _ = _decouple(j, values, None, iterates, a)
     return A, B
 
 
@@ -336,6 +336,45 @@ def test_forward_and_recovery_invert_each_iterate_once(monkeypatch, kind):
     result = recover(table, 5)
     assert result.obstructions == ()
     assert len(calls) == 7
+
+
+@pytest.mark.parametrize(
+    "kind, leading", [("updown", 7), ("twoarc-symmetric", 7), ("dihedral", 0)]
+)
+def test_recovery_computes_each_leading_amplitude_once(monkeypatch, kind, leading):
+    # A_r depends on the iterate only, not on the order j
+    import wavetrace.inverse
+
+    spec = {"updown": updown_spec(), "twoarc-symmetric": even_spec(),
+            "dihedral": dihedral_spec(4)}[kind]
+    table = forward_table(spec, 7, 5)
+    calls = []
+    inner = wavetrace.inverse.principal_leading_value
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(wavetrace.inverse, "principal_leading_value", counted)
+    result = recover(table, 5)
+    assert result.obstructions == ()
+    assert sorted(calls) == [(r, table.length) for r in range(1, leading + 1)]
+
+
+def test_full_mode_rows_are_weighted_by_their_cancellation():
+    # a = -1.725: at (r = 3, j = 4) entry and remainder are both about 3e5
+    # and cancel to a top part of about 0.2; with unit weights that row's
+    # rounding left a relative error of 5e-7 in f^(7)(0) and f^(8)(0)
+    spec = updown_spec(
+        (L0 / 2, 0.0, -0.034375, 0.203, 0.031, -0.136, 0.231, -0.157, -0.037)
+    )
+    a, _ = kt_parameters(spec)
+    assert a == pytest.approx(-1.725)
+    result = recover(forward_table(spec, 3, 4, normalization="FullPrincipal"), 4)
+    assert worst_rel(result, convex_representative(spec, 8)) <= 1e-8
+    assert sorted(result.cancellation) == [2, 3, 4]
+    assert result.cancellation[4] > 1e6
+    assert recover(forward_table(spec, 3, 4), 4).cancellation == {}
 
 
 def test_two_symmetry_starved_of_iterates_raises():
