@@ -150,6 +150,74 @@ def test_negative_order_rejected():
         enumerate_graphs(-1)
 
 
+def _census_by_search(order):
+    """The census without the orderly filter: every labelled candidate is
+    searched and duplicates are dropped by canonical key."""
+    seen = {}
+    for open_loops in range(order + 1):
+        budget = order - open_loops
+        for v in range(2 * budget + 1):
+            total = budget + v
+            for recs in feynman._self_assignments(v, total):
+                edge_budget = total - sum(l + s for l, s in recs)
+                if v == 1 and edge_budget > 0:
+                    continue
+                needs = [max(0, 3 - 2 * l - s) for l, s in recs]
+                if sum(needs) > 2 * edge_budget:
+                    continue
+                for degs in feynman._degree_sequences(needs, recs, 2 * edge_budget):
+                    for adj in feynman._realizations(degs):
+                        g = FeynmanGraph(recs, open_loops, adj)
+                        seen.setdefault(g.sort_key(), g.canonical())
+    return [seen[k] for k in sorted(seen)]
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_census_equals_the_dedupe_by_search_census(order):
+    oracle = _census_by_search(order)
+    assert list(enumerate_graphs(order)) == oracle
+    assert [automorphism_order(g) for g in enumerate_graphs(order)] == [
+        automorphism_order(g) for g in oracle
+    ]
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_census_searches_each_class_once(order):
+    enumerate_graphs.cache_clear()
+    feynman._search.cache_clear()
+    graphs = enumerate_graphs(order)
+    assert feynman._search.cache_info().misses == len(graphs)
+
+
+def test_orderly_filter_keeps_one_table_per_orbit():
+    rng = random.Random(13)
+    orbit_sizes = []
+    while len(orbit_sizes) < 200:
+        v = rng.randint(1, 5)
+        # mostly one (record, degree) pair, so that many orbits are large;
+        # the generator's labelling: records, then degrees, non-increasing
+        common = (rng.choice(((0, 0), (1, 0))), rng.choice((2, 3, 4)))
+        others = [((0, 1), 3), ((0, 0), 2), ((1, 0), 4)]
+        vertices = sorted(
+            (common if rng.random() < 0.7 else rng.choice(others) for _ in range(v)), reverse=True
+        )
+        recs = tuple(rec for rec, _ in vertices)
+        degs = tuple(deg for _, deg in vertices)
+        tables = feynman._realizations(degs)
+        if not tables:
+            continue
+        adj = rng.choice(tables)
+        orbit = {
+            tuple(tuple(adj[p][q] for q in perm) for p in perm)
+            for perm in itertools.permutations(range(v))
+            if all(recs[p] == recs[i] and degs[p] == degs[i] for i, p in enumerate(perm))
+        }
+        kept = [table for table in orbit if feynman._is_orderly(recs, degs, table)]
+        assert len(kept) == 1, (recs, adj)
+        orbit_sizes.append(len(orbit))
+    assert sum(size >= 10 for size in orbit_sizes) >= 10
+
+
 # ---------------------------------------------------------------------------
 # graph type and automorphisms
 
