@@ -39,7 +39,7 @@ from .domain import (
 )
 from .feynman import MAX_CENSUS_ORDER, automorphism_order, enumerate_graphs
 from .hessian import badset_report
-from .invariants import InvariantTable, check_iterate, forward_table
+from .invariants import InvariantTable, check_full_cost, check_iterate, forward_table
 from .inverse import convex_representative, recover
 
 _MODES = {"top": "TopOnly", "full": "FullPrincipal"}
@@ -102,19 +102,22 @@ def _check_sizes(args: argparse.Namespace):
             raise ValueError(f"{flag} {value} is out of range: {flag} must be >= 1")
 
 
-def _check_census(j_max: int, name: str, what: str):
-    """Refuse a diagram-sum order past the graph census, before any work:
-    order j sums the order-(j - 1) graphs.  ``name`` is the input that set
-    j_max, ``what`` the full-mode input that asks for diagram sums.
+def _check_full_job(r_max: int, j_max: int, r_name: str, j_name: str, what: str):
+    """Refuse a full-mode job before any work: its order past the graph
+    census (order j sums the order-(j - 1) graphs), or its jets past
+    `invariants.MAX_FULL_COST`.  ``r_name`` and ``j_name`` are the inputs
+    that set r_max and j_max, ``what`` the full-mode input that asks for
+    diagram sums.
 
     Raises:
-        ValueError: naming ``name`` and the limit.
+        ValueError: naming the input at fault and the limit.
     """
     if j_max > MAX_CENSUS_ORDER + 1:
         raise ValueError(
-            f"{name} {j_max} is too large for {what}: the graph census "
-            f"runs to order {MAX_CENSUS_ORDER}, so {name} <= {MAX_CENSUS_ORDER + 1}"
+            f"{j_name} {j_max} is too large for {what}: the graph census "
+            f"runs to order {MAX_CENSUS_ORDER}, so {j_name} <= {MAX_CENSUS_ORDER + 1}"
         )
+    check_full_cost(r_max, j_max, r_name, j_name)
 
 
 def _read_spec(args: argparse.Namespace) -> DomainSpec:
@@ -132,7 +135,7 @@ def _read_spec(args: argparse.Namespace) -> DomainSpec:
 
 def cmd_forward(args: argparse.Namespace) -> int:
     if args.mode == "full":
-        _check_census(args.j_max, "--j-max", "--mode full")
+        _check_full_job(args.r_max, args.j_max, "--r-max", "--j-max", "--mode full")
     spec = _read_spec(args)
     report = genericity_check(spec)
     if report.flags and args.strict:
@@ -173,7 +176,8 @@ def cmd_invert(args: argparse.Namespace) -> int:
     else:
         j_max, name = args.j_max, "--j-max"
     if table.normalization == "FullPrincipal":
-        _check_census(j_max, name, "a FullPrincipal table")
+        r_max = max(r for r, _ in table.entries)
+        _check_full_job(r_max, j_max, "entries[].r", name, "a FullPrincipal table")
     result = recover(table, j_max)
     spec = _spec_from_recovery(table.symmetry_class, table.length, result.taylor)
     payload = {
@@ -199,7 +203,7 @@ def _expected_taylor(spec: DomainSpec, order: int) -> dict[int, float]:
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     j_max, tol = args.j_max, args.tol
     if args.mode == "full":
-        _check_census(j_max, "--j-max", "--mode full")
+        _check_full_job(args.r_max, j_max, "--r-max", "--j-max", "--mode full")
     spec = _read_spec(args)
     table = forward_table(spec, args.r_max, j_max, normalization=_MODES[args.mode])
     result = recover(table, j_max)

@@ -21,6 +21,12 @@ operator of the operator route.  Through order 3 the largest vertex tensor
 then has rank 3, 4, 6 at a closed vertex and 1, 3, 4 at the open vertex
 (orders 1, 2, 3), against rank 2o + 2 with the loops as operands.
 
+The other edges are contracted in the eigenbasis of the inverse Hessian:
+with ``H^-1 = P P^T``, ``P = Q diag(sqrt(lambda))`` (complex where
+``lambda < 0``), every vertex tensor carries ``P`` on each axis, so each
+propagator is the identity and a diagram is a network of vertex tensors
+alone, joined pairwise along a greedy plan read off the graph.
+
 The coefficient sums linked clusters (the exponential formula; Stanley,
 *Enumerative Combinatorics* II, ch. 5): every class factors into the part
 linked to the open vertex and a multiset of connected vacuum parts, with
@@ -39,7 +45,7 @@ import math
 import operator
 import string
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -210,10 +216,15 @@ def automorphism_order(graph: FeynmanGraph) -> int:
     """Order of the automorphism group (the open vertex is kept fixed).
 
     Counts vertex permutations preserving the labelled structure, times the
-    internal symmetries of the edge set: each loop can swap its two ends,
-    loops at one vertex permute among themselves, and every parallel bundle
-    (including stubs and open loops) permutes freely.
+    internal symmetries of the edge set (`_edge_symmetries`).
     """
+    return _search(graph)[2] * _edge_symmetries(graph)
+
+
+def _edge_symmetries(graph: FeynmanGraph) -> int:
+    """The edge-set factor of |Aut|: each loop can swap its two ends, loops
+    at one vertex permute among themselves, and every parallel bundle
+    (including stubs and open loops) permutes freely."""
     v = graph.num_closed
     factor = 2**graph.open_loops * math.factorial(graph.open_loops)
     for loops, stubs in graph.closed_vertices:
@@ -221,7 +232,7 @@ def automorphism_order(graph: FeynmanGraph) -> int:
     for i in range(v):
         for j in range(i + 1, v):
             factor *= math.factorial(graph.edges_between[i][j])
-    return _search(graph)[2] * factor
+    return factor
 
 
 def _self_assignments(v: int, budget: int):
@@ -328,7 +339,6 @@ def _is_orderly(records, degrees: tuple[int, ...], adj) -> bool:
     return all(relabel(flat) <= flat for relabel in _block_relabelings(runs))
 
 
-@lru_cache(maxsize=None)
 def enumerate_graphs(order: int) -> tuple[FeynmanGraph, ...]:
     """All isomorphism classes of contraction graphs at the given order.
 
@@ -337,14 +347,22 @@ def enumerate_graphs(order: int) -> tuple[FeynmanGraph, ...]:
     labelled table per class is generated (`_is_orderly`), so the
     canonical-form search runs once per class.  Orders up to
     `MAX_CENSUS_ORDER` finish well under a second; order 4 (4186 classes)
-    takes about 16 s.
+    takes about 16 s.  The census is built once per process.
 
     Raises:
         ValueError: on a negative order.
     """
+    return tuple(graph for graph, _ in _census(order))
+
+
+@lru_cache(maxsize=None)
+def _census(order: int) -> tuple[tuple[FeynmanGraph, int], ...]:
+    """``(class, |Aut|)`` pairs of `enumerate_graphs`.  |Aut| is read off
+    the search that canonicalized the class, so no class is searched again
+    under its canonical labelling."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    seen: dict[tuple, FeynmanGraph] = {}
+    seen: dict[tuple, tuple[FeynmanGraph, int]] = {}
     for open_loops in range(order + 1):
         budget = order - open_loops
         for v in range(2 * budget + 1):
@@ -361,7 +379,8 @@ def enumerate_graphs(order: int) -> tuple[FeynmanGraph, ...]:
                         if not _is_orderly(recs, degs, adj):
                             continue
                         g = FeynmanGraph(recs, open_loops, adj)
-                        seen[g.sort_key()] = g.canonical()
+                        key, _, leaves = _search(g)
+                        seen[key] = (g.canonical(), leaves * _edge_symmetries(g))
     return tuple(seen[k] for k in sorted(seen))
 
 
@@ -415,9 +434,11 @@ class SPProblem:
         """Tensor of a vertex with ``loops`` self-loops and ``valence``
         other edge ends: the derivative tensor of order ``valence`` of
         ``Delta_H**loops`` applied to the amplitude (the open vertex) or to
-        the phase remainder (a closed vertex).  Each tensor, and each
-        ``Delta_H**loops`` jet, is built once per problem and shared by
-        every graph contracted on it.
+        the phase remainder (a closed vertex), with `_propagator_root` ``P``
+        applied on every axis.  Since ``P @ P.T`` is the inverse Hessian,
+        two such tensors joined on one axis carry the propagator of that
+        edge.  Each tensor, and each ``Delta_H**loops`` jet, is built once
+        per problem and shared by every graph contracted on it.
 
         Raises:
             ValueError: if the vertex's full valence ``2 * loops + valence``
@@ -432,8 +453,21 @@ class SPProblem:
                     f"requested derivative order {2 * loops + valence} "
                     f"exceeds jet degree {jet.max_degree}"
                 )
-            self._tensors[key] = derivative_tensor(self._loop_jet(open_vertex, loops), valence)
+            tensor = derivative_tensor(self._loop_jet(open_vertex, loops), valence)
+            n = self.num_vars
+            for _ in range(valence):
+                # contracts the leading axis and appends the new one last
+                tensor = tensor.reshape(n, -1).T @ self._propagator_root
+            self._tensors[key] = tensor.reshape((n,) * valence)
         return self._tensors[key]
+
+    @cached_property
+    def _propagator_root(self) -> np.ndarray:
+        """``P = Q diag(sqrt(lambda))`` from the eigenpairs of the inverse
+        Hessian, so that ``P @ P.T`` (the plain transpose) is the inverse
+        Hessian; its columns are imaginary where ``lambda < 0``."""
+        lam, q = np.linalg.eigh(self.hessian_inverse)
+        return q * np.emath.sqrt(lam)
 
     def _loop_jet(self, open_vertex: bool, loops: int) -> MultiJet:
         key = (open_vertex, loops)
@@ -496,29 +530,25 @@ def _plan(graph: FeynmanGraph) -> tuple[int, tuple, tuple]:
     """Contraction plan of one graph class, built once per process: the edge
     count (loops included: it sets the i-power), one ``(open, loops,
     valence)`` key per vertex for `SPProblem.vertex_tensor` (closed
-    vertices, then the open one), and numpy's greedy path as steps
-    ``(positions, subscripts)``: pop the operands at ``positions``, contract
-    them, append the result.
+    vertices, then the open one), and pairwise steps ``(positions,
+    subscripts)``: pop the operands at ``positions``, contract them, append
+    the result.
 
     Loops are contracted in jet space, so they are not operands; ``valence``
-    counts a vertex's other edge ends.  The operands are one inverse Hessian
-    per link (an edge between two distinct vertices), then the tensor of
-    each vertex with ``valence > 0``; a vertex whose edges are all loops is
-    a scalar factor outside the steps.
+    counts a vertex's other edge ends.  The vertex tensors carry the
+    propagator's square root on every axis, so each link (an edge between
+    two distinct vertices) is one letter shared by the tensors at its two
+    ends, and the operands are the tensors of the vertices with
+    ``valence > 0`` alone.  A vertex whose edges are all loops is a scalar
+    factor outside the steps.
 
-    The search may keep intermediates up to twice the largest operand of the
-    n = 2 planning shapes, one rank more than the class's largest tensor.
-    With numpy's default limit (the largest operand) a pairwise step whose
-    result outgrows its inputs, such as rank 3 x rank 3 -> rank 4, is
-    refused, and the greedy search then falls back to one step over all the
-    remaining operands: for K_3,3 at n = 6 that loops over 6**9 index
-    values.  With the wider limit every step joins two operands.  Through
-    order 3 the largest intermediate at orders 1, 2, 3 has rank 3, 4, 5, no
-    more than the largest vertex tensor (rank 3, 4, 6), so the vertex
-    tensors set the peak memory.
+    Each step joins the two operands whose result has the fewest open
+    letters.  Through order 3 the largest intermediate has rank 0, 4, 4 at
+    orders 1, 2, 3, against vertex tensors of rank up to 3, 4, 6, so the
+    vertex tensors set the peak memory.
 
     Raises:
-        ValueError: if the graph needs more than 52 contraction symbols.
+        ValueError: if the graph has more than 52 links.
     """
     v = graph.num_closed
     loops = [l for l, _ in graph.closed_vertices] + [graph.open_loops]
@@ -528,29 +558,24 @@ def _plan(graph: FeynmanGraph) -> tuple[int, tuple, tuple]:
     for i in range(v):
         for j in range(i + 1, v):
             links.extend([(i, j)] * graph.edges_between[i][j])
-    letters = string.ascii_letters
-    if 2 * len(links) > len(letters):
-        raise ValueError(f"graph needs {2 * len(links)} contraction symbols; 52 available")
-    terms, slots = [], [""] * (v + 1)
-    for e, (p, q) in enumerate(links):
-        terms.append(letters[2 * e : 2 * e + 2])
-        slots[p] += letters[2 * e]
-        slots[q] += letters[2 * e + 1]
+    if len(links) > len(string.ascii_letters):
+        raise ValueError(f"graph has {len(links)} links; 52 contraction symbols available")
+    slots = [""] * (v + 1)
+    for letter, (p, q) in zip(string.ascii_letters, links):
+        slots[p] += letter
+        slots[q] += letter
     keys = tuple((i == v, loops[i], len(slot)) for i, slot in enumerate(slots))
-    terms += [slot for slot in slots if slot]
+    terms = [slot for slot in slots if slot]
     steps = []
-    if terms:
-        # every axis has length n, and the greedy path is the same for every n
-        shapes = [np.broadcast_to(0.0, (2,) * len(t)) for t in terms]
-        limit = 2 * max(s.size for s in shapes)
-        path, _ = np.einsum_path(",".join(terms) + "->", *shapes, optimize=("greedy", limit))
-        for positions in path[1:]:
-            positions = sorted(positions, reverse=True)
-            inputs = [terms.pop(i) for i in positions]
-            joined = "".join(inputs)
-            # every symbol occurs twice: one that occurs once here stays open
-            terms.append("".join(c for c in joined if joined.count(c) == 1))
-            steps.append((positions, ",".join(inputs) + "->" + terms[-1]))
+    while len(terms) > 1:
+        i, j = min(
+            itertools.combinations(range(len(terms)), 2),
+            key=lambda pair: len(set(terms[pair[0]]).symmetric_difference(terms[pair[1]])),
+        )
+        first, second = terms.pop(j), terms.pop(i)
+        # a letter of both is summed over; every other letter stays open
+        terms.append("".join(c for c in first + second if (c in first) != (c in second)))
+        steps.append(((j, i), f"{first},{second}->{terms[-1]}"))
     return len(links) + sum(loops), keys, tuple(steps)
 
 
@@ -559,18 +584,19 @@ def _contract(graph: FeynmanGraph, problem: SPProblem, open_vertex: bool = True)
     open vertex's factor: the value of a vacuum graph, whose open vertex
     has no edges, on its own."""
     n_edges, keys, steps = _plan(graph)
-    n_links = sum(valence for _, _, valence in keys) // 2
     if not open_vertex:
         keys = keys[:-1]
-    tensors = [problem.vertex_tensor(*key) for key in keys]
-    operands = [problem.hessian_inverse] * n_links + [t for t in tensors if t.ndim]
-    for positions, subscripts in steps:
-        operands.append(np.einsum(subscripts, *[operands.pop(i) for i in positions]))
-    value = _i_power(n_edges + graph.num_closed) * complex(operands[0] if operands else 1.0)
-    for t in tensors:
-        if not t.ndim:
-            value *= complex(t)
-    return value
+    value = _i_power(n_edges + graph.num_closed)
+    operands = []
+    for key in keys:
+        tensor = problem.vertex_tensor(*key)
+        if tensor.ndim:
+            operands.append(tensor)
+        else:
+            value *= complex(tensor)
+    for (first, second), subscripts in steps:
+        operands.append(np.einsum(subscripts, operands.pop(first), operands.pop(second)))
+    return value * complex(operands[0]) if operands else value
 
 
 def amplitude(graph: FeynmanGraph, problem: SPProblem) -> complex:
@@ -580,12 +606,13 @@ def amplitude(graph: FeynmanGraph, problem: SPProblem) -> complex:
     of an inverse-Hessian entry per edge, a phase-remainder partial per
     closed vertex and an amplitude partial at the open vertex, each of order
     equal to the vertex's valence; the whole is multiplied by
-    ``i**(edges + closed)``.  Self-loops are summed first, in jet space
-    (`SPProblem.vertex_tensor`).
+    ``i**(edges + closed)``.  Self-loops are summed first, in jet space, and
+    the other edges in the eigenbasis of the inverse Hessian, where each
+    propagator is the identity (`SPProblem.vertex_tensor`).
 
     Raises:
         ValueError: if a stored jet is too short for a required valence, or
-            the graph needs more than 26 links' worth of contraction symbols.
+            the graph has more than 52 links.
     """
     return _contract(graph, problem)
 
@@ -616,12 +643,12 @@ def _cluster_classes(order: int) -> tuple[tuple, tuple]:
     the classes whose closed vertices are all linked to the open vertex,
     and the connected vacuum classes (no stubs, no open loops)."""
     linked, vacuum = [], []
-    for graph in enumerate_graphs(order):
+    for graph, aut in _census(order):
         v = graph.num_closed
         if len(_reach(graph, v)) == v + 1:
-            linked.append((graph, automorphism_order(graph)))
+            linked.append((graph, aut))
         elif graph.open_loops == 0 and _reach(graph, 0) == set(range(v)):
-            vacuum.append((graph, automorphism_order(graph)))
+            vacuum.append((graph, aut))
     return tuple(linked), tuple(vacuum)
 
 

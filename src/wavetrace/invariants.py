@@ -98,6 +98,35 @@ def check_iterate(r: int, length: float, name: str):
         )
 
 
+# Largest FullPrincipal job accepted, in jet coefficients: iterate r builds
+# 2r-variable jets of degree 2 j_max, C(2r + 2 j_max, 2 j_max) coefficients
+# each, and a job costs their sum over r <= r_max.  On a shared 2-core host
+# with one BLAS thread, the largest forward jobs accepted (r_max 5, 7, 13, 51
+# at j_max 4, 3, 2, 1) took 1.4-6.8 s and 144-309 MB; r_max 6 at j_max 4
+# took 7.4 s and 990 MB, and r_max 10 at j_max 4 would hold 5.9 million.
+MAX_FULL_COST = 100_000
+
+
+def check_full_cost(r_max: int, j_max: int, r_name: str, j_name: str):
+    """Refuse a FullPrincipal job past `MAX_FULL_COST`, before any jet is
+    built.
+
+    Raises:
+        ValueError: naming ``r_name`` and ``j_name``, and the largest r_max
+            accepted at this j_max.
+    """
+    cost = 0
+    for r in range(1, r_max + 1):
+        cost += math.comb(2 * r + 2 * j_max, 2 * j_max)
+        if cost > MAX_FULL_COST:
+            raise ValueError(
+                f"{r_name} {r_max} with {j_name} {j_max} is too large for full "
+                f"mode: its jets would hold more than {MAX_FULL_COST} coefficients "
+                f"(the sum over r <= r_max of C(2r + 2 j_max, 2 j_max)); at "
+                f"{j_name} {j_max}, {r_name} <= {r - 1}"
+            )
+
+
 def principal_leading_value(r: int, length: float) -> complex:
     """Amplitude of the principal term at the orbit: 2rL * L^-r * (i/2pi)^r.
 
@@ -459,8 +488,8 @@ def forward_table(
 
     Raises:
         ValueError: bad normalization, r_max past `max_iterate` (two-arc
-            classes), or FullPrincipal with a dihedral spec (propagated as
-            ObstructionError("unsupported")).
+            classes), or a FullPrincipal job past `MAX_FULL_COST`.
+        ObstructionError("unsupported"): FullPrincipal with a dihedral spec.
         ObstructionError("symbol-pole"): a resonant iterate, in either
             normalization.
     """
@@ -484,6 +513,8 @@ def forward_table(
                 entries[(r, j)] = complex(_dihedral_value(spec, r, j, h11))
     else:
         check_iterate(r_max, spec.L, "r_max")
+        if normalization == "FullPrincipal":
+            check_full_cost(r_max, j_max, "r_max", "j_max")
         base = CirculantHessian.from_spec(spec, 1)
         param = base.a
         # also the symbol-pole test of every iterate, before any jet is built

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import wavetrace
-from wavetrace import cli, feynman
+from wavetrace import cli, feynman, invariants
 from wavetrace.cli import main
 from wavetrace.domain import parse_spec
 from wavetrace.invariants import InvariantTable, forward_table
@@ -100,7 +100,7 @@ def test_census_limits_are_checked_before_any_work(tmp_path, capsys, monkeypatch
     def census(order):
         raise AssertionError(f"order-{order} census started")
 
-    monkeypatch.setattr(feynman, "enumerate_graphs", census)
+    monkeypatch.setattr(feynman, "_census", census)
     monkeypatch.setattr(cli, "enumerate_graphs", census)
     limit = feynman.MAX_CENSUS_ORDER
     assert main(["graphs", "--j-max", str(limit + 1)]) == 1
@@ -253,14 +253,14 @@ def test_invert_checks_the_census_limit_of_a_full_table(tmp_path, capsys, monkey
     table_file = tmp_path / "table.json"
     table_file.write_text(json.dumps(table.to_json()), encoding="utf-8")
 
-    census = feynman.enumerate_graphs
+    census = feynman._census
 
     def guarded(order):
         if order > feynman.MAX_CENSUS_ORDER:
             raise AssertionError(f"census of order {order} started")
         return census(order)
 
-    monkeypatch.setattr(feynman, "enumerate_graphs", guarded)
+    monkeypatch.setattr(feynman, "_census", guarded)
     limit = feynman.MAX_CENSUS_ORDER + 1
     assert main(["invert", str(table_file)]) == 1
     err = capsys.readouterr().err
@@ -270,6 +270,27 @@ def test_invert_checks_the_census_limit_of_a_full_table(tmp_path, capsys, monkey
     assert "--j-max" in err and f"<= {limit}" in err
     # the orders the census covers still recover
     assert main(["invert", str(table_file), "--j-max", str(limit)]) == 0
+
+
+def test_full_jobs_past_the_cost_limit_are_refused_before_any_jet(tmp_path, capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("a principal problem was built")
+
+    monkeypatch.setattr(invariants, "build_principal", build)
+    spec_file = write_updown(tmp_path)
+    for command in ("forward", "roundtrip"):
+        argv = [command, str(spec_file), "--mode", "full", "--r-max", "6", "--j-max", "4"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--r-max 6 with --j-max 4" in err and "--r-max <= 5" in err
+    table = InvariantTable(2.0, 0.48, "updown", "FullPrincipal",
+                           {(r, j): 1j for r in range(1, 7) for j in range(1, 5)})
+    table_file = tmp_path / "table.json"
+    table_file.write_text(json.dumps(table.to_json()), encoding="utf-8")
+    assert main(["invert", str(table_file)]) == 1
+    assert "entries[].r 6 with entries[].j 4" in capsys.readouterr().err
+    assert main(["invert", str(table_file), "--j-max", "4"]) == 1
+    assert "entries[].r 6 with --j-max 4" in capsys.readouterr().err
 
 
 def test_invert_class_override_can_fail_loudly(tmp_path, capsys):

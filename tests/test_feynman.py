@@ -176,17 +176,30 @@ def _census_by_search(order):
 def test_census_equals_the_dedupe_by_search_census(order):
     oracle = _census_by_search(order)
     assert list(enumerate_graphs(order)) == oracle
-    assert [automorphism_order(g) for g in enumerate_graphs(order)] == [
-        automorphism_order(g) for g in oracle
-    ]
+    want = [automorphism_order(g) for g in oracle]
+    assert [automorphism_order(g) for g in enumerate_graphs(order)] == want
+    assert [aut for _, aut in feynman._census(order)] == want
 
 
 @pytest.mark.parametrize("order", range(4))
 def test_census_searches_each_class_once(order):
-    enumerate_graphs.cache_clear()
+    feynman._census.cache_clear()
     feynman._search.cache_clear()
     graphs = enumerate_graphs(order)
     assert feynman._search.cache_info().misses == len(graphs)
+
+
+def test_cluster_classes_take_automorphism_counts_from_the_census():
+    # the census keeps |Aut| from the search that canonicalized each class,
+    # so its canonical labelling is never searched again
+    for cache in (feynman._census, feynman._cluster_classes, feynman._search):
+        cache.cache_clear()
+    for order in range(4):
+        enumerate_graphs(order)
+    misses = feynman._search.cache_info().misses
+    for order in range(4):
+        feynman._cluster_classes(order)
+    assert feynman._search.cache_info().misses == misses
 
 
 def test_orderly_filter_keeps_one_table_per_orbit():
@@ -417,6 +430,22 @@ def test_every_planned_step_joins_two_operands():
         assert all(len(positions) <= 2 for positions, _ in steps), g
 
 
+@pytest.mark.parametrize("order", range(4))
+def test_plans_contract_the_vertex_tensors_alone(order):
+    # no propagator is an operand, so a class with m non-scalar vertex
+    # tensors takes m - 1 steps.  No intermediate outgrows the largest vertex
+    # tensor of its order; it can outgrow those of its own class (K_4 joins
+    # two rank-3 tensors into a rank-4 one)
+    top, widest = 0, 0
+    for g in enumerate_graphs(order):
+        _, keys, steps = feynman._plan(g)
+        ranks = [valence for _, _, valence in keys if valence]
+        assert len(steps) == max(len(ranks) - 1, 0), g
+        top = max([top] + ranks)
+        widest = max([widest] + [len(sub.split("->")[1]) for _, sub in steps])
+    assert widest <= top
+
+
 def _census_sum(problem, j):
     return sum(amplitude(g, problem) / automorphism_order(g) for g in enumerate_graphs(j))
 
@@ -536,6 +565,33 @@ def test_routes_agree_on_random_problems():
                 diagram = sp_coefficient_diagrams(problem, j)
                 scale = max(abs(direct), 1e-6)
                 assert abs(direct - diagram) <= 1e-9 * scale
+
+
+def test_routes_agree_on_indefinite_ill_scaled_hessians():
+    # random_sp_problem draws positive-definite Hessians only; here the
+    # propagator root has imaginary columns, with norms spread over 3 decades
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 3, 4):
+        base = random_sp_problem(rng, n, deg=8)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        eig = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        eig[0], eig[-1] = 1e-3, 1e3
+        eig *= np.resize([1.0, -1.0], n)
+        rng.shuffle(eig)
+        problem = SPProblem(
+            num_vars=n,
+            hessian_inverse=q @ np.diag(1.0 / eig) @ q.T,
+            phase_tensors=base.phase_tensors,
+            amplitude=base.amplitude,
+            phase_value=base.phase_value,
+            signature=int(np.sum(np.sign(eig))),
+        )
+        assert np.iscomplexobj(problem._propagator_root)
+        for j in range(4):
+            direct = sp_coefficient_direct(problem, j)
+            diagram = sp_coefficient_diagrams(problem, j)
+            scale = max(abs(direct), 1e-6)
+            assert abs(direct - diagram) <= 1e-9 * scale, (n, j)
 
 
 def test_separable_two_dim_coefficients_multiply():

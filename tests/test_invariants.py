@@ -10,7 +10,7 @@ import numpy as np
 import numpy._core.einsumfunc as einsumfunc
 import pytest
 
-from wavetrace import hessian, invariants, jets
+from wavetrace import feynman, hessian, invariants, jets
 from wavetrace.billiard import bounce_sequence, charts, length_jet
 from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError, dihedral_parameters
 from wavetrace.feynman import FeynmanGraph, automorphism_order, max_derivative_report
@@ -453,12 +453,11 @@ def test_resonant_iterate_is_a_symbol_pole_in_forward_and_hessian():
 
 
 def test_second_full_table_searches_no_contraction_path(monkeypatch):
-    # each graph class plans its contraction once per process, and a repeated
-    # table reuses every plan
+    # plans are read off the graph, never searched by numpy, and each graph
+    # class plans its contraction once per process
     spec = DomainSpec(
         "updown", 2.0, BoundaryArc((1.0, 0.0, 0.6, 0.15, -0.2, 0.1, 0.05, -0.12, 0.2))
     )
-    first = forward_table(spec, 3, 4, "FullPrincipal")
     searches = []
     search = einsumfunc.einsum_path
 
@@ -469,9 +468,32 @@ def test_second_full_table_searches_no_contraction_path(monkeypatch):
     # np.einsum(..., optimize=...) calls the module function, not np.einsum_path
     monkeypatch.setattr(einsumfunc, "einsum_path", counted)
     monkeypatch.setattr(np, "einsum_path", counted)
+    feynman._plan.cache_clear()
+    first = forward_table(spec, 3, 4, "FullPrincipal")
+    planned = feynman._plan.cache_info().misses
     second = forward_table(spec, 3, 4, "FullPrincipal")
-    assert len(searches) == 0
+    assert searches == []
+    assert planned > 0 and feynman._plan.cache_info().misses == planned
     assert second.entries == first.entries
+
+
+def test_full_cost_limit(monkeypatch):
+    # the largest r_max accepted at each j_max, all measured in MAX_FULL_COST's
+    # comment; the test sizes (r <= 3 at j = 4, r <= 4 at j = 3) fall inside
+    for j_max, r_max in {1: 51, 2: 13, 3: 7, 4: 5}.items():
+        invariants.check_full_cost(r_max, j_max, "r", "j")
+        with pytest.raises(ValueError, match=f"r {r_max + 1} with j {j_max}.*r <= {r_max}"):
+            invariants.check_full_cost(r_max + 1, j_max, "r", "j")
+    with pytest.raises(ValueError, match="r 1000000000 with j 4.*r <= 5"):
+        invariants.check_full_cost(10**9, 4, "r", "j")  # stops at r = 6
+
+    def build(*args):
+        raise AssertionError("a principal problem was built")
+
+    monkeypatch.setattr(invariants, "build_principal", build)
+    with pytest.raises(ValueError, match="r_max 10 with j_max 4"):
+        forward_table(updown_spec(), 10, 4, "FullPrincipal")
+    forward_table(updown_spec(), 10, 4)  # TopOnly builds no jets
 
 
 def test_full_table_builds_each_iterate_once(monkeypatch):
