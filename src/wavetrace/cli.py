@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks
+from . import checks, feynman
 from .domain import (
     BoundaryArc,
     DomainSpec,
@@ -37,9 +37,9 @@ from .domain import (
     parse_spec,
     write_spec,
 )
-from .feynman import MAX_CENSUS_ORDER, automorphism_order, enumerate_graphs
+from .feynman import MAX_CENSUS_ORDER
 from .hessian import badset_report
-from .invariants import InvariantTable, check_full_cost, check_iterate, forward_table
+from .invariants import InvariantTable, check_full_job, check_iterate, forward_table
 from .inverse import convex_representative, recover
 
 _MODES = {"top": "TopOnly", "full": "FullPrincipal"}
@@ -102,24 +102,6 @@ def _check_sizes(args: argparse.Namespace):
             raise ValueError(f"{flag} {value} is out of range: {flag} must be >= 1")
 
 
-def _check_full_job(r_max: int, j_max: int, r_name: str, j_name: str, what: str):
-    """Refuse a full-mode job before any work: its order past the graph
-    census (order j sums the order-(j - 1) graphs), or its jets past
-    `invariants.MAX_FULL_COST`.  ``r_name`` and ``j_name`` are the inputs
-    that set r_max and j_max, ``what`` the full-mode input that asks for
-    diagram sums.
-
-    Raises:
-        ValueError: naming the input at fault and the limit.
-    """
-    if j_max > MAX_CENSUS_ORDER + 1:
-        raise ValueError(
-            f"{j_name} {j_max} is too large for {what}: the graph census "
-            f"runs to order {MAX_CENSUS_ORDER}, so {j_name} <= {MAX_CENSUS_ORDER + 1}"
-        )
-    check_full_cost(r_max, j_max, r_name, j_name)
-
-
 def _read_spec(args: argparse.Namespace) -> DomainSpec:
     """The spec of ``spec_file``; a two-arc spec must also admit ``--r-max``
     (`invariants.max_iterate`).
@@ -135,7 +117,7 @@ def _read_spec(args: argparse.Namespace) -> DomainSpec:
 
 def cmd_forward(args: argparse.Namespace) -> int:
     if args.mode == "full":
-        _check_full_job(args.r_max, args.j_max, "--r-max", "--j-max", "--mode full")
+        check_full_job(args.r_max, args.j_max, "--r-max", "--j-max", "--mode full")
     spec = _read_spec(args)
     report = genericity_check(spec)
     if report.flags and args.strict:
@@ -177,7 +159,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
         j_max, name = args.j_max, "--j-max"
     if table.normalization == "FullPrincipal":
         r_max = max(r for r, _ in table.entries)
-        _check_full_job(r_max, j_max, "entries[].r", name, "a FullPrincipal table")
+        check_full_job(r_max, j_max, "entries[].r", name, "a FullPrincipal table")
     result = recover(table, j_max)
     spec = _spec_from_recovery(table.symmetry_class, table.length, result.taylor)
     payload = {
@@ -203,7 +185,7 @@ def _expected_taylor(spec: DomainSpec, order: int) -> dict[int, float]:
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     j_max, tol = args.j_max, args.tol
     if args.mode == "full":
-        _check_full_job(args.r_max, j_max, "--r-max", "--j-max", "--mode full")
+        check_full_job(args.r_max, j_max, "--r-max", "--j-max", "--mode full")
     spec = _read_spec(args)
     table = forward_table(spec, args.r_max, j_max, normalization=_MODES[args.mode])
     result = recover(table, j_max)
@@ -303,14 +285,15 @@ def cmd_graphs(args: argparse.Namespace) -> int:
         )
     catalog = []
     for j in range(1, j_max + 1):
-        graphs = enumerate_graphs(j)
+        # the census carries |Aut|, so no class is searched again
+        census = feynman._census(j)
         catalog.append(
             {
                 "order": j,
-                "count": len(graphs),
+                "count": len(census),
                 "graphs": [
-                    {**g.to_json(), "symmetry_factor": automorphism_order(g)}
-                    for g in graphs
+                    {**g.to_json(automorphisms=aut), "symmetry_factor": aut}
+                    for g, aut in census
                 ],
             }
         )

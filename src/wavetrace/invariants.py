@@ -22,6 +22,7 @@ import numpy as np
 from .billiard import chord_jets
 from .domain import DomainSpec, ObstructionError, _finite_number, dihedral_parameters
 from .feynman import (
+    MAX_CENSUS_ORDER,
     FeynmanGraph,
     SPProblem,
     _i_power,
@@ -125,6 +126,23 @@ def check_full_cost(r_max: int, j_max: int, r_name: str, j_name: str):
                 f"(the sum over r <= r_max of C(2r + 2 j_max, 2 j_max)); at "
                 f"{j_name} {j_max}, {r_name} <= {r - 1}"
             )
+
+
+def check_full_job(r_max: int, j_max: int, r_name: str, j_name: str, what: str):
+    """Refuse a FullPrincipal job before any jet or census work: its order
+    past the graph census (order j sums the order-(j - 1) graphs), or its
+    jets past `MAX_FULL_COST`.  ``r_name`` and ``j_name`` are the inputs
+    that set r_max and j_max, ``what`` the input that asks for diagram sums.
+
+    Raises:
+        ValueError: naming the input at fault and the limit.
+    """
+    if j_max > MAX_CENSUS_ORDER + 1:
+        raise ValueError(
+            f"{j_name} {j_max} is too large for {what}: the graph census "
+            f"runs to order {MAX_CENSUS_ORDER}, so {j_name} <= {MAX_CENSUS_ORDER + 1}"
+        )
+    check_full_cost(r_max, j_max, r_name, j_name)
 
 
 def principal_leading_value(r: int, length: float) -> complex:
@@ -488,7 +506,8 @@ def forward_table(
 
     Raises:
         ValueError: bad normalization, r_max past `max_iterate` (two-arc
-            classes), or a FullPrincipal job past `MAX_FULL_COST`.
+            classes), or a FullPrincipal job past the census or
+            `MAX_FULL_COST` (`check_full_job`).
         ObstructionError("unsupported"): FullPrincipal with a dihedral spec.
         ObstructionError("symbol-pole"): a resonant iterate, in either
             normalization.
@@ -514,7 +533,7 @@ def forward_table(
     else:
         check_iterate(r_max, spec.L, "r_max")
         if normalization == "FullPrincipal":
-            check_full_cost(r_max, j_max, "r_max", "j_max")
+            check_full_job(r_max, j_max, "r_max", "j_max", "full mode")
         base = CirculantHessian.from_spec(spec, 1)
         param = base.a
         # also the symbol-pole test of every iterate, before any jet is built

@@ -26,6 +26,7 @@ from .feynman import _i_power
 from .hessian import CirculantHessian, dihedral_inverse_entry, parity_sums
 from .invariants import (
     InvariantTable,
+    check_full_job,
     contributing_weights,
     invariant_full,
     principal_leading_value,
@@ -422,7 +423,16 @@ def recover_dihedral(
 
 
 def recover(table: InvariantTable, J: int) -> RecoveryResult:
-    """Dispatch on the table's symmetry class, using its own metadata."""
+    """Dispatch on the table's symmetry class, using its own metadata.
+
+    Raises:
+        ValueError: a FullPrincipal table whose remainders at orders <= J
+            would pass the graph census or `MAX_FULL_COST`, before any of
+            them is computed (`invariants.check_full_job`).
+    """
+    if table.normalization == "FullPrincipal":
+        r_max = max(r for r, _ in table.entries)
+        check_full_job(r_max, J, "entries[].r", "J", "a FullPrincipal table")
     cls = table.symmetry_class
     L, a = table.length, table.floquet_parameter
     if cls.startswith("dihedral-"):

@@ -101,7 +101,6 @@ def test_census_limits_are_checked_before_any_work(tmp_path, capsys, monkeypatch
         raise AssertionError(f"order-{order} census started")
 
     monkeypatch.setattr(feynman, "_census", census)
-    monkeypatch.setattr(cli, "enumerate_graphs", census)
     limit = feynman.MAX_CENSUS_ORDER
     assert main(["graphs", "--j-max", str(limit + 1)]) == 1
     err = capsys.readouterr().err
@@ -112,6 +111,23 @@ def test_census_limits_are_checked_before_any_work(tmp_path, capsys, monkeypatch
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "--j-max" in err and f"<= {limit + 1}" in err
+
+
+def test_warm_graph_catalog_searches_no_class(capsys):
+    # |Aut| comes with each class from the census, so printing the catalog
+    # searches no canonical labelling again
+    for cache in (feynman._census, feynman._search):
+        cache.cache_clear()
+    limit = feynman.MAX_CENSUS_ORDER
+    for order in range(1, limit + 1):
+        feynman._census(order)
+    misses = feynman._search.cache_info().misses
+    assert main(["graphs", "--j-max", str(limit)]) == 0
+    assert feynman._search.cache_info().misses == misses
+    catalog = json.loads(capsys.readouterr().out)
+    graphs = [g for entry in catalog for g in entry["graphs"]]
+    assert len(graphs) == sum(len(feynman._census(o)) for o in range(1, limit + 1))
+    assert all(g["automorphisms"] == g["symmetry_factor"] for g in graphs)
 
 
 @pytest.mark.parametrize(

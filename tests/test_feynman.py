@@ -446,6 +446,38 @@ def test_plans_contract_the_vertex_tensors_alone(order):
     assert widest <= top
 
 
+def test_programs_match_the_classes_contracted_one_by_one():
+    # a step shared by several classes runs once; each class's term must
+    # still be what its own plan gives.  Without the open vertex a vacuum
+    # class is valued on its own, so its amplitude carries the open
+    # vertex's factor, the amplitude's value
+    spec = parse_spec(
+        '{"kind": "updown", "L": 2.0, "f": [1.0, 0.0, 0.6, 0.15, -0.2, 0.1, 0.05, -0.12, 0.2]}'
+    )
+    problems = [build_principal(spec, r, 8).problem() for r in (1, 2, 3)]
+    rng = np.random.default_rng(29)
+    problems += [random_sp_problem(rng, n) for n in (1, 2, 3, 4)]
+    problems += _indefinite_ill_scaled_problems()
+    for problem in problems:
+        value = complex(problem.amplitude.value)
+        for order in range(4):
+            linked, vacuum = feynman._cluster_classes(order)
+            sums = feynman._cluster_sums(problem, order)
+            for got, classes, factor in zip(sums, (linked, vacuum), (1.0, value)):
+                terms = [amplitude(g, problem) / aut for g, aut in classes]
+                want = sum(terms, 0j)
+                assert abs(got * factor - want) <= 1e-13 * abs(want), (problem.num_vars, order)
+
+
+def test_programs_run_each_distinct_step_once():
+    # over orders <= 3 the 274 summed classes plan 815 pairwise steps, of
+    # which 473 differ in their operands or subscripts
+    classes = [g for o in range(4) for family in feynman._cluster_classes(o) for g, _ in family]
+    assert len(classes) == 274
+    assert sum(len(feynman._plan(g)[2]) for g in classes) == 815
+    assert [len(feynman._program(o).steps) for o in range(4)] == [0, 3, 49, 421]
+
+
 def _census_sum(problem, j):
     return sum(amplitude(g, problem) / automorphism_order(g) for g in enumerate_graphs(j))
 
@@ -567,10 +599,11 @@ def test_routes_agree_on_random_problems():
                 assert abs(direct - diagram) <= 1e-9 * scale
 
 
-def test_routes_agree_on_indefinite_ill_scaled_hessians():
+def _indefinite_ill_scaled_problems():
     # random_sp_problem draws positive-definite Hessians only; here the
     # propagator root has imaginary columns, with norms spread over 3 decades
     rng = np.random.default_rng(23)
+    problems = []
     for n in (2, 3, 3, 4):
         base = random_sp_problem(rng, n, deg=8)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -578,14 +611,22 @@ def test_routes_agree_on_indefinite_ill_scaled_hessians():
         eig[0], eig[-1] = 1e-3, 1e3
         eig *= np.resize([1.0, -1.0], n)
         rng.shuffle(eig)
-        problem = SPProblem(
-            num_vars=n,
-            hessian_inverse=q @ np.diag(1.0 / eig) @ q.T,
-            phase_tensors=base.phase_tensors,
-            amplitude=base.amplitude,
-            phase_value=base.phase_value,
-            signature=int(np.sum(np.sign(eig))),
+        problems.append(
+            SPProblem(
+                num_vars=n,
+                hessian_inverse=q @ np.diag(1.0 / eig) @ q.T,
+                phase_tensors=base.phase_tensors,
+                amplitude=base.amplitude,
+                phase_value=base.phase_value,
+                signature=int(np.sum(np.sign(eig))),
+            )
         )
+    return problems
+
+
+def test_routes_agree_on_indefinite_ill_scaled_hessians():
+    for problem in _indefinite_ill_scaled_problems():
+        n = problem.num_vars
         assert np.iscomplexobj(problem._propagator_root)
         for j in range(4):
             direct = sp_coefficient_direct(problem, j)

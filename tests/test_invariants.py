@@ -453,8 +453,9 @@ def test_resonant_iterate_is_a_symbol_pole_in_forward_and_hessian():
 
 
 def test_second_full_table_searches_no_contraction_path(monkeypatch):
-    # plans are read off the graph, never searched by numpy, and each graph
-    # class plans its contraction once per process
+    # plans are read off the graph, never searched by numpy; each graph
+    # class plans its contraction, and each order compiles its program,
+    # once per process
     spec = DomainSpec(
         "updown", 2.0, BoundaryArc((1.0, 0.0, 0.6, 0.15, -0.2, 0.1, 0.05, -0.12, 0.2))
     )
@@ -468,12 +469,14 @@ def test_second_full_table_searches_no_contraction_path(monkeypatch):
     # np.einsum(..., optimize=...) calls the module function, not np.einsum_path
     monkeypatch.setattr(einsumfunc, "einsum_path", counted)
     monkeypatch.setattr(np, "einsum_path", counted)
-    feynman._plan.cache_clear()
+    caches = (feynman._plan, feynman._program)
+    for cache in caches:
+        cache.cache_clear()
     first = forward_table(spec, 3, 4, "FullPrincipal")
-    planned = feynman._plan.cache_info().misses
+    compiled = [cache.cache_info().misses for cache in caches]
     second = forward_table(spec, 3, 4, "FullPrincipal")
     assert searches == []
-    assert planned > 0 and feynman._plan.cache_info().misses == planned
+    assert min(compiled) > 0 and [cache.cache_info().misses for cache in caches] == compiled
     assert second.entries == first.entries
 
 
@@ -494,6 +497,25 @@ def test_full_cost_limit(monkeypatch):
     with pytest.raises(ValueError, match="r_max 10 with j_max 4"):
         forward_table(updown_spec(), 10, 4, "FullPrincipal")
     forward_table(updown_spec(), 10, 4)  # TopOnly builds no jets
+
+
+def test_full_jobs_past_the_census_are_refused_before_any_census(monkeypatch):
+    # the cost limit alone admits r_max 1 at j_max 6, whose order-5 census
+    # would run for minutes
+    def census(order):
+        raise AssertionError(f"order-{order} census started")
+
+    spec = updown_spec()
+    table = forward_table(spec, 2, 4, "FullPrincipal")
+    monkeypatch.setattr(feynman, "_census", census)
+    limit = feynman.MAX_CENSUS_ORDER + 1
+    with pytest.raises(ValueError, match=f"j_max {limit + 2} .*j_max <= {limit}"):
+        forward_table(spec, 1, limit + 2, "FullPrincipal")
+    with pytest.raises(ValueError, match=f"J {limit + 1} .*FullPrincipal table.*J <= {limit}"):
+        recover(table, limit + 1)
+    with pytest.raises(ValueError, match="entries\\[\\]\\.r 10 with J 4"):
+        recover(dataclasses.replace(table, entries={**table.entries, (10, 1): 1.0}), 4)
+    forward_table(spec, 1, limit + 1)  # TopOnly sums no graphs
 
 
 def test_full_table_builds_each_iterate_once(monkeypatch):
