@@ -22,7 +22,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -30,7 +29,6 @@ import numpy as np
 
 from . import checks, feynman
 from .domain import (
-    BoundaryArc,
     DomainSpec,
     ObstructionError,
     genericity_check,
@@ -40,7 +38,7 @@ from .domain import (
 from .feynman import MAX_CENSUS_ORDER
 from .hessian import badset_report
 from .invariants import InvariantTable, check_full_job, check_iterate, forward_table
-from .inverse import convex_representative, recover
+from .inverse import convex_representative, recover, recovered_spec
 
 _MODES = {"top": "TopOnly", "full": "FullPrincipal"}
 
@@ -129,26 +127,6 @@ def cmd_forward(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_from_recovery(symmetry_class: str, L: float, taylor: dict[int, float]) -> DomainSpec:
-    """Reassemble a spec whose forward table reproduces the recovery.
-
-    Two-arc data arrive in the convex-representative convention (negated
-    top arc); dihedral data are already in the chart convention.
-    """
-    order = max(taylor)
-    if symmetry_class.startswith("dihedral-"):
-        m = int(symmetry_class.split("-", 1)[1])
-        c0 = L / (m * math.sin(math.pi / m))
-        coeffs = [c0, 0.0] + [
-            taylor.get(k, 0.0) / math.factorial(k) for k in range(2, order + 1)
-        ]
-        return DomainSpec("dihedral", L, BoundaryArc(tuple(coeffs)), m=m)
-    coeffs = [L / 2.0, 0.0] + [
-        -taylor.get(k, 0.0) / math.factorial(k) for k in range(2, order + 1)
-    ]
-    return DomainSpec("updown", L, BoundaryArc(tuple(coeffs)))
-
-
 def cmd_invert(args: argparse.Namespace) -> int:
     table = InvariantTable.from_json(json.loads(_read_input(args.table_file)))
     if args.symmetry_class is not None:
@@ -161,7 +139,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
         r_max = max(r for r, _ in table.entries)
         check_full_job(r_max, j_max, "entries[].r", name, "a FullPrincipal table")
     result = recover(table, j_max)
-    spec = _spec_from_recovery(table.symmetry_class, table.length, result.taylor)
+    spec = recovered_spec(table.symmetry_class, table.length, result.taylor, 2 * j_max)
     payload = {
         "class": table.symmetry_class,
         "report": result.to_json(),

@@ -1,11 +1,10 @@
 """Boundary recovery from invariant tables.
 
-The forward map tabulates orbit invariants; this module runs the
-induction the other way.  From a table plus the orbit length datum L and
-the Floquet datum, it recovers Taylor data of the boundary in the three
-symmetry classes: mirror-symmetric (decoupling two graph families per
-order), doubly symmetric (even data read off a single family), and
-dihedral (one diagonal entry per order).
+The forward map tabulates orbit invariants; `recover` runs the induction
+the other way, from a table and its orbit length L and Floquet datum.  The
+base case reads f''(0) off the Floquet datum; each later order reads its
+data off its table row, decoupling two graph families (mirror-symmetric
+class) or reading one (doubly symmetric and dihedral classes).
 
 Recovered two-arc data follow the convex-representative convention: the
 reported f is the arc curving toward the orbit, so f''(0) > 0 for
@@ -96,6 +95,32 @@ def convex_representative(spec: DomainSpec, k_max: int) -> dict[int, float]:
     if k_max >= 3 and data[3] < 0.0:
         data = {k: (-1.0) ** k * v for k, v in data.items()}
     return data
+
+
+def _dihedral_m(symmetry_class: str) -> int | None:
+    """m of a "dihedral-<m>" class label, None for any other class."""
+    if symmetry_class.startswith("dihedral-"):
+        return int(symmetry_class.split("-", 1)[1])
+    return None
+
+
+def recovered_spec(
+    symmetry_class: str, L: float, data: dict[int, float], order: int
+) -> DomainSpec:
+    """Spec of degree ``order`` carrying recovered data, missing orders 0.
+
+    Two-arc data are in the convex-representative convention (negated
+    top arc) and give an "updown" spec; dihedral data are already in the
+    chart convention.  Its forward table reproduces the recovery.
+    """
+    m = _dihedral_m(symmetry_class)
+    if m is not None:
+        taylor = [L / (m * math.sin(math.pi / m)), 0.0]
+        taylor += [data.get(k, 0.0) / math.factorial(k) for k in range(2, order + 1)]
+        return DomainSpec("dihedral", L, BoundaryArc(tuple(taylor)), m=m)
+    taylor = [L / 2.0, 0.0]
+    taylor += [-data.get(k, 0.0) / math.factorial(k) for k in range(2, order + 1)]
+    return DomainSpec("updown", L, BoundaryArc(tuple(taylor)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,28 +228,6 @@ def _decouple(
     return float(sol[0]), float(sol[1]), resid, cancellation
 
 
-def _solve_single(coeffs, rhs, j: int, a: float) -> tuple[float, float]:
-    """Least-squares (value, residual) of coeff * x = y over the admissible
-    iterates of order j, for the single-family classes.
-
-    Raises:
-        ObstructionError("symbol-pole"): no admissible iterate.
-    """
-    if not coeffs:
-        raise ObstructionError(
-            "symbol-pole",
-            f"every iterate of order {j} hits a symbol pole at a = {a:g}",
-        )
-    matrix = np.array(coeffs, dtype=complex).reshape(-1, 1)
-    sol_c, *_ = np.linalg.lstsq(matrix, np.array(rhs), rcond=None)
-    value = float(sol_c[0].real)
-    resid = float(
-        np.linalg.norm(matrix * value - np.array(rhs).reshape(-1, 1))
-        / max(np.linalg.norm(rhs), 1.0)
-    )
-    return value, resid
-
-
 def _zero_beyond_quadratic(table: InvariantTable) -> bool:
     scale = max([abs(v) for (_, j), v in table.entries.items() if j == 1] + [1.0])
     return all(
@@ -232,31 +235,12 @@ def _zero_beyond_quadratic(table: InvariantTable) -> bool:
     )
 
 
-def _first_order_residual(
-    table: InvariantTable, iterates: dict, d2: float, m: int | None
-) -> float | None:
-    """Consistency of the j = 1 entries with the Floquet-datum base case,
-    over the admissible iterates of `_iterate_data`."""
-    checks = []
-    for r in sorted(iterates.keys() & {r for (r, j) in table.entries if j == 1}):
-        h11 = iterates[r][0]
-        if m is None:
-            coef = 4.0 * r * iterates[r][2] * h11
-        else:
-            coef = m * r * h11
-        checks.append(abs(table.entry(r, 1) - coef * d2) / max(abs(coef * d2), 1.0))
-    return max(checks) if checks else None
-
-
 def _remainder(
     table: InvariantTable, L: float, data: dict[int, float], r: int, j: int
 ) -> complex:
     """FullPrincipal remainder: the (r, j) value of an auxiliary domain
     carrying the already-recovered data and zeros at orders 2j-1, 2j."""
-    taylor = [L / 2.0, 0.0]
-    taylor += [-data.get(k, 0.0) / math.factorial(k) for k in range(2, 2 * j + 1)]
-    aux = DomainSpec("updown", L, BoundaryArc(tuple(taylor)))
-    return invariant_full(aux, r, j)
+    return invariant_full(recovered_spec(table.symmetry_class, L, data, 2 * j), r, j)
 
 
 def _order_values(
@@ -279,58 +263,111 @@ def _order_values(
 
 
 # ---------------------------------------------------------------------------
-# the three recovery pipelines
+# the induction
 
 
-def recover_symmetric(
-    table: InvariantTable, L: float, a: float, J: int
-) -> RecoveryResult:
-    """Recover f^(k)(0), k <= 2J, of a mirror-symmetric boundary.
+def recover(table: InvariantTable, J: int) -> RecoveryResult:
+    """Recover f^(k)(0), k <= 2J, by induction on the order j, with L and
+    the Floquet datum a read off the table.
 
-    Induction on j: the base case reads f''(0) off the Floquet datum;
-    each order j >= 2 decouples the two graph families, divides the odd
-    family by f'''(0), and solves for the even datum.  Order j never
-    reads table entries beyond j.
-
-    An all-zero table (flat beyond the quadratic) short-circuits to
-    zeros.  Otherwise a cubic below tolerance stops the induction the
-    first time an odd datum actually requires it (j = 3), so J = 2 still
-    returns the quartic datum of a doubly symmetric table.
+    The base case reads f''(0) off a: (a + 2)/(2L) for the two-arc
+    classes, (a - 2) m sin(pi/m)/(4L) for "dihedral-<m>" (a is then the
+    circulant diagonal parameter of the m-gon orbit); residuals[1]
+    compares the j = 1 entries with it.  Order j >= 2 reads the order-j
+    row only, less the remainder of the data so far in a FullPrincipal
+    table (`_order_values`).  For "updown" it decouples the two graph
+    families and divides the odd one by f'''(0); a vanishing cubic stops
+    the induction at j = 3, so J = 2 still returns the quartic datum of a
+    doubly symmetric table.  "twoarc-symmetric" and "dihedral-<m>" have
+    odd data zero by symmetry and read the even datum off one family.
 
     Raises:
-        ObstructionError("singular-decoupling"): bad Floquet parameter.
-        ObstructionError("vanishing-cubic"): |f'''(0)| below tolerance —
-            the odd data are not anchored and the quintic-sum extension
-            is not implemented.
+        ValueError: J < 1, m < 2, or a FullPrincipal table whose remainders
+            at orders <= J would pass the graph census or `MAX_FULL_COST`
+            (`invariants.check_full_job`), checked before any is computed.
+        ObstructionError("unsupported"): a generic two-arc class (its
+            tables are underdetermined) or a non-TopOnly dihedral table.
+        ObstructionError("singular-decoupling"): "updown" at a bad
+            Floquet parameter or with fewer than two admissible iterates.
+        ObstructionError("vanishing-cubic"): "updown" with |f'''(0)|
+            below tolerance, so the odd data are not anchored (the
+            quintic-sum extension is not implemented), or (f'''(0))^2 < 0.
+        ObstructionError("symbol-pole"): a single-family class with every
+            iterate of some order at a symbol pole.
     """
+    if table.normalization == "FullPrincipal":
+        r_max = max(r for r, _ in table.entries)
+        check_full_job(r_max, J, "entries[].r", "J", "a FullPrincipal table")
+    cls, L, a = table.symmetry_class, table.length, table.floquet_parameter
+    m = _dihedral_m(cls)
+    if m is None and cls not in ("updown", "twoarc-symmetric"):
+        raise ObstructionError(
+            "unsupported",
+            f"no recovery pipeline for symmetry class {cls!r} "
+            "(generic two-arc tables are underdetermined)",
+        )
+    if m is not None and m < 2:
+        raise ValueError("m must be >= 2")
     if J < 1:
         raise ValueError("J must be >= 1")
-    data = {2: recover_f2(a, L)}
-    residuals: dict[int, float] = {}
-    iterates, notes = _iterate_data(table, J, a, L)
-    first = _first_order_residual(table, iterates, data[2], None)
-    if first is not None:
-        residuals[1] = first
+    if m is None:
+        data = {2: recover_f2(a, L)}
+    elif table.normalization != "TopOnly":
+        raise ObstructionError("unsupported", "dihedral recovery expects a TopOnly table")
+    else:
+        data = {2: (a - 2.0) * m * math.sin(math.pi / m) / (4.0 * L)}
+    iterates, notes = _iterate_data(table, J, a, L, m)
 
-    if J >= 2 and _zero_beyond_quadratic(table):
-        for k in range(3, 2 * J + 1):
-            data[k] = 0.0
-        for j in range(2, J + 1):
-            residuals[j] = 0.0
+    def coefficients(j: int) -> dict[int, complex]:
+        """Single-family coefficient of each iterate's order-j entry."""
+        if m is not None:
+            return {r: m * r * h[0] ** j for r, h in iterates.items()}
+        w1 = contributing_weights(j)[0]
+        return {r: -8.0 * r * _i_power(j + 1) * lead * w1 * h11**j
+                for r, (h11, _, lead) in iterates.items()}
+
+    residuals: dict[int, float] = {}
+    checks, first = [], coefficients(1)
+    for r in sorted(iterates.keys() & {r for (r, j) in table.entries if j == 1}):
+        if table.normalization == "TopOnly":
+            want = first[r] * data[2]
+        else:
+            want = _remainder(table, L, data, r, 1)
+        checks.append(abs(table.entry(r, 1) - want) / max(abs(want), 1.0))
+    if checks:
+        residuals[1] = max(checks)
+
+    if cls == "updown" and J >= 2 and _zero_beyond_quadratic(table):
+        data.update((k, 0.0) for k in range(3, 2 * J + 1))
+        residuals.update((j, 0.0) for j in range(2, J + 1))
         return RecoveryResult(data, residuals, tuple(notes))
 
     cancellation: dict[int, float] = {}
     cubic_floor = _CUBIC_TOL
     for j in range(2, J + 1):
-        w1, w2, w3 = contributing_weights(j)
         values, scales = _order_values(table, L, data, j)
+        if cls != "updown":
+            rows = sorted(iterates.keys() & values)
+            if not rows:
+                raise ObstructionError(
+                    "symbol-pole",
+                    f"every iterate of order {j} hits a symbol pole at a = {a:g}",
+                )
+            coeffs = coefficients(j)
+            matrix = np.array([[coeffs[r]] for r in rows], dtype=complex)
+            rhs = np.array([[complex(values[r])] for r in rows])
+            sol_c, *_ = np.linalg.lstsq(matrix, rhs[:, 0], rcond=None)
+            data[2 * j - 1], data[2 * j] = 0.0, float(sol_c[0].real)
+            resid = np.linalg.norm(matrix * data[2 * j] - rhs)
+            residuals[j] = float(resid / max(np.linalg.norm(rhs), 1.0))
+            continue
+        w1, w2, w3 = contributing_weights(j)
         A, B, residuals[j], ratio = _decouple(j, values, scales, iterates, a)
         if ratio is not None:
             cancellation[j] = ratio
         odd_product = B / (2.0 * w3)  # = f'''(0) f^(2j-1)(0)
         if j == 2:
-            scale = max(1.0, abs(A / w1)) ** 0.5
-            cubic_floor = _CUBIC_TOL * scale
+            cubic_floor = _CUBIC_TOL * max(1.0, abs(A / w1)) ** 0.5
             if odd_product < -(cubic_floor**2):
                 raise ObstructionError(
                     "vanishing-cubic",
@@ -349,100 +386,3 @@ def recover_symmetric(
             data[2 * j - 1] = odd_product / data[3]
         data[2 * j] = -(A - 2.0 * w2 * (L / (a + 2.0)) * odd_product) / w1
     return RecoveryResult(data, residuals, tuple(notes), cancellation)
-
-
-def recover_two_symmetry(
-    table: InvariantTable, L: float, a: float, J: int
-) -> RecoveryResult:
-    """Recover the even data of a doubly symmetric boundary.
-
-    Odd coefficients are zero by symmetry; each even datum is read off
-    the single-family coefficient -8 r i^(j+1) A_r w1 (h11)^j, so no
-    decoupling is needed and the bad set only matters through outright
-    symbol poles.
-    """
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    data = {2: recover_f2(a, L)}
-    residuals: dict[int, float] = {}
-    iterates, notes = _iterate_data(table, J, a, L)
-    first = _first_order_residual(table, iterates, data[2], None)
-    if first is not None:
-        residuals[1] = first
-    for j in range(2, J + 1):
-        data[2 * j - 1] = 0.0
-        w1 = contributing_weights(j)[0]
-        values, _ = _order_values(table, L, data, j)
-        coeffs, rhs = [], []
-        for r in sorted(iterates.keys() & values):
-            h11, _, lead = iterates[r]
-            coeffs.append(-8.0 * r * _i_power(j + 1) * lead * w1 * h11**j)
-            rhs.append(complex(values[r]))
-        data[2 * j], residuals[j] = _solve_single(coeffs, rhs, j, a)
-    return RecoveryResult(data, residuals, tuple(notes))
-
-
-def recover_dihedral(
-    table: InvariantTable, m: int, L: float, a: float, J: int
-) -> RecoveryResult:
-    """Recover the even data of an m-fold dihedral boundary.
-
-    The datum a is the circulant diagonal parameter of the polygon
-    orbit; f''(0) = (a - 2) m sin(pi/m) / (4L), and each even datum is
-    the table entry divided by m r (h11)^j.  A single iterate suffices.
-
-    Raises:
-        ObstructionError("unsupported"): non-TopOnly dihedral tables
-            (the forward route does not produce them).
-        ObstructionError("symbol-pole"): every iterate degenerate.
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    if table.normalization != "TopOnly":
-        raise ObstructionError(
-            "unsupported", "dihedral recovery expects a TopOnly table"
-        )
-    sin_t = math.sin(math.pi / m)
-    data = {2: (a - 2.0) * m * sin_t / (4.0 * L)}
-    residuals: dict[int, float] = {}
-    iterates, notes = _iterate_data(table, J, a, L, m)
-    first = _first_order_residual(table, iterates, data[2], m)
-    if first is not None:
-        residuals[1] = first
-    for j in range(2, J + 1):
-        data[2 * j - 1] = 0.0
-        coeffs, rhs = [], []
-        for r in sorted(iterates.keys() & {r for (r, jj) in table.entries if jj == j}):
-            h11 = iterates[r][0]
-            coeffs.append(m * r * h11**j)
-            rhs.append(complex(table.entry(r, j)))
-        data[2 * j], residuals[j] = _solve_single(coeffs, rhs, j, a)
-    return RecoveryResult(data, residuals, tuple(notes))
-
-
-def recover(table: InvariantTable, J: int) -> RecoveryResult:
-    """Dispatch on the table's symmetry class, using its own metadata.
-
-    Raises:
-        ValueError: a FullPrincipal table whose remainders at orders <= J
-            would pass the graph census or `MAX_FULL_COST`, before any of
-            them is computed (`invariants.check_full_job`).
-    """
-    if table.normalization == "FullPrincipal":
-        r_max = max(r for r, _ in table.entries)
-        check_full_job(r_max, J, "entries[].r", "J", "a FullPrincipal table")
-    cls = table.symmetry_class
-    L, a = table.length, table.floquet_parameter
-    if cls.startswith("dihedral-"):
-        return recover_dihedral(table, int(cls.split("-", 1)[1]), L, a, J)
-    if cls == "twoarc-symmetric":
-        return recover_two_symmetry(table, L, a, J)
-    if cls == "updown":
-        return recover_symmetric(table, L, a, J)
-    raise ObstructionError(
-        "unsupported",
-        f"no recovery pipeline for symmetry class {cls!r} "
-        "(generic two-arc tables are underdetermined)",
-    )

@@ -19,7 +19,7 @@ import pytest
 
 from conftest import EXCEPTIONAL_FLOQUET, random_dihedral_spec, random_mirror_spec
 from wavetrace import checks
-from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError, kt_parameters
+from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError
 from wavetrace.feynman import FeynmanGraph, max_derivative_report
 from wavetrace.hessian import (
     CirculantHessian,
@@ -40,7 +40,7 @@ from wavetrace.invariants import (
     invariant_top,
     principal_shift_factory,
 )
-from wavetrace.inverse import convex_representative, recover, recover_symmetric
+from wavetrace.inverse import convex_representative, recover
 
 
 def _h(r, a, L=1.0, b=None):
@@ -311,14 +311,10 @@ def test_inverse_round_trips_across_the_three_classes():
             recover(forward_table(spec, 3, 5), 5)
         assert err.value.name in ("singular-decoupling", "symbol-pole")
 
-    flat_cubic = random_mirror_spec(rng, even_only=True)
+    # a flat-cubic table read as mirror-symmetric, as `invert --class updown`
+    flat_cubic = forward_table(random_mirror_spec(rng, even_only=True), 3, 5)
     with pytest.raises(ObstructionError) as err:
-        recover_symmetric(
-            forward_table(flat_cubic, 3, 5),
-            flat_cubic.L,
-            kt_parameters(flat_cubic)[0],
-            5,
-        )
+        recover(dataclasses.replace(flat_cubic, symmetry_class="updown"), 5)
     assert err.value.name == "vanishing-cubic"
 
     assert time.perf_counter() - start < 120.0

@@ -14,7 +14,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from wavetrace.cli import main
@@ -86,7 +86,8 @@ def table_payloads(draw) -> dict:
         "L": draw(st.floats(0.05, 5.0)),
         "a": draw(st.floats(-4.0, 4.0)),
         "class": draw(st.sampled_from(
-            ["updown", "twoarc", "twoarc-symmetric", "dihedral-3", "dihedral-x"])),
+            ["updown", "twoarc", "twoarc-symmetric",
+             "dihedral-1", "dihedral-2", "dihedral-3", "dihedral-x"])),
         "normalization": draw(st.sampled_from(["TopOnly", "FullPrincipal", "Other"])),
         "entries": entries,
     }
@@ -144,9 +145,18 @@ def test_cli_exits_with_a_code_on_any_spec(run):
     assert set(codes) <= {0, 1, 2}
 
 
+# a small dihedral table, read under m = 1 (rejected) and m = 2 (the
+# smallest polygon orbit): the class branches that the sampled tables
+# seldom reach at this budget
+DIHEDRAL_TABLE = {"L": 3.0, "a": 3.9, "normalization": "TopOnly", "entries": [
+    {"r": 1, "j": 1, "re": 0.5, "im": 0.0}, {"r": 1, "j": 2, "re": 0.1, "im": 0.0}]}
+
+
 @seed(20261018)
 @FUZZ
 @given(payload=table_payloads(), j_max=st.one_of(st.none(), st.integers(0, 3)))
+@example(payload={**DIHEDRAL_TABLE, "class": "dihedral-1"}, j_max=None)
+@example(payload={**DIHEDRAL_TABLE, "class": "dihedral-2"}, j_max=None)
 def test_cli_invert_exits_with_a_code_on_any_table(payload, j_max):
     with tempfile.TemporaryDirectory() as tmp:
         table_file = Path(tmp) / "table.json"

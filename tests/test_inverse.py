@@ -1,7 +1,8 @@
-"""Recovery pipelines: from invariant tables back to boundary data."""
+"""Recovery induction: from invariant tables back to boundary data."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,10 +28,7 @@ from wavetrace.inverse import (
     _iterate_data,
     convex_representative,
     recover,
-    recover_dihedral,
     recover_f2,
-    recover_symmetric,
-    recover_two_symmetry,
 )
 
 L0 = 2.0
@@ -66,6 +64,11 @@ def random_updown(rng, L=L0, even_only=False):
         c = rng.uniform(-1.0, 1.0) / math.factorial(k) * 4.0
         coeffs.append(0.0 if (even_only and k % 2) else c)
     return updown_spec(tuple(coeffs), L=L)
+
+
+def as_class(table, symmetry_class):
+    """The table read under another class, as `invert --class` does."""
+    return dataclasses.replace(table, symmetry_class=symmetry_class)
 
 
 def worst_rel(result, want):
@@ -191,9 +194,8 @@ def test_decouple_guards():
 def test_symmetric_round_trip(seed):
     rng = np.random.default_rng(seed)
     spec = random_updown(rng)
-    a, _ = kt_parameters(spec)
     table = forward_table(spec, 3, 5)
-    result = recover_symmetric(table, spec.L, a, 5)
+    result = recover(table, 5)
     assert worst_rel(result, convex_representative(spec, 10)) <= 1e-8
     assert max(result.residuals.values()) <= 1e-10
 
@@ -212,31 +214,28 @@ def test_recovery_lands_on_the_reflected_representative():
     # a domain and its mirror image share the table; the convention with
     # f'''(0) >= 0 is the one reported
     spec = updown_spec(tuple(-c if k % 2 else c for k, c in enumerate(GENERIC)))
-    a, _ = kt_parameters(spec)
-    result = recover_symmetric(forward_table(spec, 3, 5), spec.L, a, 5)
+    result = recover(forward_table(spec, 3, 5), 5)
     assert result.taylor[3] > 0
     assert worst_rel(result, convex_representative(spec, 10)) <= 1e-8
 
 
 def test_zero_table_recovers_flat_data():
+    # read as "updown", whose all-zero short cut this is
     spec = updown_spec((L0 / 2, 0.0, -0.2) + (0.0,) * 8)
-    a, _ = kt_parameters(spec)
-    result = recover_symmetric(forward_table(spec, 3, 5), L0, a, 5)
+    result = recover(as_class(forward_table(spec, 3, 5), "updown"), 5)
     assert result.taylor[2] == pytest.approx(0.4, rel=1e-12)  # -f''(0)
     assert all(result.taylor[k] == 0.0 for k in range(3, 11))
 
 
 def test_vanishing_cubic_stops_the_induction():
-    spec = even_spec()
-    a, _ = kt_parameters(spec)
-    table = forward_table(spec, 3, 5)
+    table = as_class(forward_table(even_spec(), 3, 5), "updown")
     # the quartic datum needs no odd anchor, so J = 2 still succeeds ...
-    partial = recover_symmetric(table, L0, a, 2)
+    partial = recover(table, 2)
     assert partial.taylor[4] == pytest.approx(-24 * EVEN[4], rel=1e-10)
     assert abs(partial.taylor[3]) <= 1e-6
     # ... but the induction past it divides by f'''(0)
     with pytest.raises(ObstructionError) as err:
-        recover_symmetric(table, L0, a, 3)
+        recover(table, 3)
     assert err.value.name == "vanishing-cubic"
 
 
@@ -255,16 +254,14 @@ def test_negative_odd_family_is_rejected():
         )
     bad = InvariantTable(L0, a, "updown", "TopOnly", poisoned)
     with pytest.raises(ObstructionError) as err:
-        recover_symmetric(bad, L0, a, 2)
+        recover(bad, 2)
     assert err.value.name == "vanishing-cubic"
     assert "inconsistent" in str(err.value)
 
 
 def test_symmetric_rejects_bad_order():
-    spec = updown_spec()
-    a, _ = kt_parameters(spec)
     with pytest.raises(ValueError):
-        recover_symmetric(forward_table(spec, 2, 2), L0, a, 0)
+        recover(forward_table(updown_spec(), 2, 2), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +272,7 @@ def test_symmetric_rejects_bad_order():
 def test_two_symmetry_round_trip(seed):
     rng = np.random.default_rng(100 + seed)
     spec = random_updown(rng, even_only=True)
-    a, _ = kt_parameters(spec)
-    result = recover_two_symmetry(forward_table(spec, 3, 5), spec.L, a, 5)
+    result = recover(forward_table(spec, 3, 5), 5)
     assert worst_rel(result, convex_representative(spec, 10)) <= 1e-9
     assert all(result.taylor[k] == 0.0 for k in range(3, 11, 2))
 
@@ -288,10 +284,10 @@ def test_two_symmetry_survives_exceptional_floquet():
     a, _ = kt_parameters(spec)
     assert a == pytest.approx(-1.0, abs=1e-12)
     table = forward_table(spec, 2, 5)
-    result = recover_two_symmetry(table, L0, a, 5)
+    result = recover(table, 5)
     assert worst_rel(result, convex_representative(spec, 10)) <= 1e-9
     with pytest.raises(ObstructionError):
-        recover_symmetric(table, L0, a, 5)
+        recover(as_class(table, "updown"), 5)
 
 
 def test_two_symmetry_skips_poles_with_a_note():
@@ -303,7 +299,7 @@ def test_two_symmetry_skips_poles_with_a_note():
     entries = dict(forward_table(spec, 2, 3).entries)
     entries.update({(3, j): complex(999.0) for j in (1, 2, 3)})
     table = InvariantTable(L0, a, "twoarc-symmetric", "TopOnly", entries)
-    result = recover_two_symmetry(table, L0, a, 3)
+    result = recover(table, 3)
     assert result.obstructions == (
         f"iterate r = 3 skipped: symbol pole at a = {a:g}",
     )
@@ -382,16 +378,15 @@ def test_two_symmetry_starved_of_iterates_raises():
         L0, 2.0, "twoarc-symmetric", "TopOnly", {(1, 1): 1j, (1, 2): 1j}
     )
     with pytest.raises(ObstructionError) as err:
-        recover_two_symmetry(fake, L0, 2.0, 2)
+        recover(fake, 2)
     assert err.value.name == "symbol-pole"
 
 
 def test_two_symmetry_agrees_with_symmetric_quartic():
-    spec = even_spec()
-    a, _ = kt_parameters(spec)
-    table = forward_table(spec, 3, 2)
-    both = recover_symmetric(table, L0, a, 2)
-    even_only = recover_two_symmetry(table, L0, a, 2)
+    table = forward_table(even_spec(), 3, 2)
+    assert table.symmetry_class == "twoarc-symmetric"
+    both = recover(as_class(table, "updown"), 2)
+    even_only = recover(table, 2)
     assert both.taylor[4] == pytest.approx(even_only.taylor[4], rel=1e-9)
 
 
@@ -402,9 +397,7 @@ def test_two_symmetry_agrees_with_symmetric_quartic():
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_dihedral_round_trip(m):
     spec = dihedral_spec(m)
-    s_param, _ = dihedral_parameters(spec)
-    table = forward_table(spec, 3, 5)
-    result = recover_dihedral(table, m, spec.L, s_param, 5)
+    result = recover(forward_table(spec, 3, 5), 5)
     for j in range(1, 6):
         want = spec.f.derivative(2 * j)
         assert result.taylor[2 * j] == pytest.approx(want, rel=1e-8, abs=1e-12)
@@ -413,8 +406,7 @@ def test_dihedral_round_trip(m):
 
 def test_dihedral_single_iterate_suffices():
     spec = dihedral_spec(3)
-    s_param, _ = dihedral_parameters(spec)
-    result = recover_dihedral(forward_table(spec, 1, 3), 3, spec.L, s_param, 3)
+    result = recover(forward_table(spec, 1, 3), 3)
     for j in (1, 2, 3):
         assert result.taylor[2 * j] == pytest.approx(
             spec.f.derivative(2 * j), rel=1e-10
@@ -432,8 +424,10 @@ def test_dihedral_m2_is_the_doubly_symmetric_class_up_to_mirror():
     s_param, _ = dihedral_parameters(di)
     a, _ = kt_parameters(ud)
     assert s_param == pytest.approx(-a, rel=1e-12)
-    from_di = recover_dihedral(forward_table(di, 3, 4), 2, L, s_param, 4)
-    from_ud = recover_two_symmetry(forward_table(ud, 3, 4), L, a, 4)
+    from_di = recover(forward_table(di, 3, 4), 4)
+    ud_table = forward_table(ud, 3, 4)
+    assert ud_table.symmetry_class == "twoarc-symmetric"
+    from_ud = recover(ud_table, 4)
     for j in range(1, 5):
         assert from_di.taylor[2 * j] == pytest.approx(
             -from_ud.taylor[2 * j], rel=1e-9
@@ -443,18 +437,16 @@ def test_dihedral_m2_is_the_doubly_symmetric_class_up_to_mirror():
 def test_dihedral_rejects_full_principal():
     fake = InvariantTable(3.0, 3.9, "dihedral-3", "FullPrincipal", {(1, 1): 1j})
     with pytest.raises(ObstructionError) as err:
-        recover_dihedral(fake, 3, 3.0, 3.9, 1)
+        recover(fake, 1)
     assert err.value.name == "unsupported"
 
 
 def test_dihedral_guards():
-    spec = dihedral_spec(3)
-    s_param, _ = dihedral_parameters(spec)
-    table = forward_table(spec, 1, 1)
+    table = forward_table(dihedral_spec(3), 1, 1)
     with pytest.raises(ValueError):
-        recover_dihedral(table, 1, spec.L, s_param, 1)
+        recover(as_class(table, "dihedral-1"), 1)
     with pytest.raises(ValueError):
-        recover_dihedral(table, 3, spec.L, s_param, 0)
+        recover(table, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +456,8 @@ def test_dihedral_guards():
 def test_full_principal_round_trip():
     taylor = (L0 / 2, 0.0, -0.31, 0.12, 0.05, -0.033, 0.021, 0.0, 0.0, 0.0, 0.0)
     spec = updown_spec(taylor)
-    a, _ = kt_parameters(spec)
     table = forward_table(spec, 2, 3, normalization="FullPrincipal")
-    result = recover_symmetric(table, L0, a, 3)
+    result = recover(table, 3)
     assert worst_rel(result, convex_representative(spec, 6)) <= 1e-8
 
 
@@ -474,44 +465,40 @@ def test_recovery_ignores_orders_beyond_target():
     spec = updown_spec()
     a, _ = kt_parameters(spec)
     table = forward_table(spec, 3, 5)
-    clean = recover_symmetric(table, L0, a, 4)
+    clean = recover(table, 4)
     poisoned_entries = {
         (r, j): v + (1000.0 if j == 5 else 0.0)
         for (r, j), v in table.entries.items()
     }
     poisoned = InvariantTable(L0, a, "updown", "TopOnly", poisoned_entries)
-    assert recover_symmetric(poisoned, L0, a, 4).taylor == clean.taylor
+    assert recover(poisoned, 4).taylor == clean.taylor
 
 
 def test_first_order_row_is_cross_checked():
-    spec = updown_spec()
-    a, _ = kt_parameters(spec)
-    table = forward_table(spec, 3, 3)
-    tweaked_entries = {
-        (r, j): v * (1.1 if j == 1 else 1.0) for (r, j), v in table.entries.items()
-    }
-    tweaked = InvariantTable(L0, a, "updown", "TopOnly", tweaked_entries)
-    clean = recover_symmetric(table, L0, a, 3)
-    dirty = recover_symmetric(tweaked, L0, a, 3)
-    assert dirty.taylor == clean.taylor  # the base case comes from a, not row 1
-    assert clean.residuals[1] <= 1e-12
-    assert dirty.residuals[1] >= 0.01
+    # a FullPrincipal j = 1 entry is the whole value of the degree-2
+    # domain, not the TopOnly closed form 4 r A_r h11 f''(0)
+    for normalization in ("TopOnly", "FullPrincipal"):
+        table = forward_table(updown_spec(), 3, 3, normalization=normalization)
+        tweaked = dataclasses.replace(table, entries={
+            (r, j): v * (1.1 if j == 1 else 1.0) for (r, j), v in table.entries.items()
+        })
+        clean = recover(table, 3)
+        dirty = recover(tweaked, 3)
+        assert dirty.taylor == clean.taylor  # the base case comes from a, not row 1
+        assert clean.residuals[1] <= 1e-12, normalization
+        assert dirty.residuals[1] >= 0.01, normalization
 
 
 def test_recover_dispatches_on_class():
+    # the class, not the entries, decides whether the odd data are read
     rng = np.random.default_rng(11)
     spec = random_updown(rng)
-    a, _ = kt_parameters(spec)
     table = forward_table(spec, 3, 4)
-    assert recover(table, 4).taylor == recover_symmetric(table, L0, a, 4).taylor
-
-    di = dihedral_spec(3)
-    s_param, _ = dihedral_parameters(di)
-    di_table = forward_table(di, 2, 3)
-    assert (
-        recover(di_table, 3).taylor
-        == recover_dihedral(di_table, 3, di.L, s_param, 3).taylor
-    )
+    assert table.symmetry_class == "updown"
+    assert worst_rel(recover(table, 4), convex_representative(spec, 8)) <= 1e-8
+    even_only = recover(as_class(table, "twoarc-symmetric"), 4)
+    assert all(even_only.taylor[k] == 0.0 for k in (3, 5, 7))
+    assert even_only.taylor[2] == recover(table, 4).taylor[2]
 
     generic = DomainSpec(
         "twoarc",
@@ -525,9 +512,7 @@ def test_recover_dispatches_on_class():
 
 
 def test_result_report_shape():
-    spec = updown_spec()
-    a, _ = kt_parameters(spec)
-    result = recover_symmetric(forward_table(spec, 3, 3), L0, a, 3)
+    result = recover(forward_table(updown_spec(), 3, 3), 3)
     assert isinstance(result, RecoveryResult)
     blob = result.to_json()
     assert set(blob) == {"taylor", "residuals", "obstructions"}
