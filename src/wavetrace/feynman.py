@@ -498,10 +498,10 @@ class SPProblem:
             ValueError: if the gradient does not vanish or the Hessian is
                 singular.
         """
-        grad = phase.gradient_at_zero()
+        grad = derivative_tensor(phase, 1)
         if np.linalg.norm(grad, np.inf) > 1e-9:
             raise ValueError("phase gradient does not vanish: not a critical point")
-        hess = phase.hessian_at_zero().real
+        hess = derivative_tensor(phase, 2).real
         eig = np.linalg.eigvalsh(hess)
         if np.min(np.abs(eig)) < 1e-12 * max(1.0, np.max(np.abs(eig))):
             raise ValueError("phase Hessian is singular; expansion undefined")

@@ -175,22 +175,29 @@ def _inverse_rows(h: CirculantHessian) -> np.ndarray:
     return -h.L * _cyclic_inverse_rows(diag, h.n, where)
 
 
+def _cyclic_tridiagonal(diagonal: np.ndarray) -> np.ndarray:
+    """Dense cyclic tridiagonal matrix with this diagonal and unit cyclic
+    off-diagonals, [[d_0, 2], [2, d_1]] at size two."""
+    n = len(diagonal)
+    mat = np.zeros((n, n))
+    idx = np.arange(n)
+    mat[idx, idx] = diagonal
+    if n == 2:
+        mat[0, 1] = mat[1, 0] = 2.0
+    else:
+        mat[idx, (idx + 1) % n] += 1.0
+        mat[idx, (idx - 1) % n] += 1.0
+    return mat
+
+
 def hessian_matrix(h: CirculantHessian) -> np.ndarray:
     """Dense 2r x 2r Hessian matrix -(1/L) C(a, b).
 
     At size two the cyclic neighbours coincide and the off-diagonal entry
     doubles: H_2 = -(1/L) [[a, 2], [2, b]].
     """
-    n = h.n
-    mat = np.zeros((n, n))
-    idx = np.arange(n)
-    mat[idx, idx] = np.where(idx % 2 == 0, h.a, h.b)
-    if n == 2:
-        mat[0, 1] = mat[1, 0] = 2.0
-    else:
-        mat[idx, (idx + 1) % n] += 1.0
-        mat[idx, (idx - 1) % n] += 1.0
-    return -mat / h.L
+    idx = np.arange(h.n)
+    return -_cyclic_tridiagonal(np.where(idx % 2 == 0, h.a, h.b)) / h.L
 
 
 def determinant_closed_form(h: CirculantHessian) -> float:
@@ -451,15 +458,7 @@ def dihedral_hessian(
         raise ValueError("need m >= 2 and r >= 1")
     if link_length <= 0:
         raise ValueError("link_length must be positive")
-    n = m * r
-    mat = np.zeros((n, n))
-    idx = np.arange(n)
-    mat[idx, idx] = s_param
-    if n == 2:
-        mat[0, 1] = mat[1, 0] = 2.0
-    else:
-        mat[idx, (idx + 1) % n] += 1.0
-        mat[idx, (idx - 1) % n] += 1.0
+    mat = _cyclic_tridiagonal(np.full(m * r, s_param))
     return math.sin(math.pi / m) ** 2 / link_length * mat
 
 

@@ -103,8 +103,9 @@ def check_iterate(r: int, length: float, name: str):
 # 2r-variable jets of degree 2 j_max, C(2r + 2 j_max, 2 j_max) coefficients
 # each, and a job costs their sum over r <= r_max.  On a shared 2-core host
 # with one BLAS thread, the largest forward jobs accepted (r_max 5, 7, 13, 51
-# at j_max 4, 3, 2, 1) took 1.4-6.8 s and 144-309 MB; r_max 6 at j_max 4
-# took 7.4 s and 990 MB, and r_max 10 at j_max 4 would hold 5.9 million.
+# at j_max 4, 3, 2, 1) took 0.9-1.7 s and 113-294 MB, cold in a fresh
+# process; r_max 6 at j_max 4 took 8.9 s and 950 MB, and r_max 10 at
+# j_max 4 would hold 5.9 million.
 MAX_FULL_COST = 100_000
 
 

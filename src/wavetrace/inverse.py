@@ -235,28 +235,23 @@ def _zero_beyond_quadratic(table: InvariantTable) -> bool:
     )
 
 
-def _remainder(
-    table: InvariantTable, L: float, data: dict[int, float], r: int, j: int
-) -> complex:
-    """FullPrincipal remainder: the (r, j) value of an auxiliary domain
-    carrying the already-recovered data and zeros at orders 2j-1, 2j."""
-    return invariant_full(recovered_spec(table.symmetry_class, L, data, 2 * j), r, j)
-
-
 def _order_values(
     table: InvariantTable, L: float, data: dict[int, float], j: int
 ) -> tuple[dict[int, complex], dict[int, float] | None]:
     """The order-j top parts y_r = entry - remainder by iterate, and for
     FullPrincipal tables each one's scale max(|entry|, |remainder|), the
-    level its rounding is relative to.  TopOnly tables subtract no
-    remainder and get no scales."""
+    level its rounding is relative to.  The remainder is the (r, j) value
+    of an auxiliary domain carrying the already-recovered data and zeros
+    at orders 2j-1, 2j.  TopOnly tables subtract no remainder and get no
+    scales."""
     rows = [r for (r, jj) in table.entries if jj == j]
     if table.normalization == "TopOnly":
         return {r: table.entry(r, j) for r in rows}, None
+    auxiliary = recovered_spec(table.symmetry_class, L, data, 2 * j)
     values, scales = {}, {}
     for r in rows:
         entry = table.entry(r, j)
-        remainder = _remainder(table, L, data, r, j)
+        remainder = invariant_full(auxiliary, r, j)
         values[r] = entry - remainder
         scales[r] = max(abs(entry), abs(remainder))
     return values, scales
@@ -273,13 +268,15 @@ def recover(table: InvariantTable, J: int) -> RecoveryResult:
     The base case reads f''(0) off a: (a + 2)/(2L) for the two-arc
     classes, (a - 2) m sin(pi/m)/(4L) for "dihedral-<m>" (a is then the
     circulant diagonal parameter of the m-gon orbit); residuals[1]
-    compares the j = 1 entries with it.  Order j >= 2 reads the order-j
-    row only, less the remainder of the data so far in a FullPrincipal
-    table (`_order_values`).  For "updown" it decouples the two graph
-    families and divides the odd one by f'''(0); a vanishing cubic stops
-    the induction at j = 3, so J = 2 still returns the quartic datum of a
-    doubly symmetric table.  "twoarc-symmetric" and "dihedral-<m>" have
-    odd data zero by symmetry and read the even datum off one family.
+    compares the TopOnly j = 1 entries with it, and the FullPrincipal ones
+    with 2 A_r, their order-0 diagram sum, which reads L and not a.  Order
+    j >= 2 reads the order-j row only, less the remainder of the data so
+    far in a FullPrincipal table (`_order_values`).  For "updown" it
+    decouples the two graph families and divides the odd one by f'''(0);
+    a vanishing cubic stops the induction at j = 3, so J = 2 still returns
+    the quartic datum of a doubly symmetric table.  "twoarc-symmetric"
+    and "dihedral-<m>" have odd data zero by symmetry and read the even
+    datum off one family.
 
     Raises:
         ValueError: J < 1, m < 2, or a FullPrincipal table whose remainders
@@ -331,8 +328,8 @@ def recover(table: InvariantTable, J: int) -> RecoveryResult:
     for r in sorted(iterates.keys() & {r for (r, j) in table.entries if j == 1}):
         if table.normalization == "TopOnly":
             want = first[r] * data[2]
-        else:
-            want = _remainder(table, L, data, r, 1)
+        else:  # the order-0 diagram sum: twice the amplitude at the orbit
+            want = 2.0 * iterates[r][2]
         checks.append(abs(table.entry(r, 1) - want) / max(abs(want), 1.0))
     if checks:
         residuals[1] = max(checks)

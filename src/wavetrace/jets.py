@@ -18,8 +18,14 @@ placed into the full basis by `embed_pair`: the orbit phase and amplitude
 are sums and products of such chord factors, so only their assembly runs at
 full size.
 
+Each basis has one index: the mixed-radix code of an exponent vector in
+radix ``max_degree + 1``, searched in the sorted codes.  Product, derivative,
+tensor and embedding tables, and every multi-index a caller passes in, find
+their slots through it.
+
 Values at the expansion point are coefficients: the partial derivative
-``d^alpha`` at 0 equals ``alpha! * c_alpha``.
+``d^alpha`` at 0 equals ``alpha! * c_alpha``; `derivative_tensor` reads all
+partials of one order at once.
 """
 
 from __future__ import annotations
@@ -42,15 +48,26 @@ __all__ = [
 ]
 
 
-def _monomials(total: int, n: int):
-    """Yield all exponent tuples of `n` non-negative ints summing to `total`,
-    in descending lexicographic order."""
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _monomials(total - first, n - 1):
-            yield (first,) + rest
+def _graded_exponents(num_vars: int, max_degree: int) -> np.ndarray:
+    """Exponent rows of the basis: graded, descending-lex within a degree.
+
+    Descending lex on exponents is ascending lex on the sorted variable
+    tuples of the monomials, so each degree's rows are the previous
+    degree's rows, in order, each times x_v for every v from its last
+    variable on.
+    """
+    rows = np.zeros((1, num_vars), dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)
+    blocks = [rows]
+    for _ in range(max_degree):
+        counts = num_vars - last
+        parent = np.repeat(np.arange(len(rows)), counts)
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        last = np.arange(len(parent)) - first + last[parent]
+        rows = rows[parent]
+        rows[np.arange(len(parent)), last] += 1
+        blocks.append(rows)
+    return np.concatenate(blocks)
 
 
 class _Tables:
@@ -59,11 +76,8 @@ class _Tables:
     def __init__(self, num_vars: int, max_degree: int):
         self.num_vars = num_vars
         self.max_degree = max_degree
-        exps: list[tuple[int, ...]] = []
-        for total in range(max_degree + 1):
-            exps.extend(_monomials(total, num_vars))
-        self.exponents = np.array(exps, dtype=np.int64)
-        self.size = len(exps)
+        self.exponents = _graded_exponents(num_vars, max_degree)
+        self.size = len(self.exponents)
         self.degrees = self.exponents.sum(axis=1)
         # Mixed-radix code of an exponent vector; radix max_degree+1 has no
         # carries under addition of two admissible exponents.
@@ -73,15 +87,31 @@ class _Tables:
         self.codes = self.exponents @ powers
         self._code_order = np.argsort(self.codes)
         self._sorted_codes = self.codes[self._code_order]
-        self.index = {tuple(int(x) for x in e): i for i, e in enumerate(exps)}
-        self.factorials = np.array(
-            [math.prod(math.factorial(int(t)) for t in e) for e in exps],
-            dtype=np.float64,
-        )
         self._mul: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._diff2: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._tensor_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._pair_maps: dict[tuple[int, int], np.ndarray] = {}
+
+    def slots(self, alphas) -> np.ndarray:
+        """Basis slots of the multi-indices in the rows of ``alphas``.
+
+        Raises:
+            ValueError: a multi-index of the wrong length, with a negative
+                entry or past max_degree (the code search would return a
+                wrong slot for it).
+        """
+        exps = np.asarray(alphas, dtype=np.int64)
+        if len(exps) == 0:
+            return np.zeros(0, dtype=np.int64)
+        if exps.ndim != 2:
+            raise ValueError(f"multi-indices must be rows of ints, got shape {exps.shape}")
+        bad = (exps < 0).any(axis=1) | (exps.sum(axis=1) > self.max_degree)
+        if exps.shape[1] != self.num_vars or bad.any():
+            raise ValueError(
+                f"multi-index {tuple(int(a) for a in exps[np.argmax(bad)])} invalid "
+                f"for ({self.num_vars} vars, degree {self.max_degree})"
+            )
+        return self._index_of(exps @ self._powers)
 
     def _index_of(self, codes: np.ndarray) -> np.ndarray:
         """Basis slots of admissible exponent codes."""
@@ -142,7 +172,12 @@ class _Tables:
                 for axis in range(order):
                     codes += self._powers[grids[axis]]
                 basis_idx = self._index_of(codes)
-            self._tensor_maps[order] = (basis_idx, self.factorials[basis_idx])
+            # alpha! of the degree-`order` rows, a contiguous block of the
+            # graded basis, from a table of k!
+            lo, hi = np.searchsorted(self.degrees, [order, order + 1])
+            factorials = np.array([float(math.factorial(k)) for k in range(order + 1)])
+            scale = factorials[self.exponents[lo:hi]].prod(axis=1)
+            self._tensor_maps[order] = (basis_idx, scale[basis_idx - lo])
         return self._tensor_maps[order]
 
     def pair_map(self, p: int, q: int) -> np.ndarray:
@@ -212,27 +247,17 @@ class MultiJet:
     @staticmethod
     def variable(var: int, num_vars: int, max_degree: int) -> "MultiJet":
         """The jet of the coordinate function ``x_var`` (0-based)."""
-        if not 0 <= var < num_vars:
-            raise ValueError(f"variable index {var} out of range for {num_vars} vars")
         if max_degree < 1:
             raise ValueError("max_degree must be >= 1 to represent a variable")
-        tab = _tables(num_vars, max_degree)
-        jet = MultiJet.zero(num_vars, max_degree)
-        jet.coeffs[tab.index[tuple(1 if i == var else 0 for i in range(num_vars))]] = 1.0
-        return jet
+        return MultiJet.from_univariate([0.0, 1.0], var, num_vars, max_degree)
 
     @staticmethod
     def from_terms(terms: dict, num_vars: int, max_degree: int) -> "MultiJet":
         """Build from a {exponent tuple: coefficient} mapping."""
-        tab = _tables(num_vars, max_degree)
         complex_ = any(isinstance(v, complex) for v in terms.values())
         jet = MultiJet.zero(num_vars, max_degree, complex_=complex_)
-        for alpha, val in terms.items():
-            if len(alpha) != num_vars:
-                raise ValueError(f"exponent {alpha} has wrong length for {num_vars} vars")
-            if sum(alpha) > max_degree:
-                raise ValueError(f"exponent {alpha} exceeds max_degree={max_degree}")
-            jet.coeffs[tab.index[tuple(int(a) for a in alpha)]] += val
+        slots = _tables(num_vars, max_degree).slots(list(terms))
+        np.add.at(jet.coeffs, slots, list(terms.values()))
         return jet
 
     @staticmethod
@@ -241,12 +266,14 @@ class MultiJet:
     ) -> "MultiJet":
         """Place a 1-D Taylor series ``sum_k series[k] t^k`` on variable
         ``x_var``; coefficients beyond max_degree are dropped."""
-        tab = _tables(num_vars, max_degree)
+        if not 0 <= var < num_vars:
+            raise ValueError(f"variable index {var} out of range for {num_vars} vars")
         series = np.asarray(series)
+        count = min(len(series), max_degree + 1)
+        exps = np.zeros((count, num_vars), dtype=np.int64)
+        exps[:, var] = np.arange(count)
         jet = MultiJet.zero(num_vars, max_degree, complex_=np.iscomplexobj(series))
-        for k in range(min(len(series), max_degree + 1)):
-            alpha = tuple(k if i == var else 0 for i in range(num_vars))
-            jet.coeffs[tab.index[alpha]] = series[k]
+        jet.coeffs[_tables(num_vars, max_degree).slots(exps)] = series[:count]
         return jet
 
     # -- basic queries -----------------------------------------------------
@@ -257,13 +284,7 @@ class MultiJet:
         return self.coeffs[0]
 
     def coefficient(self, alpha: Iterable[int]):
-        alpha = tuple(int(a) for a in alpha)
-        tab = self._tab()
-        if len(alpha) != self.num_vars or sum(alpha) > self.max_degree:
-            raise ValueError(
-                f"multi-index {alpha} invalid for ({self.num_vars} vars, degree {self.max_degree})"
-            )
-        return self.coeffs[tab.index[alpha]]
+        return self.coeffs[self._tab().slots([tuple(alpha)])[0]]
 
     def _tab(self) -> _Tables:
         return _tables(self.num_vars, self.max_degree)
@@ -308,31 +329,6 @@ class MultiJet:
         return MultiJet(self.num_vars, self.max_degree, self.coeffs / other)
 
     # -- calculus ----------------------------------------------------------
-
-    def gradient_at_zero(self) -> np.ndarray:
-        tab = self._tab()
-        out = np.zeros(self.num_vars, dtype=self.coeffs.dtype)
-        if self.max_degree >= 1:
-            for v in range(self.num_vars):
-                alpha = tuple(1 if i == v else 0 for i in range(self.num_vars))
-                out[v] = self.coeffs[tab.index[alpha]]
-        return out
-
-    def hessian_at_zero(self) -> np.ndarray:
-        tab = self._tab()
-        out = np.zeros((self.num_vars, self.num_vars), dtype=self.coeffs.dtype)
-        if self.max_degree < 2:
-            return out
-        for u in range(self.num_vars):
-            for v in range(u, self.num_vars):
-                alpha = [0] * self.num_vars
-                alpha[u] += 1
-                alpha[v] += 1
-                c = self.coeffs[tab.index[tuple(alpha)]]
-                d2 = c * (2.0 if u == v else 1.0)
-                out[u, v] = d2
-                out[v, u] = d2
-        return out
 
     def strip_below(self, degree: int) -> "MultiJet":
         """Zero out all coefficients of total degree < degree."""
@@ -436,23 +432,19 @@ def extract_partial(jet: MultiJet, alpha: Iterable[int]):
 # scalar series and composed analytic functions
 
 
-def _binomial_series(p: float, c0, length: int) -> np.ndarray:
-    """Coefficients of (c0 + t)^p in powers of t: c0^p * binom(p, m) c0^-m."""
-    out = np.empty(length, dtype=np.result_type(type(c0), np.float64))
-    coeff = c0**p
-    out[0] = coeff
+def power_series(p: float, c0, length: int) -> np.ndarray:
+    """Taylor coefficients of (c0 + t)^p about t = 0, c0^p * binom(p, m)
+    c0^-m; requires c0 > 0."""
+    if not (np.real(c0) > 0) or np.imag(c0) != 0:
+        raise ValueError(f"power series needs a positive expansion point, got {c0}")
+    c0 = float(np.real(c0))
+    out = np.empty(length, dtype=np.float64)
+    out[0] = c0**p
     binom = 1.0
     for m in range(1, length):
         binom *= (p - (m - 1)) / m
         out[m] = c0**p * binom * c0 ** (-m)
     return out
-
-
-def power_series(p: float, c0, length: int) -> np.ndarray:
-    """Taylor coefficients of (c0 + t)^p about t = 0; requires c0 > 0."""
-    if not (np.real(c0) > 0) or np.imag(c0) != 0:
-        raise ValueError(f"power series needs a positive expansion point, got {c0}")
-    return _binomial_series(p, float(np.real(c0)), length)
 
 
 def jet_power(jet: MultiJet, p: float) -> MultiJet:

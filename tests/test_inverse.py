@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from wavetrace import invariants
 from wavetrace.domain import (
     BoundaryArc,
     DomainSpec,
@@ -475,8 +476,8 @@ def test_recovery_ignores_orders_beyond_target():
 
 
 def test_first_order_row_is_cross_checked():
-    # a FullPrincipal j = 1 entry is the whole value of the degree-2
-    # domain, not the TopOnly closed form 4 r A_r h11 f''(0)
+    # a FullPrincipal j = 1 entry is its order-0 diagram sum 2 A_r, not the
+    # TopOnly closed form 4 r A_r h11 f''(0)
     for normalization in ("TopOnly", "FullPrincipal"):
         table = forward_table(updown_spec(), 3, 3, normalization=normalization)
         tweaked = dataclasses.replace(table, entries={
@@ -487,6 +488,23 @@ def test_first_order_row_is_cross_checked():
         assert dirty.taylor == clean.taylor  # the base case comes from a, not row 1
         assert clean.residuals[1] <= 1e-12, normalization
         assert dirty.residuals[1] >= 0.01, normalization
+
+
+def test_full_first_order_check_builds_no_problem(monkeypatch):
+    # 2 A_r is the j = 1 entry whatever f''(0) is, so its check needs no
+    # degree-2 auxiliary problem; the orders j >= 2 still build theirs
+    table = forward_table(updown_spec(), 3, 3, normalization="FullPrincipal")
+    degrees = []
+    build = invariants.build_principal
+
+    def counted(spec, r, order):
+        degrees.append(order)
+        return build(spec, r, order)
+
+    monkeypatch.setattr(invariants, "build_principal", counted)
+    result = recover(table, 3)
+    assert sorted(set(degrees)) == [4, 6]
+    assert result.residuals[1] <= 1e-12
 
 
 def test_recover_dispatches_on_class():

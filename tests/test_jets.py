@@ -126,6 +126,52 @@ def test_shape_mismatch_errors():
         jet_mul(a, MultiJet.zero(3, 3))
 
 
+def _graded_desc_lex(num_vars: int, max_degree: int) -> np.ndarray:
+    rows = [
+        e
+        for total in range(max_degree + 1)
+        for e in sorted(
+            (e for e in itertools.product(range(total + 1), repeat=num_vars) if sum(e) == total),
+            reverse=True,
+        )
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), num_vars)
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (1, 5), (2, 8), (3, 4), (6, 8)])
+def test_basis_is_graded_descending_lex(shape):
+    # every coefficient vector depends on this layout
+    np.testing.assert_array_equal(_Tables(*shape).exponents, _graded_desc_lex(*shape))
+
+
+def test_basis_order_at_many_variables():
+    exps = _Tables(102, 2).exponents
+    assert len(exps) == math.comb(104, 2)
+    degrees = exps.sum(axis=1)
+    assert np.all(np.diff(degrees) >= 0)
+    for a, b in zip(exps[:-1], exps[1:]):
+        if a.sum() == b.sum():
+            assert tuple(a) > tuple(b)
+
+
+@pytest.mark.parametrize("alpha", [(-1, 2), (1, 0, 0), (2, 2), (1,)])
+def test_bad_multi_index_raises(alpha):
+    # a code search alone would return some slot for each of these
+    jet = MultiJet.from_terms({(1, 1): 1.0}, 2, 3)
+    with pytest.raises(ValueError, match="invalid"):
+        jet.coefficient(alpha)
+    with pytest.raises(ValueError, match="invalid"):
+        MultiJet.from_terms({alpha: 1.0}, 2, 3)
+
+
+@pytest.mark.parametrize("var", [-1, 2])
+def test_bad_variable_raises(var):
+    with pytest.raises(ValueError, match="out of range"):
+        MultiJet.variable(var, 2, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        MultiJet.from_univariate([1.0, 2.0], var, 2, 3)
+
+
 def test_extract_partial_factorial_convention():
     jet = MultiJet.from_terms({(2,): 1.0}, 1, 3)
     assert extract_partial(jet, (2,)) == 2.0

@@ -9,20 +9,67 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_perfbench_imports_exist():
-    imported = set()
+def _wavetrace_imports(tree: ast.AST) -> dict[str, tuple[str, str | None]]:
+    """Local name -> (module, imported name) of each import from wavetrace;
+    the imported name is None for ``import wavetrace.x as y``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+            node.module == "wavetrace" or node.module.startswith("wavetrace.")
+        ):
+            bound.update({a.asname or a.name: (node.module, a.name) for a in node.names})
+        elif isinstance(node, ast.Import):
+            bound.update({
+                a.asname: (a.name, None)
+                for a in node.names
+                if a.asname and a.name.startswith("wavetrace.")
+            })
+    return bound
+
+
+def _resolve(module: str, name: str | None):
+    target = importlib.import_module(module)
+    return target if name is None else getattr(target, name, None)
+
+
+def _scripts():
     for script in sorted(PERFBENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(script.read_text(), filename=str(script))):
-            if isinstance(node, ast.ImportFrom) and node.level == 0 and (
-                node.module == "wavetrace" or node.module.startswith("wavetrace.")
-            ):
-                imported |= {(script.name, node.module, a.name) for a in node.names}
+        yield script.name, ast.parse(script.read_text(), filename=str(script))
+
+
+def test_perfbench_imports_exist():
+    imported = {
+        (script, module, name)
+        for script, tree in _scripts()
+        for module, name in _wavetrace_imports(tree).values()
+        if name is not None
+    }
     assert imported, "perfbench/ imports nothing from wavetrace"
     missing = [
         f"perfbench/{script}: from {module} import {name}"
         for script, module, name in sorted(imported)
         if not hasattr(importlib.import_module(module), name)
     ]
+    assert not missing
+
+
+def test_perfbench_attributes_exist():
+    # the probes read methods off imported names (MultiJet.zero,
+    # CirculantHessian.from_spec); a deleted one would fail only when the
+    # benchmark runs
+    read, missing = set(), []
+    for script, tree in _scripts():
+        bound = _wavetrace_imports(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound
+            ):
+                read.add((node.value.id, node.attr))
+                if not hasattr(_resolve(*bound[node.value.id]), node.attr):
+                    missing.append(f"perfbench/{script}: {node.value.id}.{node.attr}")
+    assert {("MultiJet", "variable"), ("MultiJet", "zero")} <= read
     assert not missing
 
 
