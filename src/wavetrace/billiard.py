@@ -13,6 +13,7 @@ launching rays with the inward normal component +sqrt(1 - eta^2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -403,24 +404,19 @@ def poincare_numeric(spec: DomainSpec, orbit: PeriodicOrbit) -> PoincareData:
 
 def chord_jets(
     spec: DomainSpec, r: int, degree: int
-) -> tuple[MultiJet, list[tuple[int, int, MultiJet, MultiJet]]]:
-    """Chord factors of the r-fold orbit and the cyclic length sum they add
-    up to.
+) -> tuple[MultiJet, list[tuple[int, int, Chart, Chart]]]:
+    """The cyclic chord-length sum of the r-fold orbit, and the chart pair
+    of each chord.
 
     Chord p joins bounce p to bounce q = (p + 1) mod n and depends on the
-    chart coordinates x_p, x_q only, so its factors are 2-variable jets in
-    (y_0, y_1) = (x_p, x_q), taken at 0 to total degree ``degree``:
-
-    * ``chord_sq`` = |P_q - P_p|^2, with P the chart point;
-    * ``cross`` = T_p x (P_q - P_p), with T_p = dP_p/dx_p the chart tangent;
-      on the two-arc charts it is (x_p - x_q) f'_p(x_p) - (f_p(x_p) - f_q(x_q)).
-
-    The wrap-around chord p = n - 1 joins x_{n-1} to x_0; at n = 2 it
-    joins the same two variables as chord 0, in the other order.
+    chart coordinates x_p, x_q only.  Its jets are those of its chart pair
+    (`_chord_pair`), built once and placed into the n-variable basis.  The
+    wrap-around chord p = n - 1 joins x_{n-1} to x_0; at n = 2 it joins
+    the same two variables as chord 0, in the other order.
 
     Returns:
         (length, chords): the jet in all n variables of the chord-length
-        sum, and one ``(p, q, chord_sq, cross)`` per chord in bounce order.
+        sum, and one ``(p, q, chart_p, chart_q)`` per chord in bounce order.
     """
     word = bounce_sequence(spec, r)
     n = len(word)
@@ -430,19 +426,51 @@ def chord_jets(
     for p in range(n):
         q = (p + 1) % n
         cha, chb = chs[word[p]], chs[word[q]]
-        c, s = math.cos(cha.angle), math.sin(cha.angle)
-        xa, ya = _point_jet(cha, 0, degree)
-        xb, yb = _point_jet(chb, 1, degree)
-        dx, dy = xb - xa, yb - ya
-        taylor = cha.arc.taylor
-        slope = MultiJet.from_univariate(
-            [k * taylor[k] for k in range(1, len(taylor))], 0, 2, degree
-        )
-        chord_sq = dx * dx + dy * dy
-        cross = (dy * c - dx * s) - (dx * c + dy * s) * slope
-        length = length + embed_pair(jet_power(chord_sq, 0.5), p, q, n)
-        chords.append((p, q, chord_sq, cross))
+        length = length + embed_pair(_chord_pair(cha, chb, degree)[2], p, q, n)
+        chords.append((p, q, cha, chb))
     return length, chords
+
+
+# Entries of `_chord_pair`, one per chart pair and degree: a two-arc spec has
+# two pairs (top to bottom and back), a dihedral spec m, and full-mode
+# recovery reads one new spec per order.  Bounded, because a long-running
+# process meets new specs without end.
+_PAIR_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
+def _chord_pair(
+    cha: Chart, chb: Chart, degree: int
+) -> tuple[MultiJet, MultiJet, MultiJet]:
+    """Jets of the chord from chart ``cha`` to chart ``chb``, in
+    (y_0, y_1) = (x_a, x_b), taken at 0 to total degree ``degree``:
+
+    * ``chord_sq`` = |P_b - P_a|^2, with P the chart point;
+    * ``cross`` = T_a x (P_b - P_a), with T_a = dP_a/dx_a the chart tangent;
+      on the two-arc charts it is (x_a - x_b) f'_a(x_a) - (f_a(x_a) - f_b(x_b));
+    * ``root`` = sqrt(chord_sq), the chord length.
+
+    Every chord of every iterate joins one of a spec's few chart pairs, so
+    the jets are cached per pair and degree and shared; their coefficient
+    arrays are read-only.
+
+    Returns:
+        (chord_sq, cross, root).
+    """
+    c, s = math.cos(cha.angle), math.sin(cha.angle)
+    xa, ya = _point_jet(cha, 0, degree)
+    xb, yb = _point_jet(chb, 1, degree)
+    dx, dy = xb - xa, yb - ya
+    taylor = cha.arc.taylor
+    slope = MultiJet.from_univariate(
+        [k * taylor[k] for k in range(1, len(taylor))], 0, 2, degree
+    )
+    chord_sq = dx * dx + dy * dy
+    cross = (dy * c - dx * s) - (dx * c + dy * s) * slope
+    jets = (chord_sq, cross, jet_power(chord_sq, 0.5))
+    for jet in jets:
+        jet.coeffs.flags.writeable = False
+    return jets
 
 
 def _point_jet(chart: Chart, var: int, degree: int) -> tuple[MultiJet, MultiJet]:

@@ -31,6 +31,7 @@ from . import checks, feynman
 from .domain import (
     DomainSpec,
     ObstructionError,
+    check_bounces,
     genericity_check,
     parse_spec,
     write_spec,
@@ -101,14 +102,17 @@ def _check_sizes(args: argparse.Namespace):
 
 
 def _read_spec(args: argparse.Namespace) -> DomainSpec:
-    """The spec of ``spec_file``; a two-arc spec must also admit ``--r-max``
-    (`invariants.max_iterate`).
+    """The spec of ``spec_file``; it must also admit ``--r-max``
+    (`invariants.max_iterate` for a two-arc spec, `domain.MAX_BOUNCES`
+    bounces for a dihedral one).
 
     Raises:
         ValueError: naming the spec field, or ``--r-max`` and its limit.
     """
     spec = parse_spec(_read_input(args.spec_file))
-    if spec.kind != "dihedral":
+    if spec.kind == "dihedral":
+        check_bounces(spec.m, args.r_max, "--r-max")
+    else:
         check_iterate(args.r_max, spec.L, "--r-max")
     return spec
 

@@ -33,6 +33,8 @@ __all__ = [
     "GenericityReport",
     "ObstructionError",
     "BAD_FLOQUET_SET",
+    "MAX_BOUNCES",
+    "check_bounces",
     "floquet",
     "genericity_check",
     "dihedral_parameters",
@@ -43,6 +45,29 @@ __all__ = [
 #: Floquet parameters at which the decoupling step of the inverse algorithm
 #: degenerates (the even/odd data cannot be separated).
 BAD_FLOQUET_SET = (-2.0, -1.0, 0.0, 2.0)
+
+# Largest bounce count m * r of a dihedral iterate.  Each dihedral entry
+# inverts an (m r)-point circulant, and a forward table inverts one per
+# r <= r_max, so its cost grows as m r_max^2: m = 2, r_max = 2048 took
+# 0.3 s and r_max = 5000 took 2.5 s in a fresh process, one BLAS thread,
+# on a 2-core host.  A two-arc orbit stops at 2 * 313 bounces
+# (`invariants.max_iterate`).
+MAX_BOUNCES = 4096
+
+
+def check_bounces(m: int, r: int, name: str):
+    """Refuse a dihedral iterate whose orbit, r times around the m-gon, has
+    more than `MAX_BOUNCES` bounces, before any work.
+
+    Raises:
+        ValueError: naming ``name``, the input at fault, and the limit.
+    """
+    if m * r > MAX_BOUNCES:
+        fix = f"r <= {MAX_BOUNCES // m}" if m <= MAX_BOUNCES else f"m <= {MAX_BOUNCES}"
+        raise ValueError(
+            f"{name} is out of range: at m = {m}, r = {r} the dihedral orbit has "
+            f"m*r = {m * r} bounces, more than the limit of {MAX_BOUNCES} ({fix})"
+        )
 
 
 class ObstructionError(Exception):
@@ -172,6 +197,7 @@ class DomainSpec:
         elif self.kind == "dihedral":
             if self.m is None or self.m < 2:
                 raise ValueError("dihedral spec requires integer m >= 2")
+            check_bounces(self.m, 1, "field 'm'")
             if self.f_minus is not None:
                 raise ValueError("dihedral spec carries a single arc f")
             rho = self.L / (self.m * math.sin(math.pi / self.m))

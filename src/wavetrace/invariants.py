@@ -19,8 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .billiard import chord_jets
-from .domain import DomainSpec, ObstructionError, _finite_number, dihedral_parameters
+from .billiard import _PAIR_CACHE_SIZE, Chart, _chord_pair, chord_jets
+from .domain import (
+    MAX_BOUNCES,
+    DomainSpec,
+    ObstructionError,
+    _finite_number,
+    check_bounces,
+    dihedral_parameters,
+)
 from .feynman import (
     MAX_CENSUS_ORDER,
     FeynmanGraph,
@@ -103,9 +110,10 @@ def check_iterate(r: int, length: float, name: str):
 # 2r-variable jets of degree 2 j_max, C(2r + 2 j_max, 2 j_max) coefficients
 # each, and a job costs their sum over r <= r_max.  On a shared 2-core host
 # with one BLAS thread, the largest forward jobs accepted (r_max 5, 7, 13, 51
-# at j_max 4, 3, 2, 1) took 0.9-1.7 s and 113-294 MB, cold in a fresh
-# process; r_max 6 at j_max 4 took 8.9 s and 950 MB, and r_max 10 at
-# j_max 4 would hold 5.9 million.
+# at j_max 4, 3, 2, 1) took 0.5-1.5 s and 113-294 MB cold in a fresh
+# process, and 0.2-0.54 s for a second spec in the same process; r_max 6
+# at j_max 4 took 8.9 s and 950 MB, and r_max 10 at j_max 4 would hold
+# 5.9 million.
 MAX_FULL_COST = 100_000
 
 
@@ -186,10 +194,11 @@ def build_principal(spec: DomainSpec, r: int, order: int) -> PrincipalTerm:
     arc at bounce p.  At the orbit the amplitude equals
     2rL * L^-r * (i/2pi)^r and its gradient vanishes.
 
-    Each chord factor depends on x_p and x_q only: it is built as a
-    2-variable jet from `chord_jets` and placed into the 2r-variable basis,
-    so the 2r - 1 products over chords and the final phase x product are
-    the only products at full size.
+    Each chord factor depends on x_p and x_q only: it is the 2-variable
+    jet of the chord's chart pair (`_chord_factor`), built once per pair
+    and degree and placed into the 2r-variable basis, so the 2r - 1
+    products over chords and the final phase x product are the only
+    products at full size.
 
     Args:
         spec: two-arc domain ("twoarc" or "updown").
@@ -216,12 +225,23 @@ def build_principal(spec: DomainSpec, r: int, order: int) -> PrincipalTerm:
             )
     phase, chords = chord_jets(spec, r, order)
     factors = [
-        embed_pair(cross * jet_power(chord_sq, -0.75) * (-1.0) ** p, p, q, 2 * r)
-        for p, q, chord_sq, cross in chords
+        embed_pair(_chord_factor(cha, chb, order) * (-1.0) ** p, p, q, 2 * r)
+        for p, q, cha, chb in chords
     ]
     product = math.prod(factors)
     amplitude = (phase * product) * LINK_CONSTANT_SQ**r
     return PrincipalTerm(phase_jets=phase, amplitude_jets=amplitude)
+
+
+@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
+def _chord_factor(cha: Chart, chb: Chart, degree: int) -> MultiJet:
+    """cross * chord_sq^(-3/4) of the chord from chart ``cha`` to chart
+    ``chb`` (`billiard._chord_pair`), shared by every chord joining them;
+    its coefficient array is read-only."""
+    chord_sq, cross, _ = _chord_pair(cha, chb, degree)
+    factor = cross * jet_power(chord_sq, -0.75)
+    factor.coeffs.flags.writeable = False
+    return factor
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +467,7 @@ class InvariantTable:
         length = _finite_number(data["L"], "L")
         if length <= 0:
             raise ValueError(f"table: field 'L' must be positive, got {length!r}")
-        # dihedral entries carry no A_r (`invariant_dihedral`)
-        two_arc = not str(data["class"]).startswith("dihedral-")
+        m = dihedral_m(str(data["class"]), "table: field 'class'")
         entries = {}
         for i, e in enumerate(data["entries"]):
             if not isinstance(e, dict):
@@ -461,8 +480,10 @@ class InvariantTable:
                     raise ValueError(f"table: entries[{i}].{name} must be an integer")
                 if e[name] < 1:
                     raise ValueError(f"table: entries[{i}].{name} must be >= 1")
-            if two_arc:
+            if m is None:
                 check_iterate(e["r"], length, f"table: entries[{i}].r")
+            else:  # dihedral entries carry no A_r (`invariant_dihedral`)
+                check_bounces(m, e["r"], f"table: entries[{i}].r")
             if (e["r"], e["j"]) in entries:
                 raise ValueError(
                     f"table: entries[{i}] repeats (r, j) = ({e['r']}, {e['j']})"
@@ -478,6 +499,29 @@ class InvariantTable:
             normalization=str(data["normalization"]),
             entries=entries,
         )
+
+
+def dihedral_m(symmetry_class: str, name: str) -> int | None:
+    """m of a "dihedral-<m>" class label, None for any other class.
+
+    Raises:
+        ValueError: naming ``name``, for a dihedral label whose m is not
+            an integer from 2 to `MAX_BOUNCES` (an m-gon orbit bounces m
+            times).
+    """
+    if not symmetry_class.startswith("dihedral-"):
+        return None
+    digits = symmetry_class.removeprefix("dihedral-")
+    # a longer digit string is past the limit, and int() refuses a huge one
+    if digits.isascii() and digits.isdigit() and len(digits) <= len(str(MAX_BOUNCES)):
+        m = int(digits)
+        if 2 <= m <= MAX_BOUNCES:
+            return m
+    raise ValueError(
+        f"{name} {symmetry_class!r} is invalid: expected dihedral-<m>, with an "
+        f"integer m >= 2 and at most {MAX_BOUNCES}, the bounce limit of a "
+        "dihedral orbit"
+    )
 
 
 def _class_label(spec: DomainSpec) -> str:
@@ -507,8 +551,9 @@ def forward_table(
 
     Raises:
         ValueError: bad normalization, r_max past `max_iterate` (two-arc
-            classes), or a FullPrincipal job past the census or
-            `MAX_FULL_COST` (`check_full_job`).
+            classes) or past `MAX_BOUNCES` bounces (dihedral), or a
+            FullPrincipal job past the census or `MAX_FULL_COST`
+            (`check_full_job`).
         ObstructionError("unsupported"): FullPrincipal with a dihedral spec.
         ObstructionError("symbol-pole"): a resonant iterate, in either
             normalization.
@@ -526,6 +571,7 @@ def forward_table(
             raise ObstructionError(
                 "unsupported", "FullPrincipal tables are two-arc only"
             )
+        check_bounces(spec.m, r_max, "r_max")
         param, link = dihedral_parameters(spec)
         for r in iterates:
             h11 = dihedral_inverse_entry(spec.m, r, param, link, 1, 1)

@@ -20,13 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import BoundaryArc, DomainSpec, ObstructionError
+from .domain import BoundaryArc, DomainSpec, ObstructionError, check_bounces
 from .feynman import _i_power
 from .hessian import CirculantHessian, dihedral_inverse_entry, parity_sums
 from .invariants import (
     InvariantTable,
     check_full_job,
     contributing_weights,
+    dihedral_m,
     invariant_full,
     principal_leading_value,
 )
@@ -97,13 +98,6 @@ def convex_representative(spec: DomainSpec, k_max: int) -> dict[int, float]:
     return data
 
 
-def _dihedral_m(symmetry_class: str) -> int | None:
-    """m of a "dihedral-<m>" class label, None for any other class."""
-    if symmetry_class.startswith("dihedral-"):
-        return int(symmetry_class.split("-", 1)[1])
-    return None
-
-
 def recovered_spec(
     symmetry_class: str, L: float, data: dict[int, float], order: int
 ) -> DomainSpec:
@@ -113,7 +107,7 @@ def recovered_spec(
     top arc) and give an "updown" spec; dihedral data are already in the
     chart convention.  Its forward table reproduces the recovery.
     """
-    m = _dihedral_m(symmetry_class)
+    m = dihedral_m(symmetry_class, "class")
     if m is not None:
         taylor = [L / (m * math.sin(math.pi / m)), 0.0]
         taylor += [data.get(k, 0.0) / math.factorial(k) for k in range(2, order + 1)]
@@ -279,9 +273,12 @@ def recover(table: InvariantTable, J: int) -> RecoveryResult:
     datum off one family.
 
     Raises:
-        ValueError: J < 1, m < 2, or a FullPrincipal table whose remainders
-            at orders <= J would pass the graph census or `MAX_FULL_COST`
-            (`invariants.check_full_job`), checked before any is computed.
+        ValueError: J < 1; a dihedral class whose m is malformed, below 2
+            or past `MAX_BOUNCES` (`invariants.dihedral_m`), or whose
+            entries reach past `MAX_BOUNCES` bounces; or a FullPrincipal
+            table whose remainders at orders <= J would pass the graph
+            census or `MAX_FULL_COST` (`invariants.check_full_job`).  Each
+            is checked before any work.
         ObstructionError("unsupported"): a generic two-arc class (its
             tables are underdetermined) or a non-TopOnly dihedral table.
         ObstructionError("singular-decoupling"): "updown" at a bad
@@ -296,15 +293,15 @@ def recover(table: InvariantTable, J: int) -> RecoveryResult:
         r_max = max(r for r, _ in table.entries)
         check_full_job(r_max, J, "entries[].r", "J", "a FullPrincipal table")
     cls, L, a = table.symmetry_class, table.length, table.floquet_parameter
-    m = _dihedral_m(cls)
+    m = dihedral_m(cls, "class")
     if m is None and cls not in ("updown", "twoarc-symmetric"):
         raise ObstructionError(
             "unsupported",
             f"no recovery pipeline for symmetry class {cls!r} "
             "(generic two-arc tables are underdetermined)",
         )
-    if m is not None and m < 2:
-        raise ValueError("m must be >= 2")
+    if m is not None:
+        check_bounces(m, max((r for r, _ in table.entries), default=1), "entries[].r")
     if J < 1:
         raise ValueError("J must be >= 1")
     if m is None:

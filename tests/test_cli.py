@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import wavetrace
-from wavetrace import cli, feynman, invariants
+from wavetrace import cli, feynman, invariants, inverse
 from wavetrace.cli import main
-from wavetrace.domain import parse_spec
+from wavetrace.domain import MAX_BOUNCES, parse_spec
 from wavetrace.invariants import InvariantTable, forward_table
 
 UPDOWN = {
@@ -201,6 +201,49 @@ def test_invert_names_an_entry_past_the_range_limit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: table: entries[460].r 231 is out of range")
     assert "r = 230" in err
+
+
+def _dihedral_table(symmetry_class="dihedral-3", r=1):
+    return {"L": 3.0, "a": 3.9, "class": symmetry_class, "normalization": "TopOnly",
+            "entries": [{"r": r, "j": 1, "re": 0.5, "im": 0.0}]}
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["forward", "SPEC", "--r-max", str(MAX_BOUNCES // 3 + 1)], "--r-max is out"),
+        (["roundtrip", "SPEC", "--r-max", str(MAX_BOUNCES // 3 + 1)], "--r-max is out"),
+        (["forward", "SPEC:m", "--r-max", "1"], "field 'm' is out"),
+        (["invert", "TABLE:class"], "table: field 'class' 'dihedral-x'"),
+        (["invert", "TABLE:m"], f"table: field 'class' 'dihedral-{MAX_BOUNCES + 1}'"),
+        (["invert", "TABLE:r"], "table: entries[0].r is out"),
+        (["invert", "TABLE", "--class", "dihedral-1"], "class 'dihedral-1' is invalid"),
+    ],
+    ids=["forward-r-max", "roundtrip-r-max", "m", "class-x", "class-m", "entry-r",
+         "class-override"],
+)
+def test_dihedral_jobs_past_their_limits_are_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, named
+):
+    # each value is just past its limit, so the unchecked job stays cheap
+    def no_work(*args):
+        raise AssertionError("a dihedral Hessian was inverted")
+
+    monkeypatch.setattr(invariants, "dihedral_inverse_entry", no_work)
+    monkeypatch.setattr(inverse, "dihedral_inverse_entry", no_work)
+    payloads = {
+        "SPEC": dihedral_payload(),
+        "SPEC:m": dihedral_payload(m=MAX_BOUNCES + 1),
+        "TABLE": _dihedral_table(),
+        "TABLE:class": _dihedral_table("dihedral-x"),
+        "TABLE:m": _dihedral_table(f"dihedral-{MAX_BOUNCES + 1}"),
+        "TABLE:r": _dihedral_table(r=MAX_BOUNCES // 3 + 1),
+    }
+    path = write_updown(tmp_path, payload=payloads[argv[1]])
+    assert main([argv[0], str(path), *argv[2:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "dihedral-<m>" in err or "bounces" in err
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from wavetrace.cli import main
-from wavetrace.domain import DomainSpec, parse_spec
+from wavetrace.domain import MAX_BOUNCES, DomainSpec, parse_spec
 from wavetrace.invariants import InvariantTable
 
 FUZZ = settings(max_examples=25, deadline=None, database=None)
@@ -33,6 +33,12 @@ JUNK = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
 )
 COEFF = st.floats(-3.0, 3.0)
+# dihedral class labels: junk, m below 2, negative, and m at or just past
+# the bounce limit (with r >= 2 its entries pass it too)
+DIHEDRAL_CLASS = st.one_of(
+    st.text(max_size=3),
+    st.sampled_from([0, 1, -1, -3, 2, 3, MAX_BOUNCES, MAX_BOUNCES + 1]),
+).map(lambda m: f"dihedral-{m}")
 
 
 @st.composite
@@ -85,9 +91,8 @@ def table_payloads(draw) -> dict:
     payload = {
         "L": draw(st.floats(0.05, 5.0)),
         "a": draw(st.floats(-4.0, 4.0)),
-        "class": draw(st.sampled_from(
-            ["updown", "twoarc", "twoarc-symmetric",
-             "dihedral-1", "dihedral-2", "dihedral-3", "dihedral-x"])),
+        "class": draw(st.one_of(
+            st.sampled_from(["updown", "twoarc", "twoarc-symmetric"]), DIHEDRAL_CLASS)),
         "normalization": draw(st.sampled_from(["TopOnly", "FullPrincipal", "Other"])),
         "entries": entries,
     }
@@ -123,15 +128,27 @@ def test_table_parser_returns_a_table_or_names_the_fault(data):
 def cli_runs(draw) -> tuple[dict, list[str]]:
     """A spec object and the size flags of one CLI run; the arcs mostly
     carry the 2 j_max orders that the run reads."""
-    r_max, j_max = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    # r_max past the dihedral bounce limit at every m >= 2, and past the
+    # two-arc range limit, is refused before any work
+    r_max = draw(st.one_of(st.integers(1, 4), st.just(MAX_BOUNCES // 2 + 1)))
+    j_max = draw(st.integers(1, 3))
     mode = draw(st.sampled_from(["top", "full"]))
     payload = draw(spec_payloads(st.integers(max(2, 2 * j_max - 1), 2 * j_max + 2)))
     return payload, ["--r-max", str(r_max), "--j-max", str(j_max), "--mode", mode]
 
 
+# a triangle table (m = 3, L = 3, s = 3.9), run below at r_max just past the
+# bounce limit
+SIN_3 = math.sin(math.pi / 3)
+DIHEDRAL_SPEC = {"kind": "dihedral", "L": 3.0, "m": 3,
+                 "f": [1.0 / SIN_3, 0.0, (3.9 - 2.0) * 3 * SIN_3 / 24.0]}
+
+
 @seed(20261018)
 @settings(FUZZ, max_examples=30)
 @given(run=cli_runs())
+@example(run=(DIHEDRAL_SPEC, ["--r-max", str(MAX_BOUNCES // 3 + 1), "--j-max", "1",
+                              "--mode", "top"]))
 def test_cli_exits_with_a_code_on_any_spec(run):
     payload, sizes = run
     with tempfile.TemporaryDirectory() as tmp:
@@ -157,6 +174,10 @@ DIHEDRAL_TABLE = {"L": 3.0, "a": 3.9, "normalization": "TopOnly", "entries": [
 @given(payload=table_payloads(), j_max=st.one_of(st.none(), st.integers(0, 3)))
 @example(payload={**DIHEDRAL_TABLE, "class": "dihedral-1"}, j_max=None)
 @example(payload={**DIHEDRAL_TABLE, "class": "dihedral-2"}, j_max=None)
+@example(payload={**DIHEDRAL_TABLE, "class": "dihedral-x"}, j_max=None)
+@example(payload={**DIHEDRAL_TABLE, "class": "dihedral--2"}, j_max=None)
+@example(payload={**DIHEDRAL_TABLE, "class": f"dihedral-{MAX_BOUNCES + 1}"}, j_max=None)
+@example(payload={**DIHEDRAL_TABLE, "class": f"dihedral-{MAX_BOUNCES}"}, j_max=None)
 def test_cli_invert_exits_with_a_code_on_any_table(payload, j_max):
     with tempfile.TemporaryDirectory() as tmp:
         table_file = Path(tmp) / "table.json"

@@ -10,9 +10,15 @@ import numpy as np
 import numpy._core.einsumfunc as einsumfunc
 import pytest
 
-from wavetrace import feynman, hessian, invariants, jets
+from wavetrace import billiard, feynman, hessian, invariants, inverse, jets
 from wavetrace.billiard import bounce_sequence, charts, length_jet
-from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError, dihedral_parameters
+from wavetrace.domain import (
+    MAX_BOUNCES,
+    BoundaryArc,
+    DomainSpec,
+    ObstructionError,
+    dihedral_parameters,
+)
 from wavetrace.feynman import FeynmanGraph, automorphism_order, max_derivative_report
 from wavetrace.hessian import (
     CirculantHessian,
@@ -624,6 +630,100 @@ def test_full_table_makes_few_full_size_products(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# chord jets shared by chart pair
+
+
+def _per_chord_principal(spec, r, order):
+    """Reference only: phase and amplitude with every chord's 2-variable
+    jets built afresh, chord by chord."""
+    word = bounce_sequence(spec, r)
+    n = len(word)
+    chs = charts(spec)
+
+    def point(chart, var):
+        c, s = math.cos(chart.angle), math.sin(chart.angle)
+        x = MultiJet.variable(var, 2, order)
+        f = MultiJet.from_univariate(chart.arc.taylor, var, 2, order)
+        return x * c - f * s, x * s + f * c
+
+    length = MultiJet.zero(n, order)
+    factors = []
+    for p in range(n):
+        q = (p + 1) % n
+        cha, chb = chs[word[p]], chs[word[q]]
+        c, s = math.cos(cha.angle), math.sin(cha.angle)
+        (xa, ya), (xb, yb) = point(cha, 0), point(chb, 1)
+        dx, dy = xb - xa, yb - ya
+        taylor = cha.arc.taylor
+        slope = MultiJet.from_univariate(
+            [k * taylor[k] for k in range(1, len(taylor))], 0, 2, order
+        )
+        chord_sq = dx * dx + dy * dy
+        cross = (dy * c - dx * s) - (dx * c + dy * s) * slope
+        length = length + jets.embed_pair(jet_power(chord_sq, 0.5), p, q, n)
+        factor = cross * jet_power(chord_sq, -0.75) * (-1.0) ** p
+        factors.append(jets.embed_pair(factor, p, q, n))
+    amplitude = (length * math.prod(factors)) * invariants.LINK_CONSTANT_SQ**r
+    return length, amplitude
+
+
+@pytest.mark.parametrize("spec", [updown_spec(), twoarc_spec()], ids=["updown", "twoarc"])
+def test_shared_chord_jets_are_the_per_chord_jets_byte_for_byte(spec):
+    billiard._chord_pair.cache_clear()
+    invariants._chord_factor.cache_clear()
+    for r in (1, 2, 3, 4):
+        term = build_principal(spec, r, 6)
+        phase, amplitude = _per_chord_principal(spec, r, 6)
+        assert term.phase_jets.coeffs.tobytes() == phase.coeffs.tobytes()
+        assert term.amplitude_jets.coeffs.tobytes() == amplitude.coeffs.tobytes()
+
+
+def test_full_jobs_build_two_chart_pairs_per_spec_and_degree(monkeypatch):
+    # the orbit's chords join top to bottom or bottom to top; per chord,
+    # r <= 3 would build 2 + 4 + 6 = 12 pairs, 24 chart-point jets
+    points = []
+    point_jet = billiard._point_jet
+
+    def counted(chart, var, degree):
+        points.append(degree)
+        return point_jet(chart, var, degree)
+
+    monkeypatch.setattr(billiard, "_point_jet", counted)
+    caches = (billiard._chord_pair, invariants._chord_factor)
+    for cache in caches:
+        cache.cache_clear()
+    table = forward_table(updown_spec(), 3, 4, "FullPrincipal")
+    assert points == [8] * 4
+    assert [cache.cache_info().misses for cache in caches] == [2, 2]
+    # one auxiliary spec per order j = 2, 3, 4, at degree 2j, two pairs each
+    points.clear()
+    recover(table, 4)
+    assert points == [4] * 4 + [6] * 4 + [8] * 4
+    assert [cache.cache_info().misses for cache in caches] == [8, 8]
+
+
+def test_cached_chord_jets_are_read_only():
+    spec = updown_spec()
+    top, bottom = charts(spec)
+    shared = [*billiard._chord_pair(top, bottom, 4), invariants._chord_factor(top, bottom, 4)]
+    for jet in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            jet.coeffs[0] = 1.0
+    assert build_principal(spec, 2, 4).amplitude_jets.coeffs.flags.writeable
+
+
+def test_chord_jet_caches_are_bounded():
+    # a long run meets a new auxiliary spec at every recovery
+    caches = (billiard._chord_pair, invariants._chord_factor)
+    for k in range(100):
+        spec = DomainSpec("updown", 2.0, BoundaryArc((1.0, 0.0, -0.2 - 1e-3 * k, 0.05)))
+        build_principal(spec, 1, 2)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+# ---------------------------------------------------------------------------
 # the range of the leading amplitude
 
 
@@ -646,6 +746,38 @@ def test_range_limit_of_the_leading_amplitude():
     dihedral = forward_table(dihedral_spec(3), 2, 1).to_json()
     dihedral["entries"][0]["r"] = 300
     assert (300, 1) in InvariantTable.from_json(dihedral).entries
+
+
+def test_dihedral_jobs_past_the_bounce_limit_are_refused(monkeypatch):
+    # values just past MAX_BOUNCES: far past it, an unchecked job ran for
+    # seconds and held hundreds of megabytes
+    def no_work(*args):
+        raise AssertionError("a dihedral Hessian was inverted")
+
+    spec, m = dihedral_spec(3), MAX_BOUNCES + 1
+    table = forward_table(spec, 2, 2)
+    r_past = MAX_BOUNCES // 3 + 1
+    monkeypatch.setattr(invariants, "dihedral_inverse_entry", no_work)
+    monkeypatch.setattr(inverse, "dihedral_inverse_entry", no_work)
+    with pytest.raises(ValueError, match=f"field 'm' is out of range: at m = {m}"):
+        dihedral_spec(m)
+    with pytest.raises(ValueError, match=f"r_max is out of range: .*r <= {r_past - 1}"):
+        forward_table(spec, r_past, 1)
+    with pytest.raises(ValueError, match="entries\\[\\]\\.r is out of range"):
+        recover(dataclasses.replace(table, entries={(r_past, 1): 1.0}), 1)
+    payload = table.to_json()
+    payload["entries"][1]["r"] = r_past
+    with pytest.raises(ValueError, match="entries\\[1\\]\\.r is out of range"):
+        InvariantTable.from_json(payload)
+    for label in (f"dihedral-{m}", "dihedral-x", "dihedral-1", "dihedral--3", "dihedral-"):
+        with pytest.raises(ValueError, match=f"'class' '{label}' is invalid: expected dihedral-<m>"):
+            InvariantTable.from_json({**table.to_json(), "class": label})
+        with pytest.raises(ValueError, match=f"class '{label}' is invalid"):
+            recover(dataclasses.replace(table, symmetry_class=label), 1)
+    # at the limit itself nothing is refused
+    edge = {**table.to_json(), "class": f"dihedral-{MAX_BOUNCES}"}
+    edge["entries"] = [e for e in edge["entries"] if e["r"] == 1]
+    assert InvariantTable.from_json(edge).symmetry_class == f"dihedral-{MAX_BOUNCES}"
 
 
 def test_symmetry_class_labels():
