@@ -39,7 +39,7 @@ from .domain import (
 from .feynman import MAX_CENSUS_ORDER
 from .hessian import badset_report
 from .invariants import InvariantTable, check_full_job, check_iterate, forward_table
-from .inverse import convex_representative, recover, recovered_spec
+from .inverse import check_orders, convex_representative, recover, recovered_spec
 
 _MODES = {"top": "TopOnly", "full": "FullPrincipal"}
 
@@ -127,7 +127,7 @@ def cmd_forward(args: argparse.Namespace) -> int:
     for flag in report.flags:
         print(f"warning: {flag}", file=sys.stderr)
     table = forward_table(spec, args.r_max, args.j_max, normalization=_MODES[args.mode])
-    _emit(_dump_json(table.to_json()), args.out)
+    _emit(table.to_json_text(), args.out)
     return 0
 
 
@@ -142,6 +142,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
     if table.normalization == "FullPrincipal":
         r_max = max(r for r, _ in table.entries)
         check_full_job(r_max, j_max, "entries[].r", name, "a FullPrincipal table")
+    check_orders(table, j_max, name)
     result = recover(table, j_max)
     spec = recovered_spec(table.symmetry_class, table.length, result.taylor, 2 * j_max)
     payload = {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 from dataclasses import dataclass
 
@@ -316,7 +317,8 @@ def invariant_top(spec: DomainSpec, r: int, j: int) -> complex:
     sums = parity_sums(CirculantHessian.from_spec(spec, r))
     data = _arc_data((spec.upper, spec.lower), j)
     lead = principal_leading_value(r, spec.L)
-    return _top_value(lead, r, j, sums, contributing_weights(j), data)
+    stack = tuple(s[None] for s in sums)
+    return _top_values([lead], [r], j, stack, contributing_weights(j), data)[0]
 
 
 def _arc_data(arcs, j: int) -> tuple:
@@ -333,22 +335,32 @@ def _arc_data(arcs, j: int) -> tuple:
     return even, odd, cubic
 
 
-def _top_value(lead: complex, r: int, j: int, sums, weights, data) -> complex:
-    """The closed form of `invariant_top` from the iterate's
-    `principal_leading_value` and `parity_sums`, and the order's
-    `contributing_weights` and `_arc_data`."""
+def _top_values(leads, rs, j: int, sums, weights, data) -> list[complex]:
+    """The order-j closed form of `invariant_top` at a stack of R iterates
+    ``rs``, from their `principal_leading_value` ``leads`` and their
+    stacked `parity_sums` (diagonals (R, 2), S1 and S3 (R, 2, 2)), and the
+    order's `contributing_weights` and `_arc_data`.
+
+    Each step is one array expression over the iterates and rounds as it
+    would for one iterate, except the final 2-element dot of the odd term:
+    batched, that dot rounds differently, so it stays one product per
+    iterate.
+    """
     diag, s1, s3 = sums
     w1, w2, w3 = weights
     even_data, odd_data, cubic_data = data
+    r = np.array(rs, dtype=float)
 
-    even_term = w1 * r * float(np.sum(diag**j * even_data))
-    odd_term = 0.0
+    even_term = w1 * r * np.sum(diag**j * even_data, axis=1)
+    odd_term = np.zeros(len(rs))
     if j >= 2:
-        pair = w2 * diag[:, None] ** (j - 1) * diag * s1
-        pair += w3 * diag[:, None] ** (j - 2) * s3
-        odd_term = r * float(odd_data @ pair @ cubic_data)
+        pair = w2 * diag[:, :, None] ** (j - 1) * diag[:, None, :] * s1
+        pair += w3 * diag[:, :, None] ** (j - 2) * s3
+        odd_term = r * np.array([row @ cubic_data for row in odd_data @ pair])
 
-    return 2.0 * _i_power(j + 1) * lead * (even_term - 4.0 * odd_term)
+    scale = 2.0 * _i_power(j + 1)
+    values = (even_term - 4.0 * odd_term).tolist()
+    return [scale * lead * value for lead, value in zip(leads, values)]
 
 
 def invariant_full(spec: DomainSpec, r: int, j: int) -> complex:
@@ -448,6 +460,25 @@ class InvariantTable:
             ],
         }
 
+    def to_json_text(self) -> str:
+        """`to_json` as ``json.dumps(..., sort_keys=True, indent=2)`` writes
+        it, plus a final newline, byte for byte.  An indent sends
+        `json.dumps` to its pure-Python encoder; the table's fixed layout
+        needs none of its generality."""
+        rows = ",\n".join(
+            f'    {{\n      "im": {_json_number(v.imag)},\n      "j": {j},\n'
+            f'      "r": {r},\n      "re": {_json_number(v.real)}\n    }}'
+            for (r, j), v in sorted(self.entries.items())
+        )
+        entries = f"[\n{rows}\n  ]" if rows else "[]"
+        return (
+            f'{{\n  "L": {_json_number(self.length)},\n'
+            f'  "a": {_json_number(self.floquet_parameter)},\n'
+            f'  "class": {json.dumps(self.symmetry_class)},\n'
+            f'  "entries": {entries},\n'
+            f'  "normalization": {json.dumps(self.normalization)}\n}}\n'
+        )
+
     @staticmethod
     def from_json(data) -> "InvariantTable":
         """Inverse of `to_json`.
@@ -499,6 +530,14 @@ class InvariantTable:
             normalization=str(data["normalization"]),
             entries=entries,
         )
+
+
+def _json_number(x) -> str:
+    """A number as `json.dumps` writes it: `float.__repr__` for a finite
+    float, which is also what it writes for a numpy float."""
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x)
 
 
 def dihedral_m(symmetry_class: str, name: str) -> int | None:
@@ -586,12 +625,18 @@ def forward_table(
         # also the symbol-pole test of every iterate, before any jet is built
         sums = [parity_sums(dataclasses.replace(base, r=r)) for r in iterates]
         if normalization == "TopOnly":
+            # one closed-form evaluation per order, over every iterate at once
             arcs = (spec.upper, spec.lower)
-            per_order = [(contributing_weights(j), _arc_data(arcs, j)) for j in orders]
-            for r, r_sums in zip(iterates, sums):
-                lead = principal_leading_value(r, spec.L)
-                for j, (w, data) in zip(orders, per_order):
-                    entries[(r, j)] = _top_value(lead, r, j, r_sums, w, data)
+            leads = [principal_leading_value(r, spec.L) for r in iterates]
+            stack = tuple(np.array(s) for s in zip(*sums))
+            columns = [
+                _top_values(leads, iterates, j, stack, contributing_weights(j),
+                            _arc_data(arcs, j))
+                for j in orders
+            ]
+            for i, r in enumerate(iterates):
+                for j, column in zip(orders, columns):
+                    entries[(r, j)] = column[i]
         else:
             # one principal problem per iterate at degree 2 j_max serves every
             # order: order j reads its jets to degree 2j only

@@ -222,23 +222,41 @@ def _decouple(
     return float(sol[0]), float(sol[1]), resid, cancellation
 
 
+def check_orders(table: InvariantTable, J: int, name: str):
+    """Refuse a J past the table's orders: recovery to order J reads the
+    entries of every order 2..J.
+
+    Raises:
+        ValueError: naming ``name`` and the largest J the table admits.
+    """
+    orders = {j for _, j in table.entries}
+    for j in range(2, J + 1):
+        if j not in orders:
+            raise ValueError(
+                f"{name} {J} is out of range: the table holds no entries of "
+                f"order {j}, so {name} <= {j - 1}"
+            )
+
+
 def _zero_beyond_quadratic(table: InvariantTable) -> bool:
+    """True when the table holds entries past order 1 and every one of
+    them vanishes next to the order-1 entries."""
     scale = max([abs(v) for (_, j), v in table.entries.items() if j == 1] + [1.0])
-    return all(
-        abs(v) <= 1e-13 * scale for (_, j), v in table.entries.items() if j >= 2
-    )
+    higher = [abs(v) for (_, j), v in table.entries.items() if j >= 2]
+    return bool(higher) and all(v <= 1e-13 * scale for v in higher)
 
 
 def _order_values(
-    table: InvariantTable, L: float, data: dict[int, float], j: int
+    table: InvariantTable, L: float, data: dict[int, float], j: int, iterates: dict
 ) -> tuple[dict[int, complex], dict[int, float] | None]:
-    """The order-j top parts y_r = entry - remainder by iterate, and for
-    FullPrincipal tables each one's scale max(|entry|, |remainder|), the
-    level its rounding is relative to.  The remainder is the (r, j) value
-    of an auxiliary domain carrying the already-recovered data and zeros
-    at orders 2j-1, 2j.  TopOnly tables subtract no remainder and get no
-    scales."""
-    rows = [r for (r, jj) in table.entries if jj == j]
+    """The order-j top parts y_r = entry - remainder of the admissible
+    iterates (`_iterate_data`), and for FullPrincipal tables each one's
+    scale max(|entry|, |remainder|), the level its rounding is relative
+    to.  The remainder is the (r, j) value of an auxiliary domain carrying
+    the already-recovered data and zeros at orders 2j-1, 2j; an iterate
+    skipped at a symbol pole gets none, as its Hessian is singular.
+    TopOnly tables subtract no remainder and get no scales."""
+    rows = [r for (r, jj) in table.entries if jj == j and r in iterates]
     if table.normalization == "TopOnly":
         return {r: table.entry(r, j) for r in rows}, None
     auxiliary = recovered_spec(table.symmetry_class, L, data, 2 * j)
@@ -273,7 +291,8 @@ def recover(table: InvariantTable, J: int) -> RecoveryResult:
     datum off one family.
 
     Raises:
-        ValueError: J < 1; a dihedral class whose m is malformed, below 2
+        ValueError: J < 1, or an order 2..J with no entries in the table
+            (`check_orders`); a dihedral class whose m is malformed, below 2
             or past `MAX_BOUNCES` (`invariants.dihedral_m`), or whose
             entries reach past `MAX_BOUNCES` bounces; or a FullPrincipal
             table whose remainders at orders <= J would pass the graph
@@ -304,6 +323,7 @@ def recover(table: InvariantTable, J: int) -> RecoveryResult:
         check_bounces(m, max((r for r, _ in table.entries), default=1), "entries[].r")
     if J < 1:
         raise ValueError("J must be >= 1")
+    check_orders(table, J, "J")
     if m is None:
         data = {2: recover_f2(a, L)}
     elif table.normalization != "TopOnly":
@@ -339,9 +359,9 @@ def recover(table: InvariantTable, J: int) -> RecoveryResult:
     cancellation: dict[int, float] = {}
     cubic_floor = _CUBIC_TOL
     for j in range(2, J + 1):
-        values, scales = _order_values(table, L, data, j)
+        values, scales = _order_values(table, L, data, j, iterates)
         if cls != "updown":
-            rows = sorted(iterates.keys() & values)
+            rows = sorted(values)
             if not rows:
                 raise ObstructionError(
                     "symbol-pole",

@@ -352,6 +352,41 @@ def test_full_jobs_past_the_cost_limit_are_refused_before_any_jet(tmp_path, caps
     assert "entries[].r 6 with --j-max 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a", [-2.0, -1.0, 1.0, 2.0])
+def test_a_table_at_a_symbol_pole_ends_alike_in_both_modes(tmp_path, capsys, a):
+    # the symbol poles of r = 3 (-2 and 2 also of r = 1, 2): both modes skip
+    # the same iterates, so they keep the same rows and end alike, in a
+    # named obstruction
+    spec = parse_spec(json.dumps(dict(UPDOWN, f=UPDOWN["f"][:8])))
+    ends = []
+    for normalization in ("TopOnly", "FullPrincipal"):
+        payload = dict(forward_table(spec, 3, 3, normalization).to_json(), a=a)
+        table_file = tmp_path / f"{normalization}.json"
+        table_file.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["invert", str(table_file)])
+        ends.append((code, capsys.readouterr().err.split(":")[0]))
+    assert ends[0] == ends[1]
+    assert ends[0][0] == 2 and ends[0][1].startswith("obstruction[")
+
+
+@pytest.mark.parametrize("normalization", ["TopOnly", "FullPrincipal"])
+def test_invert_names_a_j_past_the_table_orders(tmp_path, capsys, normalization):
+    spec = parse_spec(json.dumps(UPDOWN))
+    payload = forward_table(spec, 3, 3, normalization).to_json()
+    table_file = tmp_path / "table.json"
+    first = dict(payload, entries=[e for e in payload["entries"] if e["j"] == 1])
+    table_file.write_text(json.dumps(first), encoding="utf-8")
+    for override in ([], ["--class", "twoarc-symmetric"]):
+        assert main(["invert", str(table_file), "--j-max", "3", *override]) == 1
+        err = capsys.readouterr().err
+        assert "--j-max 3 is out of range" in err and "--j-max <= 1" in err
+    assert main(["invert", str(table_file)]) == 0
+    gap = dict(payload, entries=[e for e in payload["entries"] if e["j"] != 2])
+    table_file.write_text(json.dumps(gap), encoding="utf-8")
+    assert main(["invert", str(table_file)]) == 1
+    assert "entries[].j 3 is out of range" in capsys.readouterr().err
+
+
 def test_invert_class_override_can_fail_loudly(tmp_path, capsys):
     spec_file = write_updown(tmp_path)
     table_file = tmp_path / "table.json"

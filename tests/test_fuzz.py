@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from wavetrace.cli import main
 from wavetrace.domain import MAX_BOUNCES, DomainSpec, parse_spec
-from wavetrace.invariants import InvariantTable
+from wavetrace.invariants import InvariantTable, forward_table
 
 FUZZ = settings(max_examples=25, deadline=None, database=None)
 
@@ -100,8 +100,13 @@ def table_payloads(draw) -> dict:
 
 
 def run_cli(argv: list[str]) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    return run_cli_err(argv)[0]
+
+
+def run_cli_err(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
 
 
 @seed(20261018)
@@ -186,3 +191,50 @@ def test_cli_invert_exits_with_a_code_on_any_table(payload, j_max):
         if j_max is not None:
             argv += ["--j-max", str(j_max)]
         assert run_cli(argv) in {0, 1, 2}
+
+
+@st.composite
+def pole_and_gap_tables(draw) -> tuple[list[dict], list[str]]:
+    """The TopOnly and FullPrincipal tables of one hyperbolic `updown` spec
+    (r <= 4, j <= 3), each with its `a` moved to the same symbol pole
+    -2 cos(pi k / r) of one iterate or with the same whole orders dropped,
+    and the flags of their `invert` runs."""
+    r_max, j_max = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    a = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2.5, 4.0))
+    tail = draw(st.lists(COEFF, min_size=2 * j_max - 2, max_size=2 * j_max - 2))
+    spec = parse_spec(json.dumps(
+        {"kind": "updown", "L": 2.0, "f": [1.0, 0.0, -(a + 2.0) / 8.0, *tail]}))
+    payloads = [forward_table(spec, r_max, j_max, n).to_json()
+                for n in ("TopOnly", "FullPrincipal")]
+    if draw(st.booleans()):
+        r = draw(st.integers(1, r_max))
+        pole = -2.0 * math.cos(math.pi * draw(st.integers(0, 2 * r - 1)) / r)
+        payloads = [dict(p, a=pole) for p in payloads]
+    else:
+        kept = draw(st.sets(st.integers(1, j_max), min_size=1, max_size=j_max))
+        payloads = [dict(p, entries=[e for e in p["entries"] if e["j"] in kept])
+                    for p in payloads]
+    flags = draw(st.sampled_from([[], ["--class", "twoarc-symmetric"]]))
+    j_flag = draw(st.one_of(st.none(), st.integers(1, j_max + 1)))
+    return payloads, flags + ([] if j_flag is None else ["--j-max", str(j_flag)])
+
+
+@seed(20261018)
+@settings(FUZZ, max_examples=30)
+@given(run=pole_and_gap_tables())
+def test_invert_names_a_pole_or_a_missing_order(run):
+    # exit 1 names the order flag or field, exit 2 a named obstruction
+    payloads, flags = run
+    names = ("singular-decoupling", "symbol-pole", "vanishing-cubic")
+    with tempfile.TemporaryDirectory() as tmp:
+        table_file = Path(tmp) / "table.json"
+        for payload in payloads:
+            table_file.write_text(json.dumps(payload), encoding="utf-8")
+            code, err = run_cli_err(["invert", str(table_file), *flags])
+            if code == 1:
+                assert err.startswith("error: "), err
+                assert "--j-max" in err or "entries[].j" in err, err
+            elif code == 2:
+                assert any(err.startswith(f"obstruction[{n}]") for n in names), err
+            else:
+                assert code == 0, err

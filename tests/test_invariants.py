@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -428,15 +429,25 @@ def test_five_row_table(j):
 # tables
 
 
-def test_forward_table_matches_pointwise():
-    spec = twoarc_spec()
-    table = forward_table(spec, 2, 3)
-    assert table.normalization == "TopOnly"
-    assert table.symmetry_class == "twoarc"
-    assert set(table.entries) == {(r, j) for r in (1, 2) for j in (1, 2, 3)}
-    for (r, j), value in table.entries.items():
-        assert value == invariant_top(spec, r, j)
+def even_updown_spec(L=2.0):
+    """Mirror symmetry plus an even arc: the "twoarc-symmetric" class."""
+    even = tuple(c if k % 2 == 0 else 0.0 for k, c in enumerate(TOP_TAYLOR))
+    return DomainSpec("updown", L, BoundaryArc((L / 2,) + even[1:]))
 
+
+def test_forward_table_matches_pointwise():
+    # the table evaluates each order over all iterates at once, invariant_top
+    # one iterate at a time: the same value to the last bit
+    for spec, label in ((updown_spec(), "updown"), (twoarc_spec(), "twoarc"),
+                        (even_updown_spec(), "twoarc-symmetric")):
+        table = forward_table(spec, 100, 5)
+        assert table.normalization == "TopOnly"
+        assert table.symmetry_class == label
+        assert set(table.entries) == {(r, j) for r in range(1, 101) for j in range(1, 6)}
+        for (r, j), value in table.entries.items():
+            assert repr(value) == repr(invariant_top(spec, r, j)), (label, r, j)
+
+    spec = twoarc_spec()
     full = forward_table(spec, 1, 2, normalization="FullPrincipal")
     assert full.entry(1, 2) == invariant_full(spec, 1, 2)
 
@@ -445,6 +456,58 @@ def test_forward_table_matches_pointwise():
     assert di.entry(2, 2) == complex(invariant_dihedral(dihedral_spec(3), 2, 2))
     with pytest.raises(ObstructionError):
         forward_table(dihedral_spec(3), 1, 1, normalization="FullPrincipal")
+
+
+def test_top_table_evaluates_the_closed_form_once_per_order(monkeypatch):
+    calls = []
+    inner = invariants._top_values
+
+    def counted(leads, rs, j, *args):
+        calls.append((len(rs), j))
+        return inner(leads, rs, j, *args)
+
+    monkeypatch.setattr(invariants, "_top_values", counted)
+    forward_table(updown_spec(), 100, 5)
+    assert calls == [(100, j) for j in range(1, 6)]
+
+
+def _table_text(table):
+    return json.dumps(table.to_json(), sort_keys=True, indent=2) + "\n"
+
+
+def test_table_writer_matches_the_json_encoder():
+    top = forward_table(updown_spec(), 7, 5)
+    tables = [
+        top,
+        forward_table(updown_spec(), 2, 3, normalization="FullPrincipal"),
+        forward_table(dihedral_spec(4), 3, 4),
+        dataclasses.replace(top, entries={
+            (1, 1): complex(-0.0, 5e-324), (1, 2): complex(1e-300, -1e250),
+            (2, 1): complex(1e250, -0.0), (3, 2): complex(0.0, -5e-324),
+        }),
+    ]
+    for table in tables:
+        text = table.to_json_text()
+        assert text == _table_text(table)
+        assert InvariantTable.from_json(json.loads(text)) == table
+    empty = InvariantTable(2.0, -1.0, "updown", "TopOnly", {})
+    assert empty.to_json_text() == _table_text(empty)
+
+
+def test_top_table_refuses_an_interior_pole_before_any_entry(monkeypatch):
+    # a = -2 cos(5 pi / 37) is a symbol pole of r = 37 (and 74), none below
+    def evaluate(*args):
+        raise AssertionError("an entry was evaluated")
+
+    monkeypatch.setattr(invariants, "_top_values", evaluate)
+    a = -2.0 * math.cos(5 * math.pi / 37)
+    base = updown_spec()
+    spec = dataclasses.replace(base, f=base.f.with_derivative(2, -(a + 2.0) / (2.0 * base.L)))
+    assert CirculantHessian.from_spec(spec, 1).a == pytest.approx(a, abs=1e-15)
+    with pytest.raises(ObstructionError) as err:
+        forward_table(spec, 100, 5)
+    assert err.value.name == "symbol-pole"
+    assert "r = 37," in str(err.value)
 
 
 def test_resonant_iterate_is_a_symbol_pole_in_forward_and_hessian():
@@ -787,9 +850,7 @@ def test_symmetry_class_labels():
                      BoundaryArc(TOP_TAYLOR).negated())
     assert forward_table(sym, 1, 1).symmetry_class == "updown"
     # mirror symmetry plus an even arc is the ellipse-like class
-    even = tuple(c if k % 2 == 0 else 0.0 for k, c in enumerate(TOP_TAYLOR))
-    double = DomainSpec("updown", 2.0, BoundaryArc(even))
-    assert forward_table(double, 1, 1).symmetry_class == "twoarc-symmetric"
+    assert forward_table(even_updown_spec(), 1, 1).symmetry_class == "twoarc-symmetric"
 
 
 def test_table_json_roundtrip():

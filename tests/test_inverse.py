@@ -307,6 +307,53 @@ def test_two_symmetry_skips_poles_with_a_note():
     assert worst_rel(result, convex_representative(spec, 6)) <= 1e-9
 
 
+def test_full_mode_computes_no_remainder_at_a_pole_iterate(monkeypatch):
+    # a = 1 is a symbol pole of r = 3 and of no smaller iterate; spliced r = 3
+    # rows are skipped with a note and get no remainder, whose auxiliary
+    # problem would have a singular Hessian
+    import wavetrace.inverse
+
+    spec = updown_spec((L0 / 2, 0.0, -0.375, 0.203, 0.031, -0.136, 0.231))
+    table = forward_table(spec, 2, 3, normalization="FullPrincipal")
+    spliced = dataclasses.replace(
+        table, entries={**table.entries, **{(3, j): table.entry(2, j) for j in (1, 2, 3)}}
+    )
+    calls = []
+    inner = wavetrace.inverse.invariant_full
+
+    def counted(spec, r, j):
+        calls.append(r)
+        return inner(spec, r, j)
+
+    monkeypatch.setattr(wavetrace.inverse, "invariant_full", counted)
+    result = recover(spliced, 3)
+    assert calls == [1, 2, 1, 2]
+    a = table.floquet_parameter
+    assert result.obstructions == (f"iterate r = 3 skipped: symbol pole at a = {a:g}",)
+    clean = recover(table, 3)
+    assert (result.taylor, result.residuals) == (clean.taylor, clean.residuals)
+
+
+def test_recovery_refuses_a_j_past_the_table_orders():
+    import wavetrace.inverse
+
+    table = forward_table(updown_spec(), 3, 3)
+    first = dataclasses.replace(
+        table, entries={k: v for k, v in table.entries.items() if k[1] == 1}
+    )
+    # with no entry past order 1 there is nothing to read as zero
+    assert not wavetrace.inverse._zero_beyond_quadratic(first)
+    for cls in ("updown", "twoarc-symmetric"):
+        with pytest.raises(ValueError, match="J 3 is out of range.*order 2, so J <= 1"):
+            recover(as_class(first, cls), 3)
+        assert recover(as_class(first, cls), 1).taylor == {2: recover_f2(table.floquet_parameter, L0)}
+    gap = dataclasses.replace(
+        table, entries={k: v for k, v in table.entries.items() if k[1] != 2}
+    )
+    with pytest.raises(ValueError, match="J 3 is out of range.*order 2"):
+        recover(gap, 3)
+
+
 @pytest.mark.parametrize("kind", ["updown", "twoarc-symmetric", "dihedral"])
 def test_forward_and_recovery_invert_each_iterate_once(monkeypatch, kind):
     # h11 and F3 depend on the iterate only, not on the order j
