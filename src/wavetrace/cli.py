@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, feynman
+from . import checks
 from .domain import (
     DomainSpec,
     ObstructionError,
@@ -36,7 +36,7 @@ from .domain import (
     parse_spec,
     write_spec,
 )
-from .feynman import MAX_CENSUS_ORDER
+from .feynman import MAX_CENSUS_ORDER, automorphism_order, enumerate_graphs
 from .hessian import badset_report
 from .invariants import InvariantTable, check_full_job, check_iterate, forward_table
 from .inverse import check_orders, convex_representative, recover, recovered_spec
@@ -268,15 +268,14 @@ def cmd_graphs(args: argparse.Namespace) -> int:
         )
     catalog = []
     for j in range(1, j_max + 1):
-        # the census carries |Aut|, so no class is searched again
-        census = feynman._census(j)
+        # the census computed every |Aut| it lists, so each is a cache lookup
+        graphs = enumerate_graphs(j)
         catalog.append(
             {
                 "order": j,
-                "count": len(census),
+                "count": len(graphs),
                 "graphs": [
-                    {**g.to_json(automorphisms=aut), "symmetry_factor": aut}
-                    for g, aut in census
+                    {**g.to_json(), "symmetry_factor": automorphism_order(g)} for g in graphs
                 ],
             }
         )

@@ -13,6 +13,8 @@ and may be loops (at either kind of vertex), parallel bundles between closed
 vertices, or bundles between a closed vertex and the open one ("stubs").
 A graph with ``V`` closed vertices and ``I`` total edges contributes at order
 ``I - V`` in inverse powers of the large parameter, i.e. carries ``k**(V-I)``.
+A class is stored in the one labelling that the census's orderly generation
+keeps (`_orderly`), which also counts its vertex automorphisms.
 
 Self-loops are contracted in jet space: a vertex with ``l`` loops and ``m``
 other edge ends enters as the order-``m`` derivative tensor of
@@ -28,7 +30,7 @@ propagator is the identity and a diagram is a network of vertex tensors
 alone, joined pairwise along a greedy plan read off the graph.  Each
 order's sum runs as one program (`_program`): a pairwise step common to
 several classes (the same two operands, the same subscripts up to letter
-renaming) runs once per problem, 473 distinct steps over orders <= 3
+renaming) runs once per problem, 470 distinct steps over orders <= 3
 against 815 planned (common-subexpression elimination over a tensor
 network; Smith & Gray, *opt_einsum*, JOSS 2018).
 
@@ -72,7 +74,7 @@ __all__ = [
 ]
 
 # highest census order accepted; the order-4 census (4186 classes) takes
-# about 16 s, but full mode at j = 5 is not measured yet
+# about 11 s, but full mode at j = 5 is not measured yet
 MAX_CENSUS_ORDER = 3
 
 # i**m and i**(-m) without trig roundoff
@@ -143,91 +145,36 @@ class FeynmanGraph:
 
     # -- normal form -----------------------------------------------------------
 
-    def _encode(self, perm: Sequence[int]) -> tuple:
-        recs = tuple(self.closed_vertices[p] for p in perm)
-        adj = tuple(
-            self.edges_between[perm[i]][perm[j]]
-            for i in range(len(perm))
-            for j in range(i + 1, len(perm))
-        )
-        return (len(perm), self.open_loops, recs, adj)
-
     def sort_key(self) -> tuple:
-        return _search(self)[0]
+        """The census order: size, open loops, records and upper triangle
+        of the canonical labelling."""
+        g = self.canonical()
+        return (g.num_closed, g.open_loops, g.closed_vertices, _triangle(g.edges_between))
 
     def canonical(self) -> "FeynmanGraph":
-        """Relabel closed vertices into a canonical order.
+        """The labelling the census keeps of this graph's class (`_orderly`);
+        isomorphic graphs share it."""
+        return _orderly(self)[0]
 
-        The order is the leaf of the individualization-refinement search
-        (`_search`) with the minimum encoding; isomorphic graphs share this
-        minimum.
-        """
-        _, perm, _ = _search(self)
-        recs = tuple(self.closed_vertices[p] for p in perm)
-        adj = tuple(tuple(self.edges_between[p][q] for q in perm) for p in perm)
-        return FeynmanGraph(recs, self.open_loops, adj)
-
-    def to_json(self, automorphisms: int | None = None) -> dict:
-        """The class as JSON; ``automorphisms`` is |Aut| where the caller
-        has it (the census carries it), else it is searched for."""
-        if automorphisms is None:
-            automorphisms = automorphism_order(self)
+    def to_json(self) -> dict:
+        """The class as JSON, with its |Aut|."""
         return {
             "closed_vertices": [list(r) for r in self.closed_vertices],
             "open_loops": self.open_loops,
             "edges_between": [list(row) for row in self.edges_between],
             "order": self.order,
-            "automorphisms": automorphisms,
+            "automorphisms": automorphism_order(self),
         }
-
-
-@lru_cache(maxsize=None)
-def _search(graph: FeynmanGraph) -> tuple[tuple, tuple[int, ...], int]:
-    """Individualization-refinement search over the closed vertices
-    (McKay & Piperno, J. Symb. Comput. 60, 2014).
-
-    Refinement splits colour cells (first the loop/stub records) by their
-    multisets of (edge multiplicity, neighbour colour) until none splits;
-    the search individualizes each vertex of the first non-singleton cell
-    in turn and recurses.  Returns the minimum `_encode` over the discrete
-    leaves, an ordering attaining it, and how many leaves attain it: the
-    number of vertex automorphisms, which permute those leaves freely.
-    """
-    v, adj = graph.num_closed, graph.edges_between
-    leaves = []
-
-    def visit(colors):
-        while True:
-            sigs = [
-                (colors[i], tuple(sorted((adj[i][j], colors[j]) for j in range(v) if adj[i][j])))
-                for i in range(v)
-            ]
-            ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            split = len(ranks) > len(set(colors))
-            colors = [ranks[s] for s in sigs]
-            if not split:
-                break
-        if len(ranks) == v:
-            perm = tuple(sorted(range(v), key=colors.__getitem__))
-            leaves.append((graph._encode(perm), perm))
-            return
-        cell = min(c for c in ranks.values() if colors.count(c) > 1)
-        for u in range(v):
-            if colors[u] == cell:
-                visit([2 * c + (w != u) for w, c in enumerate(colors)])
-
-    visit(list(graph.closed_vertices))
-    key, perm = min(leaves)
-    return key, perm, sum(k == key for k, _ in leaves)
 
 
 def automorphism_order(graph: FeynmanGraph) -> int:
     """Order of the automorphism group (the open vertex is kept fixed).
 
-    Counts vertex permutations preserving the labelled structure, times the
-    internal symmetries of the edge set (`_edge_symmetries`).
+    Counts vertex permutations preserving the labelled structure
+    (`_orderly`), times the internal symmetries of the edge set
+    (`_edge_symmetries`).
     """
-    return _search(graph)[2] * _edge_symmetries(graph)
+    return _orderly(graph)[1] * _edge_symmetries(graph)
 
 
 def _edge_symmetries(graph: FeynmanGraph) -> int:
@@ -333,6 +280,17 @@ def _block_relabelings(runs: tuple[int, ...]) -> tuple:
     return tuple(getters)
 
 
+def _runs(records, degrees) -> tuple[int, ...]:
+    """Lengths of the consecutive runs of equal (record, degree)."""
+    return tuple(len(list(run)) for _, run in itertools.groupby(zip(records, degrees)))
+
+
+def _triangle(adj) -> tuple[int, ...]:
+    """The upper triangle of a table, row by row."""
+    v = len(adj)
+    return tuple(adj[i][j] for i in range(v) for j in range(i + 1, v))
+
+
 def _is_orderly(records, degrees: tuple[int, ...], adj) -> bool:
     """Whether ``adj`` is the one labelling the census keeps of its class.
 
@@ -342,36 +300,59 @@ def _is_orderly(records, degrees: tuple[int, ...], adj) -> bool:
     the one whose upper triangle is lexicographically largest is kept
     (orderly generation; Read, Ann. Discrete Math. 2, 1978).
     """
-    v = len(degrees)
-    runs = tuple(len(list(run)) for _, run in itertools.groupby(zip(records, degrees)))
-    flat = tuple(adj[i][j] for i in range(v) for j in range(i + 1, v))
-    return all(relabel(flat) <= flat for relabel in _block_relabelings(runs))
+    flat = _triangle(adj)
+    return all(relabel(flat) <= flat for relabel in _block_relabelings(_runs(records, degrees)))
+
+
+@lru_cache(maxsize=None)
+def _orderly(graph: FeynmanGraph) -> tuple[FeynmanGraph, int]:
+    """The labelling `_is_orderly` keeps of the graph's class, and the
+    number of vertex automorphisms.
+
+    Sorting the closed vertices by (record, internal degree), descending,
+    gives the generator's labelling up to relabelings within runs of equal
+    (record, degree); the kept one has the largest upper triangle among
+    them.  Every vertex automorphism is such a relabeling, so their number
+    is the size of the stabilizer: the product of the run factorials over
+    the number of distinct triangles.
+    """
+    v, adj = graph.num_closed, graph.edges_between
+    degree = [sum(row) for row in adj]
+    perm = sorted(range(v), key=lambda u: (graph.closed_vertices[u], degree[u]), reverse=True)
+    records = tuple(graph.closed_vertices[p] for p in perm)
+    runs = _runs(records, [degree[p] for p in perm])
+    flat = _triangle([[adj[p][q] for q in perm] for p in perm])
+    # a relabeling that moves no pair (at v = 2, the swap) has no getter
+    images = {flat, *(relabel(flat) for relabel in _block_relabelings(runs))}
+    table = [[0] * v for _ in range(v)]
+    for (i, j), m in zip(itertools.combinations(range(v), 2), max(images)):
+        table[i][j] = table[j][i] = m
+    stabilizer = math.prod(map(math.factorial, runs)) // len(images)
+    return FeynmanGraph(records, graph.open_loops, tuple(map(tuple, table))), stabilizer
 
 
 def enumerate_graphs(order: int) -> tuple[FeynmanGraph, ...]:
-    """All isomorphism classes of contraction graphs at the given order.
+    """All isomorphism classes of contraction graphs at the given order,
+    each in its canonical labelling, ordered by `FeynmanGraph.sort_key`.
 
     Every closed vertex must have valence >= 3; disconnected graphs are
-    included.  At order 0 the only class is the empty graph.  Only one
-    labelled table per class is generated (`_is_orderly`), so the
-    canonical-form search runs once per class.  Orders up to
-    `MAX_CENSUS_ORDER` finish well under a second; order 4 (4186 classes)
-    takes about 16 s.  The census is built once per process.
+    included.  At order 0 the only class is the empty graph.  Only the
+    canonical table of each class is generated (`_is_orderly`), so no class
+    is relabeled or deduplicated.  Orders up to `MAX_CENSUS_ORDER` finish
+    well under a second; order 4 (4186 classes) takes about 11 s.  The
+    census is built once per process.
 
     Raises:
         ValueError: on a negative order.
     """
-    return tuple(graph for graph, _ in _census(order))
+    return _census(order)
 
 
 @lru_cache(maxsize=None)
-def _census(order: int) -> tuple[tuple[FeynmanGraph, int], ...]:
-    """``(class, |Aut|)`` pairs of `enumerate_graphs`.  |Aut| is read off
-    the search that canonicalized the class, so no class is searched again
-    under its canonical labelling."""
+def _census(order: int) -> tuple[FeynmanGraph, ...]:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    seen: dict[tuple, tuple[FeynmanGraph, int]] = {}
+    classes = []
     for open_loops in range(order + 1):
         budget = order - open_loops
         for v in range(2 * budget + 1):
@@ -385,12 +366,9 @@ def _census(order: int) -> tuple[tuple[FeynmanGraph, int], ...]:
                     continue
                 for degs in _degree_sequences(needs, recs, 2 * edge_budget):
                     for adj in _realizations(degs):
-                        if not _is_orderly(recs, degs, adj):
-                            continue
-                        g = FeynmanGraph(recs, open_loops, adj)
-                        key, _, leaves = _search(g)
-                        seen[key] = (g.canonical(), leaves * _edge_symmetries(g))
-    return tuple(seen[k] for k in sorted(seen))
+                        if _is_orderly(recs, degs, adj):
+                            classes.append(FeynmanGraph(recs, open_loops, adj))
+    return tuple(sorted(classes, key=FeynmanGraph.sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -727,12 +705,12 @@ def _cluster_classes(order: int) -> tuple[tuple, tuple]:
     the classes whose closed vertices are all linked to the open vertex,
     and the connected vacuum classes (no stubs, no open loops)."""
     linked, vacuum = [], []
-    for graph, aut in _census(order):
+    for graph in enumerate_graphs(order):
         v = graph.num_closed
         if len(_reach(graph, v)) == v + 1:
-            linked.append((graph, aut))
+            linked.append((graph, automorphism_order(graph)))
         elif graph.open_loops == 0 and _reach(graph, 0) == set(range(v)):
-            vacuum.append((graph, aut))
+            vacuum.append((graph, automorphism_order(graph)))
     return tuple(linked), tuple(vacuum)
 
 

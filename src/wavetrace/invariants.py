@@ -498,7 +498,10 @@ class InvariantTable:
         length = _finite_number(data["L"], "L")
         if length <= 0:
             raise ValueError(f"table: field 'L' must be positive, got {length!r}")
-        m = dihedral_m(str(data["class"]), "table: field 'class'")
+        for name in ("class", "normalization"):
+            if not isinstance(data[name], str):
+                raise ValueError(f"table: field {name!r} must be a string, got {data[name]!r}")
+        m = dihedral_m(data["class"], "table: field 'class'")
         entries = {}
         for i, e in enumerate(data["entries"]):
             if not isinstance(e, dict):
@@ -526,8 +529,8 @@ class InvariantTable:
         return InvariantTable(
             length=length,
             floquet_parameter=_finite_number(data["a"], "a"),
-            symmetry_class=str(data["class"]),
-            normalization=str(data["normalization"]),
+            symmetry_class=data["class"],
+            normalization=data["normalization"],
             entries=entries,
         )
 

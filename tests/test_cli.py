@@ -114,19 +114,19 @@ def test_census_limits_are_checked_before_any_work(tmp_path, capsys, monkeypatch
 
 
 def test_warm_graph_catalog_searches_no_class(capsys):
-    # |Aut| comes with each class from the census, so printing the catalog
-    # searches no canonical labelling again
-    for cache in (feynman._census, feynman._search):
+    # the census computes each class's canonical form and |Aut|, so
+    # printing the catalog computes none again
+    for cache in (feynman._census, feynman._orderly):
         cache.cache_clear()
     limit = feynman.MAX_CENSUS_ORDER
     for order in range(1, limit + 1):
-        feynman._census(order)
-    misses = feynman._search.cache_info().misses
+        feynman.enumerate_graphs(order)
+    misses = feynman._orderly.cache_info().misses
     assert main(["graphs", "--j-max", str(limit)]) == 0
-    assert feynman._search.cache_info().misses == misses
+    assert feynman._orderly.cache_info().misses == misses
     catalog = json.loads(capsys.readouterr().out)
     graphs = [g for entry in catalog for g in entry["graphs"]]
-    assert len(graphs) == sum(len(feynman._census(o)) for o in range(1, limit + 1))
+    assert len(graphs) == sum(len(feynman.enumerate_graphs(o)) for o in range(1, limit + 1))
     assert all(g["automorphisms"] == g["symmetry_factor"] for g in graphs)
 
 
@@ -292,6 +292,15 @@ def test_invert_emits_report_and_spec(tmp_path, capsys):
         ({"L": 0, "a": 3, "class": "dihedral-3", "normalization": "TopOnly",
           "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0},
                       {"r": 1, "j": 2, "re": 0.5, "im": 0.0}]}, "'L'"),
+        ({"L": 2, "a": 1, "class": None, "normalization": "TopOnly",
+          "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0}]}, "table: field 'class'"),
+        ({"L": 2, "a": 1, "class": ["updown"], "normalization": "TopOnly",
+          "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0}]}, "table: field 'class'"),
+        ({"L": 2, "a": 1, "class": True, "normalization": "TopOnly",
+          "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0}]}, "table: field 'class'"),
+        ({"L": 2, "a": 1, "class": "updown", "normalization": None,
+          "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0}]},
+         "table: field 'normalization'"),
     ],
 )
 def test_invert_rejects_a_malformed_table(tmp_path, capsys, payload, named):

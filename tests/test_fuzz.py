@@ -119,14 +119,26 @@ def test_parse_spec_returns_a_spec_or_names_the_fault(text):
         assert str(exc)
 
 
+# a valid table; the examples below replace one string field by a non-string
+UPDOWN_TABLE = {"L": 2.0, "a": 3.0, "class": "updown", "normalization": "TopOnly",
+                "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0}]}
+
+
 @seed(20261018)
 @FUZZ
 @given(data=st.one_of(JUNK, table_payloads()))
+@example(data={**UPDOWN_TABLE, "class": None})
+@example(data={**UPDOWN_TABLE, "class": True})
+@example(data={**UPDOWN_TABLE, "normalization": [1.0]})
 def test_table_parser_returns_a_table_or_names_the_fault(data):
     try:
-        assert isinstance(InvariantTable.from_json(data), InvariantTable)
+        table = InvariantTable.from_json(data)
     except ValueError as exc:
         assert str(exc)
+    else:
+        assert isinstance(table, InvariantTable)
+        assert (table.symmetry_class, table.normalization) == (data["class"], data["normalization"])
+        assert isinstance(table.symmetry_class, str) and isinstance(table.normalization, str)
 
 
 @st.composite
