@@ -28,18 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .domain import (
-    DomainSpec,
-    ObstructionError,
-    check_bounces,
-    genericity_check,
-    parse_spec,
-    write_spec,
-)
+from .domain import DomainSpec, ObstructionError, genericity_check, parse_spec, write_spec
 from .feynman import MAX_CENSUS_ORDER, automorphism_order, enumerate_graphs
 from .hessian import badset_report
-from .invariants import InvariantTable, check_full_job, check_iterate, forward_table
-from .inverse import check_orders, convex_representative, recover, recovered_spec
+from .invariants import InvariantTable, check_size, forward_table
+from .inverse import convex_representative, recover, recovered_spec
 
 _MODES = {"top": "TopOnly", "full": "FullPrincipal"}
 
@@ -70,63 +63,21 @@ def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
     return buffer.getvalue()
 
 
-_FLAG_NAMES = (
-    ("bad Floquet", "bad-floquet"),
-    ("cubic vanishes", "vanishing-cubic"),
-    ("degenerate orbit", "degenerate-orbit"),
-)
-
-
-def _flag_obstruction_name(flag: str) -> str:
-    for prefix, name in _FLAG_NAMES:
-        if flag.startswith(prefix):
-            return name
-    return "unsupported"
-
-
 # ---------------------------------------------------------------------------
-# forward / invert / roundtrip
+# forward / invert / roundtrip: forward_table and recover check each job,
+# under the names of the flags and fields that set it
 
-
-def _check_sizes(args: argparse.Namespace):
-    """Refuse a size flag below 1, naming it, before any work.
-
-    Raises:
-        ValueError: naming ``--r-max`` or ``--j-max``.
-    """
-    for dest in ("r_max", "j_max"):
-        value = getattr(args, dest, None)
-        if value is not None and value < 1:
-            flag = "--" + dest.replace("_", "-")
-            raise ValueError(f"{flag} {value} is out of range: {flag} must be >= 1")
-
-
-def _read_spec(args: argparse.Namespace) -> DomainSpec:
-    """The spec of ``spec_file``; it must also admit ``--r-max``
-    (`invariants.max_iterate` for a two-arc spec, `domain.MAX_BOUNCES`
-    bounces for a dihedral one).
-
-    Raises:
-        ValueError: naming the spec field, or ``--r-max`` and its limit.
-    """
-    spec = parse_spec(_read_input(args.spec_file))
-    if spec.kind == "dihedral":
-        check_bounces(spec.m, args.r_max, "--r-max")
-    else:
-        check_iterate(args.r_max, spec.L, "--r-max")
-    return spec
+_FORWARD_NAMES = ("--r-max", "--j-max", "--mode full")
 
 
 def cmd_forward(args: argparse.Namespace) -> int:
-    if args.mode == "full":
-        check_full_job(args.r_max, args.j_max, "--r-max", "--j-max", "--mode full")
-    spec = _read_spec(args)
+    spec = parse_spec(_read_input(args.spec_file))
     report = genericity_check(spec)
     if report.flags and args.strict:
-        raise ObstructionError(_flag_obstruction_name(report.flags[0]), report.flags[0])
+        raise ObstructionError(report.obstructions[0], report.flags[0])
     for flag in report.flags:
         print(f"warning: {flag}", file=sys.stderr)
-    table = forward_table(spec, args.r_max, args.j_max, normalization=_MODES[args.mode])
+    table = forward_table(spec, args.r_max, args.j_max, _MODES[args.mode], _FORWARD_NAMES)
     _emit(table.to_json_text(), args.out)
     return 0
 
@@ -139,11 +90,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
         j_max, name = max(j for (_, j) in table.entries), "entries[].j"
     else:
         j_max, name = args.j_max, "--j-max"
-    if table.normalization == "FullPrincipal":
-        r_max = max(r for r, _ in table.entries)
-        check_full_job(r_max, j_max, "entries[].r", name, "a FullPrincipal table")
-    check_orders(table, j_max, name)
-    result = recover(table, j_max)
+    result = recover(table, j_max, name)
     spec = recovered_spec(table.symmetry_class, table.length, result.taylor, 2 * j_max)
     payload = {
         "class": table.symmetry_class,
@@ -167,10 +114,8 @@ def _expected_taylor(spec: DomainSpec, order: int) -> dict[int, float]:
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     j_max, tol = args.j_max, args.tol
-    if args.mode == "full":
-        check_full_job(args.r_max, j_max, "--r-max", "--j-max", "--mode full")
-    spec = _read_spec(args)
-    table = forward_table(spec, args.r_max, j_max, normalization=_MODES[args.mode])
+    spec = parse_spec(_read_input(args.spec_file))
+    table = forward_table(spec, args.r_max, j_max, _MODES[args.mode], _FORWARD_NAMES)
     result = recover(table, j_max)
     want = _expected_taylor(spec, 2 * j_max)
     rows = []
@@ -261,6 +206,7 @@ def cmd_badset(args: argparse.Namespace) -> int:
 
 def cmd_graphs(args: argparse.Namespace) -> int:
     j_max = args.j_max
+    check_size(j_max, "--j-max")
     if j_max > MAX_CENSUS_ORDER:
         raise ValueError(
             f"--j-max {j_max} is out of range: the graph catalog supports "
@@ -359,11 +305,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_sizes(args)
         return _COMMANDS[args.command](args)
     except ObstructionError as exc:
-        detail = str(exc).removeprefix(f"{exc.name}: ")
-        print(f"obstruction[{exc.name}]: {detail}", file=sys.stderr)
+        print(f"obstruction[{exc.name}]: {exc.reason}", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,11 +80,13 @@ class ObstructionError(Exception):
             ``symbol-pole`` (an orbit iterate is resonant: its length
             Hessian is singular, in the forward tables and in recovery
             alike), ``unsupported``.
+        reason: the message, without the name.
     """
 
     def __init__(self, name: str, message: str):
         super().__init__(f"{name}: {message}")
         self.name = name
+        self.reason = message
 
 
 @dataclass(frozen=True)
@@ -374,9 +376,12 @@ def dihedral_parameters(spec: DomainSpec) -> tuple[float, float]:
 
 @dataclass
 class GenericityReport:
-    """Outcome of the genericity checks required by the inverse algorithm."""
+    """Outcome of the genericity checks required by the inverse algorithm:
+    the warning of each flag, and the name of the obstruction it stands
+    for, in the same order."""
 
     flags: list[str] = field(default_factory=list)
+    obstructions: list[str] = field(default_factory=list)
     floquet_kind: str | None = None
     a: float | None = None
 
@@ -384,17 +389,26 @@ class GenericityReport:
     def clean(self) -> bool:
         return not self.flags
 
+    def flag(self, name: str, warning: str):
+        self.obstructions.append(name)
+        self.flags.append(warning)
+
 
 def genericity_check(spec: DomainSpec) -> GenericityReport:
     """Collect the genericity flags relevant to inversion.
 
-    Flags raised (never errors; this is a report):
-        * ``bad floquet parameter ...``: the Floquet parameter lies in the
-          finite set where even/odd data cannot be decoupled;
-        * ``cubic vanishes; inverse algorithm inapplicable``: mirror-
-          symmetric spec with f'''(0) = 0 — the induction that divides by
-          the cubic has no replacement implemented;
-        * ``degenerate orbit``: the linearized return map is parabolic.
+    Flags raised (never errors; this is a report), with the obstruction
+    each stands for:
+        * ``bad Floquet parameter ...`` (bad-floquet): the Floquet parameter
+          lies in the finite set where even/odd data cannot be decoupled;
+        * ``cubic vanishes; inverse algorithm inapplicable``
+          (vanishing-cubic): mirror-symmetric spec with f'''(0) = 0 — the
+          induction that divides by the cubic has no replacement
+          implemented;
+        * ``degenerate orbit`` (degenerate-orbit): the linearized return
+          map is parabolic;
+        * the reason of any other obstruction `floquet` raises, under its
+          name (unsupported: an orientation-reversing orbit).
 
     Every flag uses the absolute tolerance 1e-9.
 
@@ -410,25 +424,26 @@ def genericity_check(spec: DomainSpec) -> GenericityReport:
         d, _ = dihedral_parameters(spec)
         report.a = d
         if abs(abs(d) - 2.0) <= tol:
-            report.flags.append("degenerate orbit")
+            report.flag("degenerate-orbit", "degenerate orbit")
         return report
     try:
         flo = floquet(spec)
     except ObstructionError as exc:
-        report.flags.append("degenerate orbit" if exc.name == "degenerate-orbit" else exc.name)
+        degenerate = exc.name == "degenerate-orbit"
+        report.flag(exc.name, "degenerate orbit" if degenerate else exc.reason)
         return report
     report.floquet_kind = flo.kind
     report.a = flo.a
     if flo.kind == "Degenerate":
-        report.flags.append("degenerate orbit")
+        report.flag("degenerate-orbit", "degenerate orbit")
     for bad in BAD_FLOQUET_SET:
         if abs(flo.a - bad) <= tol:
-            report.flags.append(f"bad Floquet parameter (a = {bad:g})")
+            report.flag("bad-floquet", f"bad Floquet parameter (a = {bad:g})")
             break
     if spec.symmetric and spec.upper.order >= 3:
         f3 = spec.upper.derivative(3)
         if abs(f3) <= tol * max(1.0, abs(spec.upper.derivative(2))):
-            report.flags.append("cubic vanishes; inverse algorithm inapplicable")
+            report.flag("vanishing-cubic", "cubic vanishes; inverse algorithm inapplicable")
     return report
 
 

@@ -92,6 +92,16 @@ def max_iterate(length: float) -> int:
     return lo
 
 
+def check_size(value: int, name: str):
+    """Refuse a size below 1, naming ``name``.
+
+    Raises:
+        ValueError: naming ``name``.
+    """
+    if value < 1:
+        raise ValueError(f"{name} {value} is out of range: {name} must be >= 1")
+
+
 def check_iterate(r: int, length: float, name: str):
     """Refuse an iterate whose leading amplitude A_r leaves the double
     range (`max_iterate`).
@@ -585,17 +595,21 @@ def forward_table(
     r_max: int,
     j_max: int,
     normalization: str = "TopOnly",
+    names: tuple[str, str, str] = ("r_max", "j_max", "full mode"),
 ) -> InvariantTable:
     """Tabulate invariants for 1 <= r <= r_max, 1 <= j <= j_max.
 
     TopOnly rows come from the closed forms, FullPrincipal rows from the
-    diagram sum (two-arc classes only).
+    diagram sum (two-arc classes only).  The job is checked once, before
+    any work, in this order: r_max and j_max >= 1; a FullPrincipal job
+    against the graph census and `MAX_FULL_COST` (`check_full_job`);
+    r_max against `max_iterate` (two-arc classes) or `MAX_BOUNCES`
+    bounces (dihedral).  ``names`` are the caller's names for r_max,
+    j_max and the FullPrincipal request, used in the messages only.
 
     Raises:
-        ValueError: bad normalization, r_max past `max_iterate` (two-arc
-            classes) or past `MAX_BOUNCES` bounces (dihedral), or a
-            FullPrincipal job past the census or `MAX_FULL_COST`
-            (`check_full_job`).
+        ValueError: bad normalization, or a size check above, naming the
+            input at fault.
         ObstructionError("unsupported"): FullPrincipal with a dihedral spec.
         ObstructionError("symbol-pole"): a resonant iterate, in either
             normalization.
@@ -604,8 +618,14 @@ def forward_table(
         raise ValueError(
             f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}"
         )
-    if r_max < 1 or j_max < 1:
-        raise ValueError("r_max and j_max must be >= 1")
+    check_size(r_max, names[0])
+    check_size(j_max, names[1])
+    if normalization == "FullPrincipal":
+        check_full_job(r_max, j_max, *names)
+    if spec.kind == "dihedral":
+        check_bounces(spec.m, r_max, names[0])
+    else:
+        check_iterate(r_max, spec.L, names[0])
     iterates, orders = range(1, r_max + 1), range(1, j_max + 1)
     entries: dict[tuple[int, int], complex] = {}
     if spec.kind == "dihedral":
@@ -613,16 +633,12 @@ def forward_table(
             raise ObstructionError(
                 "unsupported", "FullPrincipal tables are two-arc only"
             )
-        check_bounces(spec.m, r_max, "r_max")
         param, link = dihedral_parameters(spec)
         for r in iterates:
             h11 = dihedral_inverse_entry(spec.m, r, param, link, 1, 1)
             for j in orders:
                 entries[(r, j)] = complex(_dihedral_value(spec, r, j, h11))
     else:
-        check_iterate(r_max, spec.L, "r_max")
-        if normalization == "FullPrincipal":
-            check_full_job(r_max, j_max, "r_max", "j_max", "full mode")
         base = CirculantHessian.from_spec(spec, 1)
         param = base.a
         # also the symbol-pole test of every iterate, before any jet is built

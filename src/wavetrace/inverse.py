@@ -26,6 +26,7 @@ from .hessian import CirculantHessian, dihedral_inverse_entry, parity_sums
 from .invariants import (
     InvariantTable,
     check_full_job,
+    check_size,
     contributing_weights,
     dihedral_m,
     invariant_full,
@@ -273,7 +274,7 @@ def _order_values(
 # the induction
 
 
-def recover(table: InvariantTable, J: int) -> RecoveryResult:
+def recover(table: InvariantTable, J: int, name: str = "J") -> RecoveryResult:
     """Recover f^(k)(0), k <= 2J, by induction on the order j, with L and
     the Floquet datum a read off the table.
 
@@ -290,14 +291,17 @@ def recover(table: InvariantTable, J: int) -> RecoveryResult:
     and "dihedral-<m>" have odd data zero by symmetry and read the even
     datum off one family.
 
+    The job is checked once, before any work, in this order: J >= 1; a
+    FullPrincipal table whose remainders at orders <= J would pass the
+    graph census or `MAX_FULL_COST` (`invariants.check_full_job`); an
+    order 2..J with no entries in the table (`check_orders`); then the
+    class.  ``name`` is the caller's name for J, used in the messages only.
+
     Raises:
-        ValueError: J < 1, or an order 2..J with no entries in the table
-            (`check_orders`); a dihedral class whose m is malformed, below 2
+        ValueError: a size check above, naming ``name`` or
+            ``entries[].r``; a dihedral class whose m is malformed, below 2
             or past `MAX_BOUNCES` (`invariants.dihedral_m`), or whose
-            entries reach past `MAX_BOUNCES` bounces; or a FullPrincipal
-            table whose remainders at orders <= J would pass the graph
-            census or `MAX_FULL_COST` (`invariants.check_full_job`).  Each
-            is checked before any work.
+            entries reach past `MAX_BOUNCES` bounces.
         ObstructionError("unsupported"): a generic two-arc class (its
             tables are underdetermined) or a non-TopOnly dihedral table.
         ObstructionError("singular-decoupling"): "updown" at a bad
@@ -308,9 +312,11 @@ def recover(table: InvariantTable, J: int) -> RecoveryResult:
         ObstructionError("symbol-pole"): a single-family class with every
             iterate of some order at a symbol pole.
     """
+    check_size(J, name)
     if table.normalization == "FullPrincipal":
         r_max = max(r for r, _ in table.entries)
-        check_full_job(r_max, J, "entries[].r", "J", "a FullPrincipal table")
+        check_full_job(r_max, J, "entries[].r", name, "a FullPrincipal table")
+    check_orders(table, J, name)
     cls, L, a = table.symmetry_class, table.length, table.floquet_parameter
     m = dihedral_m(cls, "class")
     if m is None and cls not in ("updown", "twoarc-symmetric"):
@@ -321,9 +327,6 @@ def recover(table: InvariantTable, J: int) -> RecoveryResult:
         )
     if m is not None:
         check_bounces(m, max((r for r, _ in table.entries), default=1), "entries[].r")
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    check_orders(table, J, "J")
     if m is None:
         data = {2: recover_f2(a, L)}
     elif table.normalization != "TopOnly":

@@ -72,6 +72,20 @@ def test_forward_strict_flags_exceptional_floquet(tmp_path, capsys):
     assert out.is_file()
 
 
+def test_forward_keeps_the_obstruction_name_and_reason_of_a_flag(tmp_path, capsys):
+    # (1 - L/R_A)(1 - L/R_B) < 0: the orbit reverses orientation
+    reversing = {"kind": "twoarc", "L": 2, "f": [1, 0, 0, 0.1, 0],
+                 "f_minus": [-1, 0, 0.5, 0.1, 0]}
+    spec_file = write_updown(tmp_path, payload=reversing)
+    assert main(["forward", str(spec_file), "--strict"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("obstruction[unsupported]: (1 - L/R_A)(1 - L/R_B) = -1 < 0")
+    assert "orientation-reversing" in err
+    main(["forward", str(spec_file), "--j-max", "2"])
+    warning = capsys.readouterr().err.splitlines()[0]
+    assert warning.startswith("warning: (1 - L/R_A)") and "orientation-reversing" in warning
+
+
 def test_forward_missing_file(tmp_path, capsys):
     assert main(["forward", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -166,9 +180,9 @@ def test_iterates_past_the_range_limit_are_refused_before_any_work(
     # A_r = 2rL (i/(2 pi L))^r: at L = 2 the r >= 298 entries underflowed
     # to 0, which recovery divided by; at L = 0.1 L^-r overflowed
     def no_work(*args, **kwargs):
-        raise AssertionError("forward_table started")
+        raise AssertionError("an iterate's Hessian was inverted")
 
-    monkeypatch.setattr(cli, "forward_table", no_work)
+    monkeypatch.setattr(invariants, "parity_sums", no_work)
     spec_file = write_updown(tmp_path, payload=payload)
     assert main([command, str(spec_file), "--r-max", str(r_max), "--j-max", "2"]) == 1
     err = capsys.readouterr().err
@@ -359,6 +373,34 @@ def test_full_jobs_past_the_cost_limit_are_refused_before_any_jet(tmp_path, caps
     assert "entries[].r 6 with entries[].j 4" in capsys.readouterr().err
     assert main(["invert", str(table_file), "--j-max", "4"]) == 1
     assert "entries[].r 6 with --j-max 4" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, name, modules) -> list:
+    """Count the calls of the function ``name`` through every one of
+    ``modules`` that holds it."""
+    calls = []
+    for module in modules:
+        original = getattr(module, name, None)
+        if original is not None:
+            def counted(*args, _original=original):
+                calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_job_check_runs_once(tmp_path, capsys, monkeypatch):
+    spec_file = write_updown(tmp_path)
+    table_file = tmp_path / "table.json"
+    full_jobs = _count_calls(monkeypatch, "check_full_job", (cli, invariants, inverse))
+    orders = _count_calls(monkeypatch, "check_orders", (cli, inverse))
+    argv = ["--mode", "full", "--r-max", "2", "--j-max", "2", "--out", str(table_file)]
+    assert main(["forward", str(spec_file), *argv]) == 0
+    assert len(full_jobs) == 1 and not orders
+    assert main(["invert", str(table_file)]) == 0
+    assert len(full_jobs) == 2 and len(orders) == 1
+    assert full_jobs[1][2:] == ("entries[].r", "entries[].j", "a FullPrincipal table")
 
 
 @pytest.mark.parametrize("a", [-2.0, -1.0, 1.0, 2.0])

@@ -99,14 +99,26 @@ def table_payloads(draw) -> dict:
     return draw(mutated(payload))
 
 
-def run_cli(argv: list[str]) -> int:
-    return run_cli_err(argv)[0]
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main(argv), out.getvalue(), err.getvalue()
 
 
-def run_cli_err(argv: list[str]) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        return main(argv), err.getvalue()
+def assert_exit_is_named(code: int, out: str, err: str):
+    """Exit 0; exit 1 with an ``error: `` message, or the report of a
+    roundtrip past its tolerance; or exit 2 with ``obstruction[``.  Any
+    genericity warnings of ``forward`` come first."""
+    message = "".join(line for line in err.splitlines(True) if not line.startswith("warning: "))
+    if code == 1 and not message:
+        assert json.loads(out)["status"] == "fail", out
+    elif code == 1:
+        assert message.startswith("error: "), err
+    elif code == 2:
+        assert message.startswith("obstruction["), err
+    else:
+        assert code == 0, err
 
 
 @seed(20261018)
@@ -146,9 +158,9 @@ def cli_runs(draw) -> tuple[dict, list[str]]:
     """A spec object and the size flags of one CLI run; the arcs mostly
     carry the 2 j_max orders that the run reads."""
     # r_max past the dihedral bounce limit at every m >= 2, and past the
-    # two-arc range limit, is refused before any work
-    r_max = draw(st.one_of(st.integers(1, 4), st.just(MAX_BOUNCES // 2 + 1)))
-    j_max = draw(st.integers(1, 3))
+    # two-arc range limit, and sizes below 1 are refused before any work
+    r_max = draw(st.one_of(st.integers(1, 4), st.sampled_from([0, MAX_BOUNCES // 2 + 1])))
+    j_max = draw(st.one_of(st.integers(1, 3), st.just(0)))
     mode = draw(st.sampled_from(["top", "full"]))
     payload = draw(spec_payloads(st.integers(max(2, 2 * j_max - 1), 2 * j_max + 2)))
     return payload, ["--r-max", str(r_max), "--j-max", str(j_max), "--mode", mode]
@@ -172,11 +184,12 @@ def test_cli_exits_with_a_code_on_any_spec(run):
         spec_file = Path(tmp) / "spec.json"
         spec_file.write_text(json.dumps(payload), encoding="utf-8")
         table_file = Path(tmp) / "table.json"
-        codes = [run_cli(["forward", str(spec_file), *sizes, "--out", str(table_file)])]
-        if codes[0] == 0:
-            codes.append(run_cli(["invert", str(table_file)]))
-        codes.append(run_cli(["roundtrip", str(spec_file), *sizes]))
-    assert set(codes) <= {0, 1, 2}
+        runs = [run_cli(["forward", str(spec_file), *sizes, "--out", str(table_file)])]
+        if runs[0][0] == 0:
+            runs.append(run_cli(["invert", str(table_file)]))
+        runs.append(run_cli(["roundtrip", str(spec_file), *sizes]))
+    for code, out, err in runs:
+        assert_exit_is_named(code, out, err)
 
 
 # a small dihedral table, read under m = 1 (rejected) and m = 2 (the
@@ -202,7 +215,7 @@ def test_cli_invert_exits_with_a_code_on_any_table(payload, j_max):
         argv = ["invert", str(table_file)]
         if j_max is not None:
             argv += ["--j-max", str(j_max)]
-        assert run_cli(argv) in {0, 1, 2}
+        assert_exit_is_named(*run_cli(argv))
 
 
 @st.composite
@@ -242,7 +255,7 @@ def test_invert_names_a_pole_or_a_missing_order(run):
         table_file = Path(tmp) / "table.json"
         for payload in payloads:
             table_file.write_text(json.dumps(payload), encoding="utf-8")
-            code, err = run_cli_err(["invert", str(table_file), *flags])
+            code, _, err = run_cli(["invert", str(table_file), *flags])
             if code == 1:
                 assert err.startswith("error: "), err
                 assert "--j-max" in err or "entries[].j" in err, err
