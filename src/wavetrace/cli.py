@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -233,7 +234,10 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each `add_argument`
+    builds a help formatter, which asks for the terminal size."""
     parser = argparse.ArgumentParser(
         prog="wavetrace",
         description="Wave-invariant tables of bouncing-ball orbits: "

@@ -29,8 +29,12 @@ The top closed form of the invariants and the recovery steps read the
 inverse only through its diagonal and its sums over bounce parities,
 plain and cubed (`parity_sums`); for a = b these give h^11, the row sum
 and the cubic sum F_3(r, a) that controls the decoupling step of the
-inverse spectral algorithm.  For a = b the module also gives the
-Chebyshev closed form of the inverse entries.
+inverse spectral algorithm.  A forward table, a recovery and the choice
+of a decoupling pair each need these sums for every iterate of one
+orbit, and get them from one `stacked_parity_sums` pass per job: the
+symbol work is one array expression over all iterates, and each value is
+bit-identical to that of its iterate alone.  For a = b the module also
+gives the Chebyshev closed form of the inverse entries.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "inverse_chebyshev",
     "inverse_matrix",
     "parity_sums",
+    "stacked_parity_sums",
     "cubic_sum",
     "bad_set",
     "badset_report",
@@ -105,18 +110,24 @@ def _require_symmetric(h: CirculantHessian, what: str):
         raise ValueError(f"{what} requires a mirror-symmetric Hessian (a == b)")
 
 
-def _symbol_inverse(diag: tuple[float, ...], n: int, where: str) -> np.ndarray:
-    """Inverse symbol S(theta_k)^{-1}, k = 0..n/P - 1, of the n x n cyclic
-    tridiagonal matrix with unit off-diagonals and diagonal ``diag``
-    repeated (P = len(diag) is 1 or 2); shape (n/P, P, P).
+def _symbol_inverses(
+    diag: tuple[float, ...], sizes
+) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    """Inverse symbols of the n x n cyclic tridiagonal matrices with unit
+    off-diagonals and diagonal ``diag`` repeated (P = len(diag) is 1 or 2),
+    one per size n in ``sizes``, in one array pass over all of them.
 
-    Raises:
-        ObstructionError("symbol-pole"): the smallest singular value of
-            S(theta_k) is at most _POLE_TOL for some k; ``where`` names the
-            iterate in the message.
+    Returns (inv, blocks, poles).  ``poles`` maps the position in ``sizes``
+    of each singular matrix to the first k at which the smallest singular
+    value of its symbol S(theta_k), theta_k = 2 pi k / (n/P), is at most
+    _POLE_TOL.  ``inv`` stacks S(theta_k)^{-1}, k = 0..n/P - 1, of the other
+    sizes in their order, shape (sum of their n/P, P, P), and ``blocks``
+    holds their n/P.  Every element rounds as it would for its size alone.
     """
-    blocks = n // len(diag)
-    theta = 2.0 * np.pi * np.arange(blocks) / blocks
+    blocks = np.array(sizes, dtype=np.int64) // len(diag)
+    owner = np.repeat(np.arange(len(blocks)), blocks)
+    k = np.arange(len(owner)) - (np.cumsum(blocks) - blocks)[owner]
+    theta = 2.0 * np.pi * k / blocks[owner]
     if len(diag) == 1:
         sym = diag[0] + 2.0 * np.cos(theta)
         smin = np.abs(sym)
@@ -128,18 +139,44 @@ def _symbol_inverse(diag: tuple[float, ...], n: int, where: str) -> np.ndarray:
         smax = 0.5 * abs(a + b) + np.sqrt(0.25 * (a - b) ** 2 + np.abs(corner) ** 2)
         smin = np.abs(det) / smax
     bad = np.flatnonzero(smin <= _POLE_TOL)
+    poles: dict[int, int] = {}
     if bad.size:
-        raise ObstructionError(
-            "symbol-pole",
-            f"the Hessian symbol is singular at k = {int(bad[0])} ({where}): "
-            "the orbit iterate is resonant",
-        )
+        # invert the admitted sizes only: a pole would divide by zero
+        for i, kk in zip(owner[bad].tolist(), k[bad].tolist()):
+            poles.setdefault(i, kk)
+        keep = ~np.isin(owner, list(poles))
+        blocks = np.delete(blocks, list(poles))
+        if len(diag) == 1:
+            sym = sym[keep]
+        else:
+            corner, det = corner[keep], det[keep]
     if len(diag) == 1:
-        return (1.0 / sym)[:, None, None]
-    inv = np.empty((blocks, 2, 2), dtype=complex)
+        return (1.0 / sym)[:, None, None], blocks, poles
+    inv = np.empty((len(det), 2, 2), dtype=complex)
     inv[:, 0, 0], inv[:, 0, 1] = b, -corner
     inv[:, 1, 0], inv[:, 1, 1] = -corner.conj(), a
-    return inv / det[:, None, None]
+    return inv / det[:, None, None], blocks, poles
+
+
+def _pole_error(k: int, where: str) -> ObstructionError:
+    return ObstructionError(
+        "symbol-pole",
+        f"the Hessian symbol is singular at k = {k} ({where}): "
+        "the orbit iterate is resonant",
+    )
+
+
+def _symbol_inverse(diag: tuple[float, ...], n: int, where: str) -> np.ndarray:
+    """`_symbol_inverses` of the one size n, shape (n/P, P, P).
+
+    Raises:
+        ObstructionError("symbol-pole"): a singular symbol; ``where`` names
+            the iterate in the message.
+    """
+    inv, _, poles = _symbol_inverses(diag, [n])
+    if poles:
+        raise _pole_error(poles[0], where)
+    return inv
 
 
 def _cyclic_inverse_rows(diag: tuple[float, ...], n: int, where: str) -> np.ndarray:
@@ -161,12 +198,18 @@ def _entries(rows: np.ndarray, p, q):
     return rows[s, (q - p + s) % n]
 
 
+def _iterate_label(r: int, a: float, b: float) -> str:
+    """The iterate's label in pole messages."""
+    if a == b:
+        return f"r = {r}, a = {a:.12g}"
+    return f"r = {r}, a = {a:.12g}, b = {b:.12g}"
+
+
 def _symbol_diagonal(h: CirculantHessian) -> tuple[tuple[float, ...], str]:
     """The repeating diagonal of C(a, b), (a,) or (a, b), and the iterate's
     label for pole messages."""
-    if h.symmetric:
-        return (h.a,), f"r = {h.r}, a = {h.a:.12g}"
-    return (h.a, h.b), f"r = {h.r}, a = {h.a:.12g}, b = {h.b:.12g}"
+    diag = (h.a,) if h.symmetric else (h.a, h.b)
+    return diag, _iterate_label(h.r, h.a, h.b)
 
 
 def _inverse_rows(h: CirculantHessian) -> np.ndarray:
@@ -294,21 +337,78 @@ def parity_sums(h: CirculantHessian) -> tuple[np.ndarray, np.ndarray, np.ndarray
     returns (d, S1, S3): d[s] = h^{pp}, S1[s, t] = sum over q of parity t
     of h^{pq}, and S3[s, t] the same sum of (h^{pq})^3, for any p of
     parity s.  For a = b, h^11 = d[0], the row sum S1[0].sum() is
-    -L/(a+2) and F_3(r, a) = S3[0].sum().
+    -L/(a+2) and F_3(r, a) = S3[0].sum().  The stack of one of
+    `stacked_parity_sums`.
 
     Raises:
         ObstructionError("symbol-pole"): resonant parameter, naming k.
     """
-    rows = _inverse_rows(h)
-    if len(rows) == 1:
+    sums, poles = stacked_parity_sums(h.L, h.a, h.b, [h.r])
+    if poles:
+        raise poles[h.r]
+    return tuple(s[0] for s in sums)
+
+
+def stacked_parity_sums(
+    L: float, a: float, b: float, rs
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict[int, ObstructionError]]:
+    """`parity_sums` of the iterates ``rs`` of one orbit, in one pass.
+
+    theta, the symbol, its pole test, the inverse symbol and the cubes are
+    each one array expression over all iterates, and one concatenation
+    lays out the first two rows of every inverse (the a = b row shift
+    included).  The inverse DFT and the sums over the r blocks stay one
+    call per iterate: stacked, they would round differently.  So every
+    value is bit-identical to that of the iterate alone.
+
+    Returns (sums, poles).  ``sums`` stacks (d, S1, S3) of the iterates
+    whose symbol is regular, in the order of ``rs``: shapes (R, 2),
+    (R, 2, 2) and (R, 2, 2).  ``poles`` maps every other iterate, in the
+    order of ``rs``, to the ObstructionError("symbol-pole") that
+    `parity_sums` raises for it, naming r and k.
+
+    Raises:
+        ValueError: L <= 0 or an iterate below 1.
+    """
+    rs = list(rs)
+    if L <= 0:
+        raise ValueError("L must be positive")
+    if any(r < 1 for r in rs):
+        raise ValueError("iterate r must be >= 1")
+    diag = (a,) if a == b else (a, b)
+    inv, blocks, singular = _symbol_inverses(diag, [2 * r for r in rs])
+    poles = {rs[i]: _pole_error(k, _iterate_label(rs[i], a, b)) for i, k in singular.items()}
+    admitted = [r for i, r in enumerate(rs) if i not in singular]
+    if not admitted:
+        return (np.empty((0, 2)), np.empty((0, 2, 2)), np.empty((0, 2, 2))), poles
+    ends = np.cumsum(blocks).tolist()
+    spectra = [
+        np.fft.ifft(inv[end - n:end], axis=0).real for n, end in zip(blocks.tolist(), ends)
+    ]
+    # the first two rows of each C^{-1}, laid end to end: C^{-1} is
+    # circulant in P x P blocks, so entry (s, d P + t) of its first P rows
+    # is entry (s, t) of the d-th block of the inverse DFT
+    if len(diag) == 2:
+        pieces = [block.transpose(1, 0, 2).reshape(-1) for block in spectra]
+    else:
         # a == b: row 1 of the circulant is row 0 moved one slot right
-        rows = np.array([rows[0], np.concatenate((rows[0, -1:], rows[0, :-1]))])
-    blocks = rows.reshape(2, h.r, 2)
-    diagonal = np.array([rows[0, 0], rows[1, 1]])
-    # the sums over the r blocks, as products with ones: recovery calls this
-    # for every iterate and order, and these are the cheapest reductions here
-    ones = np.ones(h.r)
-    return diagonal, ones @ blocks, ones @ (blocks * blocks * blocks)
+        pieces = []
+        for block in spectra:
+            row = block.reshape(-1)
+            pieces += (row, row[-1:], row[:-1])
+    rows = -L * np.concatenate(pieces)
+    cubes = rows * rows * rows
+    iterates = np.array(admitted)
+    base = 4 * (np.cumsum(iterates) - iterates)  # where each iterate's rows start
+    diagonal = rows[np.stack((base, base + 2 * iterates + 1), axis=1)]
+    # the sums over the r blocks, as products with ones: the cheapest
+    # reductions here
+    ones = np.ones(max(admitted))
+    s1, s3 = [], []
+    for r, lo in zip(admitted, base.tolist()):
+        s1.append(ones[:r] @ rows[lo:lo + 4 * r].reshape(2, r, 2))
+        s3.append(ones[:r] @ cubes[lo:lo + 4 * r].reshape(2, r, 2))
+    return (diagonal, np.array(s1), np.array(s3)), poles
 
 
 def cubic_sum(h: CirculantHessian, method: str = "direct") -> float:
@@ -413,13 +513,13 @@ def decoupling_pair(
         ObstructionError("singular-decoupling"): every admissible pair has
             |det| <= tol — effectively a bad Floquet parameter.
     """
-    rows: dict[int, tuple[float, float]] = {}
-    for r in range(1, r_max + 1):
-        try:
-            diagonal, _, s3 = parity_sums(CirculantHessian(r=r, L=L, a=a, b=a))
-        except ObstructionError:
-            continue
-        rows[r] = (float(diagonal[0]) ** 2, float(s3[0].sum()))
+    rs = range(1, r_max + 1)
+    (diagonal, _, s3), poles = stacked_parity_sums(L, a, a, rs)
+    admitted = [r for r in rs if r not in poles]
+    rows = {
+        r: (float(diagonal[i, 0]) ** 2, float(s3[i, 0].sum()))
+        for i, r in enumerate(admitted)
+    }
     best: tuple[int, int, float] | None = None
     for r in sorted(rows):
         for s in sorted(rows):

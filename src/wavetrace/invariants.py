@@ -37,7 +37,12 @@ from .feynman import (
     automorphism_order,
     sp_coefficient_diagrams,
 )
-from .hessian import CirculantHessian, dihedral_inverse_entry, parity_sums
+from .hessian import (
+    CirculantHessian,
+    dihedral_inverse_entry,
+    parity_sums,
+    stacked_parity_sums,
+)
 from .jets import MultiJet, embed_pair, jet_power
 
 NORMALIZATIONS = ("TopOnly", "FullPrincipal")
@@ -128,21 +133,21 @@ def check_iterate(r: int, length: float, name: str):
 MAX_FULL_COST = 100_000
 
 
-def check_full_cost(r_max: int, j_max: int, r_name: str, j_name: str):
+def check_full_cost(r_max: int, j_max: int, r_name: str, j_name: str, what: str):
     """Refuse a FullPrincipal job past `MAX_FULL_COST`, before any jet is
     built.
 
     Raises:
-        ValueError: naming ``r_name`` and ``j_name``, and the largest r_max
-            accepted at this j_max.
+        ValueError: naming ``r_name``, ``j_name`` and ``what``, and the
+            largest r_max accepted at this j_max.
     """
     cost = 0
     for r in range(1, r_max + 1):
         cost += math.comb(2 * r + 2 * j_max, 2 * j_max)
         if cost > MAX_FULL_COST:
             raise ValueError(
-                f"{r_name} {r_max} with {j_name} {j_max} is too large for full "
-                f"mode: its jets would hold more than {MAX_FULL_COST} coefficients "
+                f"{r_name} {r_max} with {j_name} {j_max} is too large for "
+                f"{what}: its jets would hold more than {MAX_FULL_COST} coefficients "
                 f"(the sum over r <= r_max of C(2r + 2 j_max, 2 j_max)); at "
                 f"{j_name} {j_max}, {r_name} <= {r - 1}"
             )
@@ -162,7 +167,24 @@ def check_full_job(r_max: int, j_max: int, r_name: str, j_name: str, what: str):
             f"{j_name} {j_max} is too large for {what}: the graph census "
             f"runs to order {MAX_CENSUS_ORDER}, so {j_name} <= {MAX_CENSUS_ORDER + 1}"
         )
-    check_full_cost(r_max, j_max, r_name, j_name)
+    check_full_cost(r_max, j_max, r_name, j_name, what)
+
+
+def check_arc_orders(spec: DomainSpec, j_max: int, name: str):
+    """Refuse a j_max past the Taylor data of the spec's arcs: order j reads
+    f^(2j)(0), in either normalization.
+
+    Raises:
+        ValueError: naming ``name``, the short field and the largest j_max
+            it admits.
+    """
+    for field, arc in (("f", spec.f), ("f_minus", spec.f_minus)):
+        if arc is not None and arc.order < 2 * j_max:
+            raise ValueError(
+                f"{name} {j_max} is out of range: order j reads f^(2j)(0), and "
+                f"field {field!r} carries Taylor data to order {arc.order}, so "
+                f"{name} <= {arc.order // 2}"
+            )
 
 
 def principal_leading_value(r: int, length: float) -> complex:
@@ -604,8 +626,11 @@ def forward_table(
     any work, in this order: r_max and j_max >= 1; a FullPrincipal job
     against the graph census and `MAX_FULL_COST` (`check_full_job`);
     r_max against `max_iterate` (two-arc classes) or `MAX_BOUNCES`
-    bounces (dihedral).  ``names`` are the caller's names for r_max,
+    bounces (dihedral); j_max against the arcs' Taylor data
+    (`check_arc_orders`).  ``names`` are the caller's names for r_max,
     j_max and the FullPrincipal request, used in the messages only.
+    A two-arc job then inverts every iterate in one `stacked_parity_sums`
+    pass, which is also its symbol-pole test.
 
     Raises:
         ValueError: bad normalization, or a size check above, naming the
@@ -626,6 +651,7 @@ def forward_table(
         check_bounces(spec.m, r_max, names[0])
     else:
         check_iterate(r_max, spec.L, names[0])
+    check_arc_orders(spec, j_max, names[1])
     iterates, orders = range(1, r_max + 1), range(1, j_max + 1)
     entries: dict[tuple[int, int], complex] = {}
     if spec.kind == "dihedral":
@@ -641,15 +667,17 @@ def forward_table(
     else:
         base = CirculantHessian.from_spec(spec, 1)
         param = base.a
-        # also the symbol-pole test of every iterate, before any jet is built
-        sums = [parity_sums(dataclasses.replace(base, r=r)) for r in iterates]
+        # one pass inverts every iterate, and is the symbol-pole test of
+        # each, before any jet is built
+        sums, poles = stacked_parity_sums(base.L, base.a, base.b, iterates)
+        if poles:
+            raise next(iter(poles.values()))
         if normalization == "TopOnly":
             # one closed-form evaluation per order, over every iterate at once
             arcs = (spec.upper, spec.lower)
             leads = [principal_leading_value(r, spec.L) for r in iterates]
-            stack = tuple(np.array(s) for s in zip(*sums))
             columns = [
-                _top_values(leads, iterates, j, stack, contributing_weights(j),
+                _top_values(leads, iterates, j, sums, contributing_weights(j),
                             _arc_data(arcs, j))
                 for j in orders
             ]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .domain import BoundaryArc, DomainSpec, ObstructionError, check_bounces
 from .feynman import _i_power
-from .hessian import CirculantHessian, dihedral_inverse_entry, parity_sums
+from .hessian import dihedral_inverse_entry, stacked_parity_sums
 from .invariants import (
     InvariantTable,
     check_full_job,
@@ -128,27 +128,27 @@ def _iterate_data(
     """Inverse-Hessian data of every iterate that orders j <= J read.
 
     Returns r -> (h11, F3, A_r) for the admissible iterates of the
-    two-arc classes (m None, from `parity_sums` and
+    two-arc classes (m None, from one `stacked_parity_sums` pass and
     `principal_leading_value`), r -> (h11,) for those of the m-gon orbit,
     and one note per iterate skipped at a symbol pole.  The data depend on
     r, a and L only, so each iterate is inverted once for all orders.
     """
-    data: dict[int, tuple[float, ...]] = {}
-    notes = []
-    for r in sorted({r for (r, j) in table.entries if j <= J}):
-        try:
-            if m is None:
-                diagonal, _, s3 = parity_sums(CirculantHessian(r=r, L=L, a=a, b=a))
-                data[r] = (
-                    float(diagonal[0]),
-                    float(s3[0].sum()),
-                    principal_leading_value(r, L),
-                )
-            else:
+    rs = sorted({r for (r, j) in table.entries if j <= J})
+    if m is None:
+        (diagonal, _, s3), poles = stacked_parity_sums(L, a, a, rs)
+        admitted = [r for r in rs if r not in poles]
+        data = {
+            r: (float(diagonal[i, 0]), float(s3[i, 0].sum()), principal_leading_value(r, L))
+            for i, r in enumerate(admitted)
+        }
+    else:
+        data, poles = {}, []
+        for r in rs:
+            try:
                 data[r] = (dihedral_inverse_entry(m, r, a, 2.0 * L / m, 1, 1),)
-        except ObstructionError:
-            notes.append(f"iterate r = {r} skipped: symbol pole at a = {a:g}")
-    return data, notes
+            except ObstructionError:
+                poles.append(r)
+    return data, [f"iterate r = {r} skipped: symbol pole at a = {a:g}" for r in poles]
 
 
 def _decouple(

@@ -110,6 +110,30 @@ def test_forward_names_a_resonant_iterate_in_both_modes(tmp_path, capsys, mode):
     assert "obstruction[symbol-pole]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["top", "full"])
+@pytest.mark.parametrize("command", ["forward", "roundtrip"])
+def test_a_j_max_past_the_arcs_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, command, mode
+):
+    # order j reads f^(2j)(0): Taylor data to order 5 admit --j-max <= 2
+    def no_work(*args):
+        raise AssertionError("an iterate's Hessian was inverted")
+
+    monkeypatch.setattr(invariants, "stacked_parity_sums", no_work)
+    spec_file = write_updown(tmp_path, payload=dict(UPDOWN, f=UPDOWN["f"][:6]))
+    argv = [command, str(spec_file), "--mode", mode, "--r-max", "3", "--j-max", "3"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --j-max 3 is out of range")
+    assert "field 'f' carries Taylor data to order 5" in err and "--j-max <= 2" in err
+    twoarc = {"kind": "twoarc", "L": 2.0, "f": UPDOWN["f"],
+              "f_minus": [-1.0, 0.0, 0.2, 0.07, -0.04]}
+    spec_file = write_updown(tmp_path, payload=twoarc)
+    assert main([command, str(spec_file), "--mode", mode, "--j-max", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "--j-max 3" in err and "field 'f_minus'" in err and "--j-max <= 2" in err
+
+
 def test_census_limits_are_checked_before_any_work(tmp_path, capsys, monkeypatch):
     def census(order):
         raise AssertionError(f"order-{order} census started")
@@ -182,7 +206,7 @@ def test_iterates_past_the_range_limit_are_refused_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("an iterate's Hessian was inverted")
 
-    monkeypatch.setattr(invariants, "parity_sums", no_work)
+    monkeypatch.setattr(invariants, "stacked_parity_sums", no_work)
     spec_file = write_updown(tmp_path, payload=payload)
     assert main([command, str(spec_file), "--r-max", str(r_max), "--j-max", "2"]) == 1
     err = capsys.readouterr().err
@@ -364,13 +388,16 @@ def test_full_jobs_past_the_cost_limit_are_refused_before_any_jet(tmp_path, caps
         argv = [command, str(spec_file), "--mode", "full", "--r-max", "6", "--j-max", "4"]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "--r-max 6 with --j-max 4" in err and "--r-max <= 5" in err
+        assert "--r-max 6 with --j-max 4 is too large for --mode full" in err
+        assert "--r-max <= 5" in err
     table = InvariantTable(2.0, 0.48, "updown", "FullPrincipal",
                            {(r, j): 1j for r in range(1, 7) for j in range(1, 5)})
     table_file = tmp_path / "table.json"
     table_file.write_text(json.dumps(table.to_json()), encoding="utf-8")
     assert main(["invert", str(table_file)]) == 1
-    assert "entries[].r 6 with entries[].j 4" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the same words as the census refusal of the same table
+    assert "entries[].r 6 with entries[].j 4 is too large for a FullPrincipal table" in err
     assert main(["invert", str(table_file), "--j-max", "4"]) == 1
     assert "entries[].r 6 with --j-max 4" in capsys.readouterr().err
 
@@ -532,6 +559,21 @@ def test_graphs_dump_counts_and_cap(tmp_path, capsys):
     assert all("symmetry_factor" in g for row in catalog for g in row["graphs"])
     assert main(["graphs", "--j-max", "9"]) == 1
     assert "catalog supports" in capsys.readouterr().err
+
+
+def test_consecutive_calls_see_their_own_flags(tmp_path, capsys):
+    # the parser is built once per process; each call parses afresh
+    spec_file, table_file = write_updown(tmp_path), tmp_path / "table.json"
+    assert main(["forward", str(spec_file), "--j-max", "3", "--out", str(table_file)]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    capsys.readouterr()
+    assert main(["invert", str(table_file), "--class", "twoarc-symmetric", "--j-max", "2"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(["invert", str(table_file)]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert first["class"] == "twoarc-symmetric" and second["class"] == "updown"
+    assert max(map(int, first["report"]["taylor"])) == 4
+    assert max(map(int, second["report"]["taylor"])) == 6
 
 
 def test_usage_error_exits_via_argparse():

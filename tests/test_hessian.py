@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from wavetrace import hessian
 from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError, dihedral_parameters
 from wavetrace.hessian import (
     CirculantHessian,
@@ -22,6 +24,7 @@ from wavetrace.hessian import (
     inverse_fourier,
     inverse_matrix,
     parity_sums,
+    stacked_parity_sums,
 )
 from wavetrace.jets import MultiJet, derivative_tensor, jet_power
 
@@ -222,6 +225,59 @@ def test_pole_is_reported_with_k():
         parity_sums(_h(2, 0.0))
     assert err.value.name == "symbol-pole"
     assert "k = 1" in str(err.value)
+
+
+def _one_iterate_parity_sums(h):
+    """`parity_sums` of one iterate from the rows of `inverse_fourier`."""
+    rows = hessian._inverse_rows(h)
+    if len(rows) == 1:
+        rows = np.array([rows[0], np.roll(rows[0], 1)])
+    blocks = rows.reshape(2, h.r, 2)
+    ones = np.ones(h.r)
+    return np.array([rows[0, 0], rows[1, 1]]), ones @ blocks, ones @ (blocks * blocks * blocks)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(2.7, 2.7), (-3.1, -3.1), (0.37, 0.37), (-1.3, -1.3), (1.3, -0.4), (-2.5, 3.0),
+     (-1.0, -1.0), (0.0, 0.0), (2.0, 2.0)],
+    ids=["hyperbolic", "hyperbolic-neg", "elliptic", "elliptic-neg", "twoarc",
+         "twoarc-mixed", "poles-r3", "poles-even-r", "poles-all"],
+)
+def test_stacked_parity_sums_are_those_of_each_iterate_alone(a, b):
+    # bit for bit: r = 1 is the doubled corner; a = -1, 0 and 2 are poles of
+    # r divisible by 3, of even r and of every r
+    L, rs = 1.7, list(range(1, 201))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a pole iterate is never divided by
+        (diag, s1, s3), poles = stacked_parity_sums(L, a, b, rs)
+    admitted = [r for r in rs if r not in poles]
+    assert diag.shape == (len(admitted), 2) and s1.shape == s3.shape == (len(admitted), 2, 2)
+    for i, r in enumerate(admitted):
+        h = _h(r, a, L=L, b=b)
+        stacked = [x.tobytes() for x in (diag[i], s1[i], s3[i])]
+        assert stacked == [x.tobytes() for x in parity_sums(h)]
+        assert stacked == [x.tobytes() for x in _one_iterate_parity_sums(h)]
+    assert list(poles) == [r for r in rs if r not in admitted]
+    for r, err in poles.items():
+        with pytest.raises(ObstructionError) as alone:
+            parity_sums(_h(r, a, L=L, b=b))
+        assert (err.name, str(err)) == (alone.value.name, str(alone.value))
+    if a == -1.0:
+        assert list(poles) == list(range(3, 201, 3)) and "k = 1 (r = 3, a = -1)" in str(poles[3])
+
+
+def test_stacked_parity_sums_of_no_iterate():
+    for rs in ([], range(1, 1)):
+        (diag, s1, s3), poles = stacked_parity_sums(1.0, 0.5, 0.5, rs)
+        assert diag.shape == (0, 2) and s1.shape == s3.shape == (0, 2, 2) and poles == {}
+    # every iterate at a pole leaves an empty stack
+    (diag, _, _), poles = stacked_parity_sums(1.0, 2.0, 2.0, [1, 2, 3])
+    assert diag.shape == (0, 2) and list(poles) == [1, 2, 3]
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        stacked_parity_sums(1.0, 0.5, 0.5, [1, 0])
+    with pytest.raises(ValueError, match="L must be positive"):
+        stacked_parity_sums(0.0, 0.5, 0.5, [1])
 
 
 def test_chebyshev_inverse_shares_the_symbol_pole_test():

@@ -553,11 +553,11 @@ def test_full_cost_limit(monkeypatch):
     # the largest r_max accepted at each j_max, all measured in MAX_FULL_COST's
     # comment; the test sizes (r <= 3 at j = 4, r <= 4 at j = 3) fall inside
     for j_max, r_max in {1: 51, 2: 13, 3: 7, 4: 5}.items():
-        invariants.check_full_cost(r_max, j_max, "r", "j")
+        invariants.check_full_cost(r_max, j_max, "r", "j", "full mode")
         with pytest.raises(ValueError, match=f"r {r_max + 1} with j {j_max}.*r <= {r_max}"):
-            invariants.check_full_cost(r_max + 1, j_max, "r", "j")
-    with pytest.raises(ValueError, match="r 1000000000 with j 4.*r <= 5"):
-        invariants.check_full_cost(10**9, 4, "r", "j")  # stops at r = 6
+            invariants.check_full_cost(r_max + 1, j_max, "r", "j", "full mode")
+    with pytest.raises(ValueError, match="r 1000000000 with j 4 is too large for X.*r <= 5"):
+        invariants.check_full_cost(10**9, 4, "r", "j", "X")  # stops at r = 6
 
     def build(*args):
         raise AssertionError("a principal problem was built")

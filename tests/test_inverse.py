@@ -356,30 +356,42 @@ def test_recovery_refuses_a_j_past_the_table_orders():
 
 @pytest.mark.parametrize("kind", ["updown", "twoarc-symmetric", "dihedral"])
 def test_forward_and_recovery_invert_each_iterate_once(monkeypatch, kind):
-    # h11 and F3 depend on the iterate only, not on the order j
+    # h11 and F3 depend on the iterate only, not on the order j: the forward
+    # map and recovery each invert every r exactly once
+    import wavetrace.hessian
     import wavetrace.invariants
     import wavetrace.inverse
 
-    spec, name = {
-        "updown": (updown_spec(), "parity_sums"),
-        "twoarc-symmetric": (even_spec(), "parity_sums"),
-        "dihedral": (dihedral_spec(4), "dihedral_inverse_entry"),
-    }[kind]
-    calls = []
-    for module in (wavetrace.invariants, wavetrace.inverse):
-        inner = getattr(module, name)
+    spec = {"updown": updown_spec(), "twoarc-symmetric": even_spec(),
+            "dihedral": dihedral_spec(4)}[kind]
+    inverted = []
+    if kind == "dihedral":
+        name, modules = "dihedral_inverse_entry", (wavetrace.invariants, wavetrace.inverse)
 
-        def counted(*args, inner=inner):
-            calls.append(args)
-            return inner(*args)
+        def counting(inner):
+            def counted(m, r, *args):
+                inverted.append(r)
+                return inner(m, r, *args)
+            return counted
+    else:
+        # through the hessian module too, where `parity_sums` calls it
+        name = "stacked_parity_sums"
+        modules = (wavetrace.hessian, wavetrace.invariants, wavetrace.inverse)
 
-        monkeypatch.setattr(module, name, counted)
+        def counting(inner):
+            def counted(L, a, b, rs):
+                inverted.extend(rs)
+                return inner(L, a, b, rs)
+            return counted
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     table = forward_table(spec, 7, 5)
-    assert len(calls) == 7
-    calls.clear()
+    assert sorted(inverted) == list(range(1, 8))
+    inverted.clear()
     result = recover(table, 5)
     assert result.obstructions == ()
-    assert len(calls) == 7
+    assert sorted(inverted) == list(range(1, 8))
 
 
 @pytest.mark.parametrize(
