@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from wavetrace.domain import BoundaryArc, DomainSpec
-from wavetrace.jets import MultiJet, embed_pair, jet_power
+from wavetrace.jets import MultiJet, embed_pair, jet_compose_scalar, power_series
 
 __all__ = [
     "Chart",
@@ -404,31 +404,37 @@ def poincare_numeric(spec: DomainSpec, orbit: PeriodicOrbit) -> PoincareData:
 
 def chord_jets(
     spec: DomainSpec, r: int, degree: int
-) -> tuple[MultiJet, list[tuple[int, int, Chart, Chart]]]:
+) -> tuple[MultiJet, list[tuple[Chart, Chart]], list[tuple[int, int, int]]]:
     """The cyclic chord-length sum of the r-fold orbit, and the chart pair
     of each chord.
 
     Chord p joins bounce p to bounce q = (p + 1) mod n and depends on the
     chart coordinates x_p, x_q only.  Its jets are those of its chart pair
-    (`_chord_pair`), built once and placed into the n-variable basis.  The
-    wrap-around chord p = n - 1 joins x_{n-1} to x_0; at n = 2 it joins
-    the same two variables as chord 0, in the other order.
+    (`_chord_pair`), looked up once per distinct pair and placed into the
+    n-variable basis.  The wrap-around chord p = n - 1 joins x_{n-1} to
+    x_0; at n = 2 it joins the same two variables as chord 0, in the other
+    order.
 
     Returns:
-        (length, chords): the jet in all n variables of the chord-length
-        sum, and one ``(p, q, chart_p, chart_q)`` per chord in bounce order.
+        (length, pairs, chords): the jet in all n variables of the
+        chord-length sum, the distinct ``(chart_p, chart_q)`` pairs, and
+        one ``(p, q, k)`` per chord in bounce order, ``pairs[k]`` being
+        its chart pair.
     """
     word = bounce_sequence(spec, r)
     n = len(word)
-    chs = charts(spec)
-    length = MultiJet.zero(n, degree)
+    index: dict[tuple[int, int], int] = {}
     chords = []
     for p in range(n):
         q = (p + 1) % n
-        cha, chb = chs[word[p]], chs[word[q]]
-        length = length + embed_pair(_chord_pair(cha, chb, degree)[2], p, q, n)
-        chords.append((p, q, cha, chb))
-    return length, chords
+        chords.append((p, q, index.setdefault((word[p], word[q]), len(index))))
+    chs = charts(spec)
+    pairs = [(chs[a], chs[b]) for a, b in index]
+    roots = [_chord_pair(cha, chb, degree)[2] for cha, chb in pairs]
+    length = MultiJet.zero(n, degree)
+    for p, q, k in chords:
+        length = length + embed_pair(roots[k], p, q, n)
+    return length, pairs, chords
 
 
 # Entries of `_chord_pair`, one per chart pair and degree: a two-arc spec has
@@ -441,21 +447,29 @@ _PAIR_CACHE_SIZE = 64
 @functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def _chord_pair(
     cha: Chart, chb: Chart, degree: int
-) -> tuple[MultiJet, MultiJet, MultiJet]:
+) -> tuple[MultiJet, MultiJet, MultiJet, MultiJet]:
     """Jets of the chord from chart ``cha`` to chart ``chb``, in
     (y_0, y_1) = (x_a, x_b), taken at 0 to total degree ``degree``:
 
     * ``chord_sq`` = |P_b - P_a|^2, with P the chart point;
     * ``cross`` = T_a x (P_b - P_a), with T_a = dP_a/dx_a the chart tangent;
       on the two-arc charts it is (x_a - x_b) f'_a(x_a) - (f_a(x_a) - f_b(x_b));
-    * ``root`` = sqrt(chord_sq), the chord length.
+    * ``root`` = sqrt(chord_sq), the chord length;
+    * ``inverse_power`` = chord_sq^(-3/4), the chord length to the power
+      -3/2 that the amplitude's chord factor takes
+      (`invariants._chord_factor`).
+
+    The two powers are one `jet_compose_scalar` of the complex series
+    whose real and imaginary parts are theirs: chord_sq is real, so each
+    part of every product is the sum of the same terms, in the same order,
+    as in that power's own `jet_power`, and both are bit-identical to it.
 
     Every chord of every iterate joins one of a spec's few chart pairs, so
     the jets are cached per pair and degree and shared; their coefficient
     arrays are read-only.
 
     Returns:
-        (chord_sq, cross, root).
+        (chord_sq, cross, root, inverse_power).
     """
     c, s = math.cos(cha.angle), math.sin(cha.angle)
     xa, ya = _point_jet(cha, 0, degree)
@@ -467,7 +481,11 @@ def _chord_pair(
     )
     chord_sq = dx * dx + dy * dy
     cross = (dy * c - dx * s) - (dx * c + dy * s) * slope
-    jets = (chord_sq, cross, jet_power(chord_sq, 0.5))
+    series = power_series(0.5, chord_sq.value, degree + 1).astype(complex)
+    series.imag = power_series(-0.75, chord_sq.value, degree + 1)
+    powers = jet_compose_scalar(series, chord_sq).coeffs
+    root, inverse_power = (MultiJet(2, degree, part.copy()) for part in (powers.real, powers.imag))
+    jets = (chord_sq, cross, root, inverse_power)
     for jet in jets:
         jet.coeffs.flags.writeable = False
     return jets

@@ -571,9 +571,10 @@ class _Program:
     """Contraction program of one or more families of graph classes.
 
     Slot ``s < len(keys)`` holds the vertex tensor of ``keys[s]``; step
-    ``k``, a ``(first, second, subscripts)`` triple, joins two earlier
-    slots and fills slot ``len(keys) + k``.  Per family, one term per
-    class: ``(i-power, rank-0 vertex slots, final slot or None, |Aut|)``.
+    ``k``, a ``(first, second, subscripts, done)`` tuple, joins two earlier
+    slots and fills slot ``len(keys) + k``, and ``done`` names the slots
+    that no later step and no term reads.  Per family, one term per class:
+    ``(i-power, rank-0 vertex slots, final slot or None, |Aut|)``.
     """
 
     keys: tuple
@@ -630,18 +631,27 @@ def _compile(families: Sequence[tuple[Sequence[tuple[FeynmanGraph, int]], bool]]
             scalars = tuple(slots[key] for key in keys if not key[2])
             terms.append((i_power, scalars, operands[0] if operands else None, aut))
         out.append(tuple(terms))
+    last = {slot: k for k, step in enumerate(steps) for slot in step[:2]}
+    for _, scalars, final, _ in itertools.chain(*out):
+        for slot in (*scalars, final):
+            last.pop(slot, None)
+    steps = [(*step, tuple(s for s in set(step[:2]) if last.get(s) == k))
+             for k, step in enumerate(steps)]
     return _Program(tuple(slots), tuple(steps), tuple(out))
 
 
 def _run(program: _Program, problem: SPProblem) -> tuple[complex, ...]:
     """Per family of ``program``, the sum over its classes of i-power times
-    scalar vertex factors times the final contraction, divided by |Aut|."""
+    scalar vertex factors times the final contraction, divided by |Aut|.
+    A slot is dropped after the step that reads it last."""
     values = []
     for key in program.keys:
         tensor = problem.vertex_tensor(*key)
         values.append(tensor if tensor.ndim else complex(tensor))
-    for first, second, subscripts in program.steps:
+    for first, second, subscripts, done in program.steps:
         values.append(np.einsum(subscripts, values[first], values[second]))
+        for slot in done:
+            values[slot] = None
     sums = []
     for terms in program.families:
         total = 0j

@@ -43,7 +43,7 @@ from .hessian import (
     parity_sums,
     stacked_parity_sums,
 )
-from .jets import MultiJet, embed_pair, jet_power
+from .jets import MultiJet, embed_pair
 
 NORMALIZATIONS = ("TopOnly", "FullPrincipal")
 
@@ -126,10 +126,11 @@ def check_iterate(r: int, length: float, name: str):
 # 2r-variable jets of degree 2 j_max, C(2r + 2 j_max, 2 j_max) coefficients
 # each, and a job costs their sum over r <= r_max.  On a shared 2-core host
 # with one BLAS thread, the largest forward jobs accepted (r_max 5, 7, 13, 51
-# at j_max 4, 3, 2, 1) took 0.5-1.5 s and 113-294 MB cold in a fresh
-# process, and 0.2-0.54 s for a second spec in the same process; r_max 6
-# at j_max 4 took 8.9 s and 950 MB, and r_max 10 at j_max 4 would hold
-# 5.9 million.
+# at j_max 4, 3, 2, 1) take 0.63, 0.32, 0.42 and 0.32 s and peak at 148, 64,
+# 70 and 107 MB cold in a fresh process (median of 3, imports included), and
+# 0.19, 0.07, 0.05 and 0.11 s for a second spec in the same process; r_max 6
+# at j_max 4 takes 1.4 s and 384 MB, and r_max 10 at j_max 4 would hold 5.9
+# million.
 MAX_FULL_COST = 100_000
 
 
@@ -228,10 +229,13 @@ def build_principal(spec: DomainSpec, r: int, order: int) -> PrincipalTerm:
     2rL * L^-r * (i/2pi)^r and its gradient vanishes.
 
     Each chord factor depends on x_p and x_q only: it is the 2-variable
-    jet of the chord's chart pair (`_chord_factor`), built once per pair
-    and degree and placed into the 2r-variable basis, so the 2r - 1
-    products over chords and the final phase x product are the only
-    products at full size.
+    jet of the chord's chart pair (`_chord_factor`), looked up once per
+    distinct pair and placed into the 2r-variable basis, where it is
+    nonzero on the slots of x_p and x_q alone.  `jet_mul` reads only the
+    nonzero slots of its operands, so each of the 2r - 1 products over
+    chords costs the partial product's support (the first k factors live
+    in k + 1 variables) times the factor's, and the phase x product the
+    phase's support times the product's.
 
     Args:
         spec: two-arc domain ("twoarc" or "updown").
@@ -256,11 +260,9 @@ def build_principal(spec: DomainSpec, r: int, order: int) -> PrincipalTerm:
             raise ValueError(
                 f"insufficient jet order: arc stores {arc.order}, need {order}"
             )
-    phase, chords = chord_jets(spec, r, order)
-    factors = [
-        embed_pair(_chord_factor(cha, chb, order) * (-1.0) ** p, p, q, 2 * r)
-        for p, q, cha, chb in chords
-    ]
+    phase, pairs, chords = chord_jets(spec, r, order)
+    pair_factors = [_chord_factor(cha, chb, order) for cha, chb in pairs]
+    factors = [embed_pair(pair_factors[k] * (-1.0) ** p, p, q, 2 * r) for p, q, k in chords]
     product = math.prod(factors)
     amplitude = (phase * product) * LINK_CONSTANT_SQ**r
     return PrincipalTerm(phase_jets=phase, amplitude_jets=amplitude)
@@ -271,8 +273,8 @@ def _chord_factor(cha: Chart, chb: Chart, degree: int) -> MultiJet:
     """cross * chord_sq^(-3/4) of the chord from chart ``cha`` to chart
     ``chb`` (`billiard._chord_pair`), shared by every chord joining them;
     its coefficient array is read-only."""
-    chord_sq, cross, _ = _chord_pair(cha, chb, degree)
-    factor = cross * jet_power(chord_sq, -0.75)
+    _, cross, _, inverse_power = _chord_pair(cha, chb, degree)
+    factor = cross * inverse_power
     factor.coeffs.flags.writeable = False
     return factor
 

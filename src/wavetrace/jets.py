@@ -7,21 +7,21 @@ lexicographically (descending first exponent) within each degree, so the
 basis of order ``d`` is a prefix of the basis of order ``d' > d`` and
 truncation/extension are slices.
 
-Multiplication is a truncated Cauchy product driven by a precomputed
-``(i, j, k)`` index table (``x^{e_i} * x^{e_j} = x^{e_k}``); the table rows
-are grouped by the degree of ``e_k`` so products truncated below the storage
-order use only a prefix.  Tables are cached per ``(num_vars, max_degree)``
-and shared by every jet of that shape.
+Multiplication is a truncated Cauchy product over the nonzero slots of the
+two operands only (`jet_mul`): its cost follows the operands' supports, not
+the size of the basis, and nothing of size O(pairs of slots) is kept.  The
+index tables behind it are O(basis) and cached per ``(num_vars,
+max_degree)``, shared by every jet of that shape.
 
 A jet that depends on two variables only is built in a 2-variable basis and
 placed into the full basis by `embed_pair`: the orbit phase and amplitude
-are sums and products of such chord factors, so only their assembly runs at
-full size.
+are sums and products of such chord factors, each nonzero on the few slots
+of its two variables, so a product with one of them stays small.
 
-Each basis has one index: the mixed-radix code of an exponent vector in
-radix ``max_degree + 1``, searched in the sorted codes.  Product, derivative,
-tensor and embedding tables, and every multi-index a caller passes in, find
-their slots through it.
+Each basis has one index: a linear code of the exponent vector (the code of
+a product monomial is the sum of its factors' codes), searched in the
+sorted codes.  Products, derivative, tensor and embedding tables, and every
+multi-index a caller passes in, find their slots through it.
 
 Values at the expansion point are coefficients: the partial derivative
 ``d^alpha`` at 0 equals ``alpha! * c_alpha``; `derivative_tensor` reads all
@@ -79,15 +79,16 @@ class _Tables:
         self.exponents = _graded_exponents(num_vars, max_degree)
         self.size = len(self.exponents)
         self.degrees = self.exponents.sum(axis=1)
-        # Mixed-radix code of an exponent vector; radix max_degree+1 has no
-        # carries under addition of two admissible exponents.
-        self._radix = max_degree + 1
-        powers = self._radix ** np.arange(num_vars, dtype=np.int64)
-        self._powers = powers
-        self.codes = self.exponents @ powers
+        # Code of an exponent vector e, R^n |e| - sum_v e_v R^(n-1-v) with
+        # R = max_degree + 1: linear, so a product's code is the sum of its
+        # factors' codes, and rising with the slot unless int64 wraps.
+        radix = np.full(num_vars + 1, max_degree + 1, dtype=np.int64) ** np.arange(num_vars + 1)
+        self._powers = radix[-1] - radix[-2::-1]
+        self.codes = self.exponents @ self._powers
         self._code_order = np.argsort(self.codes)
         self._sorted_codes = self.codes[self._code_order]
-        self._mul: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        # ends[c] = number of slots of degree <= c
+        self.ends = np.searchsorted(self.degrees, np.arange(max_degree + 1), side="right")
         self._diff2: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._tensor_maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._pair_maps: dict[tuple[int, int], np.ndarray] = {}
@@ -115,30 +116,7 @@ class _Tables:
 
     def _index_of(self, codes: np.ndarray) -> np.ndarray:
         """Basis slots of admissible exponent codes."""
-        return self._code_order[np.searchsorted(self._sorted_codes, codes)]
-
-    def mul_table(self):
-        """(ii, jj, kk, offsets): result[kk] += a[ii]*b[jj]; rows sorted by
-        deg(e_kk); offsets[c] = number of rows with deg <= c."""
-        if self._mul is None:
-            ii_parts, jj_parts = [], []
-            d = self.max_degree
-            for da in range(d + 1):
-                left = np.nonzero(self.degrees == da)[0]
-                right = np.nonzero(self.degrees <= d - da)[0]
-                if len(left) == 0 or len(right) == 0:
-                    continue
-                ii_parts.append(np.repeat(left, len(right)))
-                jj_parts.append(np.tile(right, len(left)))
-            ii = np.concatenate(ii_parts)
-            jj = np.concatenate(jj_parts)
-            kk = self._index_of(self.codes[ii] + self.codes[jj])
-            order = np.argsort(self.degrees[kk], kind="stable")
-            ii, jj, kk = ii[order], jj[order], kk[order]
-            degs = self.degrees[kk]
-            offsets = np.searchsorted(degs, np.arange(d + 2), side="left")
-            self._mul = (ii, jj, kk, offsets)
-        return self._mul
+        return self._code_order[self._sorted_codes.searchsorted(codes)]
 
     def diff2_table(self, u: int, v: int):
         """(src, dst, factor) with out[dst] = factor * in[src] for the second
@@ -207,10 +185,11 @@ def _tables(num_vars: int, max_degree: int) -> _Tables:
 
 
 def _bincount(kk: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
-    if np.iscomplexobj(vals):
-        return np.bincount(kk, weights=vals.real, minlength=size) + 1j * np.bincount(
-            kk, weights=vals.imag, minlength=size
-        )
+    if vals.dtype.kind == "c":
+        out = np.empty(size, dtype=np.complex128)
+        out.real = np.bincount(kk, weights=vals.real, minlength=size)
+        out.imag = np.bincount(kk, weights=vals.imag, minlength=size)
+        return out
     return np.bincount(kk, weights=vals, minlength=size)
 
 
@@ -270,10 +249,10 @@ class MultiJet:
             raise ValueError(f"variable index {var} out of range for {num_vars} vars")
         series = np.asarray(series)
         count = min(len(series), max_degree + 1)
-        exps = np.zeros((count, num_vars), dtype=np.int64)
-        exps[:, var] = np.arange(count)
+        tab = _tables(num_vars, max_degree)
         jet = MultiJet.zero(num_vars, max_degree, complex_=np.iscomplexobj(series))
-        jet.coeffs[_tables(num_vars, max_degree).slots(exps)] = series[:count]
+        # x_var^k has code k * powers[var], admissible for k <= max_degree
+        jet.coeffs[tab._index_of(np.arange(count) * tab._powers[var])] = series[:count]
         return jet
 
     # -- basic queries -----------------------------------------------------
@@ -364,25 +343,42 @@ class MultiJet:
 def jet_mul(a: MultiJet, b: MultiJet, degree_cap: int | None = None) -> MultiJet:
     """Cauchy product truncated at the common max_degree.
 
+    Only the nonzero slots of the operands are read: each nonzero slot i of
+    ``a`` is paired with the nonzero slots of ``b`` that keep the product
+    within the truncation, the product slot is found from the sum of the
+    exponent codes, and one `np.bincount` adds the terms, into each slot in
+    increasing slot order of ``a``.  That is the order of the sum over every
+    pair of basis slots, and the terms left out are zeros, which do not
+    change a sum that starts at +0.0: for finite operands the result is
+    bit-identical to that dense sum.
+
     Args:
         a, b: jets with matching (num_vars, max_degree).
         degree_cap: if given, also drop product terms of degree > degree_cap
             (a cheap way to run low-order products inside high-order storage).
 
     Returns:
-        The truncated product jet.
+        The truncated product jet, of the operands' result dtype.
 
     Raises:
         ValueError: on shape mismatch.
     """
     a._check_match(b)
     tab = a._tab()
-    ii, jj, kk, offsets = tab.mul_table()
-    if degree_cap is not None and degree_cap < tab.max_degree:
-        stop = offsets[max(degree_cap, -1) + 1]
-        ii, jj, kk = ii[:stop], jj[:stop], kk[:stop]
+    top = tab.max_degree if degree_cap is None else min(degree_cap, tab.max_degree)
+    end = tab.ends[top] if top >= 0 else 0
+    ia = a.coeffs[:end].astype(bool).nonzero()[0]
+    jb = b.coeffs[:end].astype(bool).nonzero()[0]
+    # slot i of a pairs with the slots of b of degree <= top - deg(i): a
+    # prefix of jb, as the basis is graded; pairs run i-major
+    counts = jb.searchsorted(tab.ends[top - tab.degrees[ia]])
+    ii = ia.repeat(counts)
+    jj = jb[np.arange(len(ii)) - (counts.cumsum() - counts).repeat(counts)]
+    kk = tab._index_of(tab.codes[ii] + tab.codes[jj])
     vals = a.coeffs[ii] * b.coeffs[jj]
-    return MultiJet(a.num_vars, a.max_degree, _bincount(kk, vals, tab.size))
+    # an empty pair set would give int64 zeros
+    out = _bincount(kk, vals, tab.size).astype(vals.dtype, copy=False)
+    return MultiJet(a.num_vars, a.max_degree, out)
 
 
 def jet_compose_scalar(outer: Sequence, inner: MultiJet) -> MultiJet:
@@ -413,7 +409,13 @@ def jet_compose_scalar(outer: Sequence, inner: MultiJet) -> MultiJet:
     if np.iscomplexobj(terms) or np.iscomplexobj(inner.coeffs):
         out = MultiJet(out.num_vars, d, out.coeffs.astype(np.complex128))
     for m in range(len(terms) - 2, -1, -1):
-        out = jet_mul(out, u) + terms[m]
+        if m == len(terms) - 2:
+            # the constant times u; + 0.0 turns a -0.0 into the +0.0 that
+            # `jet_mul`'s sums start from, so this is that product bit for bit
+            out = MultiJet(u.num_vars, d, u.coeffs * out.value + 0.0)
+        else:
+            out = jet_mul(out, u)
+        out.coeffs[0] += terms[m]
     return out
 
 

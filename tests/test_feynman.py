@@ -479,6 +479,47 @@ def test_programs_run_each_distinct_step_once():
     assert [len(feynman._program(o).steps) for o in range(4)] == [0, 3, 45, 422]
 
 
+def _run_keeping_every_slot(program, problem):
+    """Reference only: `feynman._run` with no slot dropped."""
+    values = []
+    for key in program.keys:
+        tensor = problem.vertex_tensor(*key)
+        values.append(tensor if tensor.ndim else complex(tensor))
+    for first, second, subscripts, _ in program.steps:
+        values.append(np.einsum(subscripts, values[first], values[second]))
+    sums = []
+    for terms in program.families:
+        total = 0j
+        for value, scalars, final, aut in terms:
+            for slot in scalars:
+                value *= values[slot]
+            if final is not None:
+                value *= complex(values[final])
+            total += value / aut
+        sums.append(total)
+    return tuple(sums)
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_programs_drop_each_slot_after_its_last_reader(order):
+    program = feynman._program(order)
+    terms = [term for family in program.families for term in family]
+    kept = {slot for _, scalars, final, _ in terms for slot in (*scalars, final)}
+    dropped = set()
+    for k, (first, second, _, done) in enumerate(program.steps):
+        assert not {first, second} & dropped, (order, k)
+        assert set(done) <= {first, second} and not set(done) & kept, (order, k)
+        dropped |= set(done)
+    spec = parse_spec(
+        '{"kind": "updown", "L": 2.0, "f": [1.0, 0.0, 0.6, 0.15, -0.2, 0.1, 0.05, -0.12, 0.2]}'
+    )
+    for r in (1, 3):
+        problem = build_principal(spec, r, 8).problem()
+        got = feynman._run(program, problem)
+        want = _run_keeping_every_slot(program, problem)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def _census_sum(problem, j):
     return sum(amplitude(g, problem) / automorphism_order(g) for g in enumerate_graphs(j))
 

@@ -6,6 +6,10 @@ import collections
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy._core.einsumfunc as einsumfunc
@@ -692,6 +696,62 @@ def test_full_table_makes_few_full_size_products(monkeypatch):
         assert counts[2 * r] <= 2 * r + 1
 
 
+def _held_arrays(tab):
+    """(attribute, array) for each numpy array a jet table holds, directly,
+    in lists or in its dict caches of arrays and array tuples."""
+    for name, value in vars(tab).items():
+        for item in value.values() if isinstance(value, dict) else [value]:
+            for a in item if isinstance(item, (tuple, list)) else [item]:
+                if isinstance(a, np.ndarray):
+                    yield name, a
+
+
+def test_jet_tables_stay_the_size_of_the_basis():
+    # what `jets` keeps per (num_vars, max_degree) is index arrays over the
+    # basis, none as long as the product's pair list (125,970 pairs at 6
+    # vars, degree 8, against 3003 slots), and a product with the most
+    # pairs, of two dense jets, adds nothing.  A derivative-tensor map has
+    # num_vars**order entries, the size of the tensor it fills
+    forward_table(updown_spec(), 3, 4, "FullPrincipal")
+    tables = dict(jets._TABLE_CACHE)
+    assert (6, 8) in tables
+    for shape, tab in tables.items():
+        for name, a in _held_arrays(tab):
+            assert name == "_tensor_maps" or a.size <= (tab.num_vars + 1) * tab.size, name
+
+    def held():
+        return {shape: [a.nbytes for _, a in _held_arrays(tab)] for shape, tab in tables.items()}
+
+    before = held()
+    rng = np.random.default_rng(11)
+    for n in (2, 4, 6):  # the forward's shapes, not those other tests left
+        a, b = (MultiJet(n, 8, rng.standard_normal(tables[n, 8].size)) for _ in range(2))
+        jets.jet_mul(a, b)
+        jets.jet_mul(a, b, degree_cap=7)
+    assert dict(jets._TABLE_CACHE) == tables
+    assert held() == before
+
+
+def test_the_largest_job_at_j4_fits_its_memory_budget():
+    # r <= 5, j <= 4 builds 10-variable jets of degree 8 (43,758 slots); a
+    # product table over that basis alone held 3.1 million index triples.
+    # Linux carries the spawning process's RSS into a child's ru_maxrss, so
+    # the child reads the high-water mark of its own address space (kB)
+    code = (
+        "import wavetrace.domain as d, wavetrace.invariants as i\n"
+        "spec = d.parse_spec('{\"kind\": \"updown\", \"L\": 2.0, \"f\": [1.0, 0.0, -0.31, "
+        "0.12, 0.05, -0.033, 0.021, 0.011, -0.017]}')\n"
+        "i.forward_table(spec, 5, 4, 'FullPrincipal')\n"
+        "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).split()[1])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(jets.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) / 1024 < 200  # MB
+
+
 # ---------------------------------------------------------------------------
 # chord jets shared by chart pair
 
@@ -763,6 +823,28 @@ def test_full_jobs_build_two_chart_pairs_per_spec_and_degree(monkeypatch):
     recover(table, 4)
     assert points == [4] * 4 + [6] * 4 + [8] * 4
     assert [cache.cache_info().misses for cache in caches] == [8, 8]
+
+
+@pytest.mark.parametrize("spec", [updown_spec(), twoarc_spec()], ids=["updown", "twoarc"])
+def test_a_build_looks_up_each_chart_pair_once(spec):
+    # r = 5 has 10 chords over 2 chart pairs; a lookup hashes two charts
+    caches = (billiard._chord_pair, invariants._chord_factor)
+    build_principal(spec, 5, 4)
+    before = [cache.cache_info() for cache in caches]
+    build_principal(spec, 5, 4)
+    after = [cache.cache_info() for cache in caches]
+    assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, before)] == [(2, 0)] * 2
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_chord_powers_are_their_own_jet_powers_bit_for_bit(degree):
+    # both powers come out of one complex Horner pass over the real chord_sq
+    for spec in (updown_spec(), twoarc_spec()):
+        top, bottom = charts(spec)
+        for cha, chb in ((top, bottom), (bottom, top)):
+            chord_sq, _, root, inverse_power = billiard._chord_pair(cha, chb, degree)
+            assert root.coeffs.tobytes() == jet_power(chord_sq, 0.5).coeffs.tobytes()
+            assert inverse_power.coeffs.tobytes() == jet_power(chord_sq, -0.75).coeffs.tobytes()
 
 
 def test_cached_chord_jets_are_read_only():

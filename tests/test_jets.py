@@ -3,6 +3,7 @@ central finite differences on closed-form functions."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -99,6 +100,65 @@ def test_mul_commutes_and_associates():
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _dense_pairs(num_vars: int, max_degree: int, top: int):
+    """Reference only: every pair (i, j) of basis slots with deg i + deg j
+    <= top, i-major, and the slot of each product monomial, looked up by
+    its exponent row, not through the exponent codes."""
+    tab = _Tables(num_vars, max_degree)
+    slot_of = {row: k for k, row in enumerate(map(tuple, tab.exponents.tolist()))}
+    ii, jj = [], []
+    for i in np.flatnonzero(tab.degrees <= top):
+        right = np.flatnonzero(tab.degrees <= top - tab.degrees[i])
+        ii.append(np.full(len(right), i))
+        jj.append(right)
+    ii, jj = np.concatenate(ii), np.concatenate(jj)
+    rows = (tab.exponents[ii] + tab.exponents[jj]).tolist()
+    return ii, jj, np.array([slot_of[tuple(row)] for row in rows])
+
+
+def dense_table_mul(a: MultiJet, b: MultiJet, degree_cap=None) -> np.ndarray:
+    """Reference only: the product as a dense table adds it, every pair of
+    slots within the truncation, zero or not, into each product slot in
+    increasing slot order of ``a``."""
+    top = a.max_degree if degree_cap is None else min(degree_cap, a.max_degree)
+    out = np.zeros(len(a.coeffs), dtype=np.result_type(a.coeffs, b.coeffs))
+    if top >= 0:
+        ii, jj, kk = _dense_pairs(a.num_vars, a.max_degree, top)
+        np.add.at(out, kk, a.coeffs[ii] * b.coeffs[jj])
+    return out
+
+
+# (40, 2) and (102, 2): the exponent codes wrap int64 from 40 variables at
+# degree 2 on, and r <= 51, j <= 1 multiplies at 102
+@pytest.mark.parametrize(
+    "n, d", list(itertools.product((1, 2, 3, 6), (0, 1, 4, 8))) + [(40, 2), (102, 2)]
+)
+def test_product_on_supports_is_the_dense_table_sum_bit_for_bit(n, d):
+    rng = np.random.default_rng(100 * n + d)
+    size = MultiJet.zero(n, d).coeffs.size
+
+    def draw(support, complex_):
+        coeffs = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 7, size)
+        if complex_:
+            coeffs = coeffs + 1j * rng.standard_normal(size)
+            coeffs[rng.random(size) < 0.2] *= 1j  # some purely imaginary slots
+        keep = {"dense": 1.0, "sparse": 0.15, "zero": 0.0}[support]
+        coeffs[rng.random(size) >= keep] = 0
+        return MultiJet(n, d, coeffs)
+
+    supports = [("sparse", "dense"), ("dense", "sparse"), ("dense", "dense"),
+                ("sparse", "sparse"), ("zero", "dense"), ("dense", "zero")]
+    for complex_a, complex_b in [(False, False), (True, True), (False, True)]:
+        for support_a, support_b in supports:
+            a, b = draw(support_a, complex_a), draw(support_b, complex_b)
+            for cap in (None, -2, -1, 0, d // 2, d, d + 3):
+                got = jet_mul(a, b, degree_cap=cap).coeffs
+                want = dense_table_mul(a, b, degree_cap=cap)
+                assert got.dtype == want.dtype, (support_a, support_b, cap)
+                assert got.tobytes() == want.tobytes(), (support_a, support_b, cap)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(min_value=1, max_value=3),
@@ -192,6 +252,43 @@ def test_sqrt_rejects_nonpositive_point():
     u = MultiJet.variable(0, 1, 3)
     with pytest.raises(ValueError, match="positive"):
         jet_power(u, 0.5)  # constant term 0
+
+
+def _horner_over_jet_mul(terms, inner: MultiJet) -> MultiJet:
+    """Reference only: Horner's scheme with every step a `jet_mul`."""
+    complex_ = np.iscomplexobj(terms) or np.iscomplexobj(inner.coeffs)
+    u = inner - inner.value
+    if complex_:
+        u = MultiJet(u.num_vars, u.max_degree, u.coeffs.astype(np.complex128))
+    out = MultiJet.constant(terms[-1] + 0.0, inner.num_vars, inner.max_degree)
+    if complex_:
+        out = MultiJet(out.num_vars, out.max_degree, out.coeffs.astype(np.complex128))
+    for m in range(len(terms) - 2, -1, -1):
+        out = jet_mul(out, u) + terms[m]
+    return out
+
+
+@pytest.mark.parametrize("n, d", [(1, 0), (1, 1), (2, 2), (2, 8), (3, 4)])
+def test_compose_is_horner_over_jet_mul_bit_for_bit(n, d):
+    # the first step scales u instead of multiplying by a constant jet;
+    # a negative top term times u's zero slots gives -0.0, which a product
+    # sum turns into +0.0
+    rng = np.random.default_rng(7 * n + d)
+    size = MultiJet.zero(n, d).coeffs.size
+    for complex_terms, complex_inner in [(False, False), (True, False), (False, True)]:
+        coeffs = rng.standard_normal(size) * (rng.random(size) < 0.6)
+        if complex_inner:
+            coeffs = coeffs * (1.0 + 0.5j)
+        inner = MultiJet(n, d, coeffs)
+        for top in (-1.5, 0.0, 2.0):
+            terms = rng.standard_normal(d + 1)
+            if complex_terms:
+                terms = terms + 1j * rng.standard_normal(d + 1)
+            terms[-1] = top
+            got = jet_compose_scalar(terms, inner).coeffs
+            want = _horner_over_jet_mul(terms, inner).coeffs
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (complex_terms, complex_inner, top)
 
 
 def test_compose_exp_with_quadratic_jet():
