@@ -172,7 +172,8 @@ def amplitude_suite() -> list[dict]:
     j <= 4: both jets are gradient-free at the orbit, the amplitude has its
     closed-form leading value, pure third phase derivatives are twice the
     signed cubic of the bounce arc and mixed ones vanish, and the
-    order-(2j-2) amplitude jet never reads f^(2j-1)."""
+    order-(2j-2) amplitude jet never reads f^(2j-1).  Each term is built
+    at order 2j (4 at j = 1), where its amplitude has degree 2j - 2 (2)."""
     spec = _amplitude_fixture()
     arcs = (spec.f, spec.f_minus)
     grad, lead, third, mixed, freedom = [], [], [], [], []
@@ -180,7 +181,7 @@ def amplitude_suite() -> list[dict]:
         n = 2 * r
         expect = principal_leading_value(r, spec.L)
         for j in (1, 2, 3, 4):
-            term = build_principal(spec, r, max(2 * j - 2, 2))
+            term = build_principal(spec, r, max(2 * j, 4))
             grad.append(np.abs(derivative_tensor(term.phase_jets, 1)).max())
             grad.append(np.abs(derivative_tensor(term.amplitude_jets, 1)).max())
             lead.append(abs(term.amplitude_jets.value - expect) / abs(expect))
@@ -192,7 +193,7 @@ def amplitude_suite() -> list[dict]:
                 spec, f=spec.f.with_derivative(k, spec.f.derivative(k) + 0.6)
             )
             coeffs = term.amplitude_jets.coeffs
-            other = build_principal(moved, r, max(2 * j - 2, 2)).amplitude_jets.coeffs
+            other = build_principal(moved, r, max(2 * j, 4)).amplitude_jets.coeffs
             freedom.append(
                 np.abs(coeffs - other).max() / np.maximum(np.abs(coeffs).max(), 1.0)
             )

@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -113,8 +114,20 @@ def _expected_taylor(spec: DomainSpec, order: int) -> dict[int, float]:
     return convex_representative(spec, order)
 
 
+def _check_tol(tol: float | None):
+    """Refuse a NaN, infinite or negative ``--tol``: every residual would
+    fail it.
+
+    Raises:
+        ValueError: naming ``--tol``.
+    """
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--tol {tol!r} is out of range: --tol must be a finite number >= 0")
+
+
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     j_max, tol = args.j_max, args.tol
+    _check_tol(tol)
     spec = parse_spec(_read_input(args.spec_file))
     table = forward_table(spec, args.r_max, j_max, _MODES[args.mode], _FORWARD_NAMES)
     result = recover(table, j_max)
@@ -165,6 +178,7 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_tol(args.tol)
     names = args.suites or sorted(_SUITES)
     unknown = [n for n in names if n not in _SUITES]
     if unknown:

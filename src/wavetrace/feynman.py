@@ -32,7 +32,11 @@ order's sum runs as one program (`_program`): a pairwise step common to
 several classes (the same two operands, the same subscripts up to letter
 renaming) runs once per problem, 470 distinct steps over orders <= 3
 against 815 planned (common-subexpression elimination over a tensor
-network; Smith & Gray, *opt_einsum*, JOSS 2018).
+network; Smith & Gray, *opt_einsum*, JOSS 2018).  A vertex tensor of rank
+>= 1 that is exactly zero zeroes every step and class that reads it, and
+these are not run (`_run`): at a periodic orbit the amplitude is stationary
+too, so the open vertex's rank-1 tensor vanishes, and 8 of the 45 order-2
+steps and 85 of the 422 order-3 steps are skipped.
 
 The coefficient sums linked clusters (the exponential formula; Stanley,
 *Enumerative Combinatorics* II, ch. 5): every class factors into the part
@@ -643,19 +647,33 @@ def _compile(families: Sequence[tuple[Sequence[tuple[FeynmanGraph, int]], bool]]
 def _run(program: _Program, problem: SPProblem) -> tuple[complex, ...]:
     """Per family of ``program``, the sum over its classes of i-power times
     scalar vertex factors times the final contraction, divided by |Aut|.
-    A slot is dropped after the step that reads it last."""
+
+    A slot is dropped after the step that reads it last.  A vertex tensor
+    of rank >= 1 that is exactly zero is not stored either (at an orbit,
+    the amplitude's gradient): a step that reads it is not run, its result
+    is zero too, and a term whose final contraction is such a zero is left
+    out.  Each left-out term is an exact zero added to a sum that starts at
+    +0.0, so for finite data every sum keeps its bits.  A slot holds None
+    once dropped or when it is zero; a dropped slot is never read again.
+    """
     values = []
     for key in program.keys:
         tensor = problem.vertex_tensor(*key)
-        values.append(tensor if tensor.ndim else complex(tensor))
+        if not tensor.ndim:
+            values.append(complex(tensor))
+        else:
+            values.append(tensor if tensor.any() else None)
     for first, second, subscripts, done in program.steps:
-        values.append(np.einsum(subscripts, values[first], values[second]))
+        a, b = values[first], values[second]
+        values.append(None if a is None or b is None else np.einsum(subscripts, a, b))
         for slot in done:
             values[slot] = None
     sums = []
     for terms in program.families:
         total = 0j
         for value, scalars, final, aut in terms:
+            if final is not None and values[final] is None:
+                continue
             for slot in scalars:
                 value *= values[slot]
             if final is not None:

@@ -123,14 +123,15 @@ def check_iterate(r: int, length: float, name: str):
 
 
 # Largest FullPrincipal job accepted, in jet coefficients: iterate r builds
-# 2r-variable jets of degree 2 j_max, C(2r + 2 j_max, 2 j_max) coefficients
-# each, and a job costs their sum over r <= r_max.  On a shared 2-core host
-# with one BLAS thread, the largest forward jobs accepted (r_max 5, 7, 13, 51
-# at j_max 4, 3, 2, 1) take 0.63, 0.32, 0.42 and 0.32 s and peak at 148, 64,
-# 70 and 107 MB cold in a fresh process (median of 3, imports included), and
-# 0.19, 0.07, 0.05 and 0.11 s for a second spec in the same process; r_max 6
-# at j_max 4 takes 1.4 s and 384 MB, and r_max 10 at j_max 4 would hold 5.9
-# million.
+# a 2r-variable phase jet of degree 2 j_max, C(2r + 2 j_max, 2 j_max)
+# coefficients, and a job costs their sum over r <= r_max (the amplitude
+# jets, of degree 2 j_max - 2, are smaller).  On a shared 2-core host with
+# one BLAS thread, the largest forward jobs accepted (r_max 5, 7, 13, 51 at
+# j_max 4, 3, 2, 1) take 0.66, 0.28, 0.52 and 0.46 s and peak at 130, 61,
+# 67 and 103 MB cold in a fresh process (median of 3, imports included; the
+# host's load moves these times by a third), and 0.15, 0.04, 0.04 and
+# 0.09 s for a second spec in the same process; r_max 6 at j_max 4 takes
+# 1.4 s and 332 MB, and r_max 10 at j_max 4 would hold 5.9 million.
 MAX_FULL_COST = 100_000
 
 
@@ -203,9 +204,13 @@ class PrincipalTerm:
     """Stationary-phase data of one orbit iterate.
 
     Attributes:
-        phase_jets: jet of the chord-length sum at the orbit.
-        amplitude_jets: complex jet of the principal amplitude; its value
-            at the orbit is `principal_leading_value`.
+        phase_jets: jet of the chord-length sum at the orbit, to the
+            build's order.
+        amplitude_jets: complex jet of the principal amplitude, to two
+            degrees less: the order-k coefficient reads the phase to
+            degree 2k + 2 and the amplitude to degree 2k.  Its value at
+            the orbit is `principal_leading_value`, and its gradient there
+            is exactly zero.
     """
 
     phase_jets: MultiJet
@@ -228,19 +233,27 @@ def build_principal(spec: DomainSpec, r: int, order: int) -> PrincipalTerm:
     arc at bounce p.  At the orbit the amplitude equals
     2rL * L^-r * (i/2pi)^r and its gradient vanishes.
 
-    Each chord factor depends on x_p and x_q only: it is the 2-variable
-    jet of the chord's chart pair (`_chord_factor`), looked up once per
-    distinct pair and placed into the 2r-variable basis, where it is
-    nonzero on the slots of x_p and x_q alone.  `jet_mul` reads only the
-    nonzero slots of its operands, so each of the 2r - 1 products over
-    chords costs the partial product's support (the first k factors live
-    in k + 1 variables) times the factor's, and the phase x product the
-    phase's support times the product's.
+    The phase is built to degree ``order`` and the amplitude to
+    ``order - 2``, as deep as the order-(order/2 - 1) coefficient reads
+    each (`feynman._require_jet_orders`).  Each chord factor depends on
+    x_p and x_q only: it is the 2-variable jet of the chord's chart pair
+    (`_chord_factor`, cached at ``order`` with the chord's other jets),
+    looked up once per distinct pair, truncated, and placed into the
+    2r-variable basis, where it is nonzero on the slots of x_p and x_q
+    alone.  `jet_mul` reads only the nonzero slots of its operands, so
+    each of the 2r - 1 products over chords costs the partial product's
+    support (the first k factors live in k + 1 variables) times the
+    factor's, and the phase x product the phase's support times the
+    product's.  The graded basis of degree ``order - 2`` is a prefix of
+    that of ``order``, and a product slot of degree <= ``order - 2`` sums
+    the same terms in the same order in either, so the amplitude is the
+    one built at degree ``order``, truncated, bit for bit.
 
     Args:
         spec: two-arc domain ("twoarc" or "updown").
         r: iterate count, >= 1.
-        order: jet degree; both arcs must store Taylor data to this order.
+        order: phase jet degree; both arcs must store Taylor data to this
+            order.
 
     Raises:
         ValueError: dihedral spec, r < 1, order < 2, or arcs too short.
@@ -261,10 +274,11 @@ def build_principal(spec: DomainSpec, r: int, order: int) -> PrincipalTerm:
                 f"insufficient jet order: arc stores {arc.order}, need {order}"
             )
     phase, pairs, chords = chord_jets(spec, r, order)
-    pair_factors = [_chord_factor(cha, chb, order) for cha, chb in pairs]
+    low = order - 2
+    pair_factors = [_chord_factor(cha, chb, order).truncated(low) for cha, chb in pairs]
     factors = [embed_pair(pair_factors[k] * (-1.0) ** p, p, q, 2 * r) for p, q, k in chords]
     product = math.prod(factors)
-    amplitude = (phase * product) * LINK_CONSTANT_SQ**r
+    amplitude = (phase.truncated(low) * product) * LINK_CONSTANT_SQ**r
     return PrincipalTerm(phase_jets=phase, amplitude_jets=amplitude)
 
 
@@ -688,7 +702,8 @@ def forward_table(
                     entries[(r, j)] = column[i]
         else:
             # one principal problem per iterate at degree 2 j_max serves every
-            # order: order j reads its jets to degree 2j only
+            # order: order j reads the phase to degree 2j and the amplitude
+            # to 2j - 2 only
             for r in iterates:
                 problem = build_principal(spec, r, 2 * j_max).problem()
                 for j in orders:

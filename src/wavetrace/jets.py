@@ -139,17 +139,16 @@ class _Tables:
 
     def tensor_map(self, order: int):
         """(basis_idx, scale) of length num_vars**order mapping each index
-        tuple (i1..i_order) to its monomial's basis slot and alpha!."""
+        tuple (i1..i_order) to its monomial's basis slot and alpha!.
+
+        The codes of the index tuples are summed one axis at a time by
+        broadcasting, the new axis last, so building the map takes about
+        twice the map's own memory at its peak."""
         if order not in self._tensor_maps:
-            n = self.num_vars
-            if order == 0:
-                basis_idx = np.zeros(1, dtype=np.int64)
-            else:
-                grids = np.indices((n,) * order).reshape(order, -1)
-                codes = np.zeros(grids.shape[1], dtype=np.int64)
-                for axis in range(order):
-                    codes += self._powers[grids[axis]]
-                basis_idx = self._index_of(codes)
+            codes = np.zeros(1, dtype=np.int64)
+            for _ in range(order):
+                codes = (codes[:, None] + self._powers).reshape(-1)
+            basis_idx = self._index_of(codes)
             # alpha! of the degree-`order` rows, a contiguous block of the
             # graded basis, from a table of k!
             lo, hi = np.searchsorted(self.degrees, [order, order + 1])

@@ -535,6 +535,30 @@ def test_verify_tolerance_override_forces_failure(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-0.5e-12"])
+def test_bad_tolerances_are_refused_before_any_work(tol, tmp_path, capsys, monkeypatch):
+    def forward(*args):
+        raise AssertionError("the roundtrip job ran")
+
+    monkeypatch.setattr(cli, "forward_table", forward)
+    monkeypatch.setattr(cli, "_SUITES", {})
+    spec_file = write_updown(tmp_path)
+    for argv in (["roundtrip", str(spec_file), f"--tol={tol}"], ["verify", f"--tol={tol}"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--tol {float(tol)!r} is out of range" in err
+
+
+def test_zero_and_tiny_tolerances_stay_valid(tmp_path, capsys):
+    spec_file = write_updown(tmp_path)
+    assert main(["roundtrip", str(spec_file), "--r-max", "2", "--j-max", "2",
+                 "--tol", "0"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
+    assert main(["verify", "poincare", "--tol", "0"]) in (0, 1)
+    assert "checks passed" in capsys.readouterr().out
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nonsense"]) == 1
     assert "unknown suite" in capsys.readouterr().err

@@ -520,6 +520,48 @@ def test_programs_drop_each_slot_after_its_last_reader(order):
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+def _steps_run(monkeypatch, program, problem):
+    """`feynman._run` of ``program``, and the number of steps it ran."""
+    for key in program.keys:  # vertex tensors take no einsum; build them first
+        problem.vertex_tensor(*key)
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args):
+        calls.append(args[0])
+        return einsum(*args)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    sums = feynman._run(program, problem)
+    monkeypatch.setattr(np, "einsum", einsum)
+    return sums, len(calls)
+
+
+@pytest.mark.parametrize("order, steps, skipped", [(2, 45, 8), (3, 422, 85)])
+def test_steps_on_the_vanishing_amplitude_gradient_are_skipped(monkeypatch, order, steps, skipped):
+    # at the orbit the amplitude's gradient is exactly zero, so every step
+    # that reads the open vertex's rank-1 tensor, or a result of one, is
+    # left out, and so is every term that reads one; the sums keep their bits
+    spec = parse_spec(
+        '{"kind": "updown", "L": 2.0, "f": [1.0, 0.0, 0.6, 0.15, -0.2, 0.1, 0.05, -0.12, 0.2]}'
+    )
+    program = feynman._program(order)
+    assert len(program.steps) == steps
+    for r in (1, 3):
+        problem = build_principal(spec, r, 8).problem()
+        assert not problem.vertex_tensor(True, 0, 1).any()
+        got, run = _steps_run(monkeypatch, program, problem)
+        assert run == steps - skipped
+        want = _run_keeping_every_slot(program, problem)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    # a random problem's tensors are all nonzero: nothing is skipped
+    problem = random_sp_problem(np.random.default_rng(31), 3)
+    assert all(problem.vertex_tensor(*key).any() for key in program.keys)
+    got, run = _steps_run(monkeypatch, program, problem)
+    assert run == steps
+    assert np.array(got).tobytes() == np.array(_run_keeping_every_slot(program, problem)).tobytes()
+
+
 def _census_sum(problem, j):
     return sum(amplitude(g, problem) / automorphism_order(g) for g in enumerate_graphs(j))
 

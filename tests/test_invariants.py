@@ -135,13 +135,15 @@ def test_phase_pure_third_derivative_identity():
 
 
 def test_amplitude_low_jets_free_of_top_data():
-    # the order-(2j-2) amplitude jet cannot see f^(2j-1) or f^(2j)
+    # the order-(2j-2) amplitude jet of an order-2j build cannot see
+    # f^(2j-1) or f^(2j), which its phase reads
     spec = twoarc_spec()
     j = 3
-    base = build_principal(spec, 1, 2 * j - 2).amplitude_jets
+    base = build_principal(spec, 1, 2 * j).amplitude_jets
+    assert base.max_degree == 2 * j - 2
     for k in (2 * j - 1, 2 * j):
         moved = shift_derivative(spec, "top", k, 0.5)
-        other = build_principal(moved, 1, 2 * j - 2).amplitude_jets
+        other = build_principal(moved, 1, 2 * j).amplitude_jets
         assert np.array_equal(base.coeffs, other.coeffs)
 
 
@@ -669,7 +671,9 @@ def test_chord_jets_match_the_all_variable_construction(spec, r, degree):
     term = build_principal(spec, r, degree)
     assert_same_jet(term.phase_jets, _all_variable_length(spec, r, degree))
     assert_same_jet(length_jet(spec, r, degree), _all_variable_length(spec, r, degree))
-    assert_same_jet(term.amplitude_jets, _all_variable_amplitude(spec, r, degree))
+    # an order-(degree + 2) build carries the amplitude to this degree
+    amplitude = build_principal(spec, r, degree + 2).amplitude_jets
+    assert_same_jet(amplitude, _all_variable_amplitude(spec, r, degree))
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -792,13 +796,27 @@ def _per_chord_principal(spec, r, order):
 
 @pytest.mark.parametrize("spec", [updown_spec(), twoarc_spec()], ids=["updown", "twoarc"])
 def test_shared_chord_jets_are_the_per_chord_jets_byte_for_byte(spec):
+    # an order-8 build keeps the amplitude to degree 6
     billiard._chord_pair.cache_clear()
     invariants._chord_factor.cache_clear()
     for r in (1, 2, 3, 4):
-        term = build_principal(spec, r, 6)
-        phase, amplitude = _per_chord_principal(spec, r, 6)
+        term = build_principal(spec, r, 8)
+        phase = _per_chord_principal(spec, r, 8)[0]
+        amplitude = _per_chord_principal(spec, r, 6)[1]
         assert term.phase_jets.coeffs.tobytes() == phase.coeffs.tobytes()
         assert term.amplitude_jets.coeffs.tobytes() == amplitude.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+@pytest.mark.parametrize("spec", [updown_spec(), twoarc_spec()], ids=["updown", "twoarc"])
+def test_amplitude_is_the_full_degree_amplitude_truncated_byte_for_byte(spec, order):
+    # products and the phase x product step run at degree order - 2; each
+    # slot sums the same terms in the same order as at degree order
+    for r in (1, 2, 3, 4):
+        amplitude = build_principal(spec, r, order).amplitude_jets
+        full = _per_chord_principal(spec, r, order)[1]
+        assert amplitude.max_degree == order - 2
+        assert amplitude.coeffs.tobytes() == full.truncated(order - 2).coeffs.tobytes()
 
 
 def test_full_jobs_build_two_chart_pairs_per_spec_and_degree(monkeypatch):

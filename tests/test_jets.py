@@ -417,6 +417,35 @@ def test_index_tables_grow_with_the_basis_not_the_code_range():
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 4), (3, 5), (4, 4)])
+def test_tensor_map_is_the_index_grid_map(n, d):
+    tab = _Tables(n, d)
+    assert [a.tolist() for a in tab.tensor_map(0)] == [[0], [1.0]]
+    for order in range(1, d + 1):
+        basis_idx, scale = tab.tensor_map(order)
+        grid = np.indices((n,) * order).reshape(order, -1).T
+        exponents = np.zeros((len(grid), n), dtype=np.int64)
+        for axis in range(order):
+            exponents[np.arange(len(grid)), grid[:, axis]] += 1
+        assert np.array_equal(basis_idx, tab.slots(exponents))
+        want = [math.prod(math.factorial(int(e)) for e in row) for row in exponents]
+        assert np.array_equal(scale, want)
+
+
+def test_tensor_map_peak_memory_is_twice_its_size():
+    # (6 vars, degree 8), order 6: 46,656 index tuples.  An index grid of
+    # them alone holds six times the slot array
+    tab = _Tables(6, 8)
+    tracemalloc.start()
+    try:
+        basis_idx, scale = tab.tensor_map(6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = basis_idx.nbytes + scale.nbytes
+    assert peak < 2.5 * size
+
+
 def test_derivative_tensor_symmetry_and_values():
     rng = np.random.default_rng(8)
     jet = random_jet(rng, 3, 4)

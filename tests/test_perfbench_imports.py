@@ -1,9 +1,15 @@
-"""The benchmark scripts under perfbench/ import only names that exist."""
+"""The benchmark scripts under perfbench/ import only names that exist, and
+its layer probes run."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -97,3 +103,27 @@ def test_counted_functions_exist():
         ):
             missing.append(f"{metric}: wavetrace.{name}")
     assert not missing
+
+
+def test_probe_groups_run_and_give_finite_values():
+    # each group is one fresh interpreter, as the traced benchmark runs it;
+    # the probes call library functions whose contracts change, such as the
+    # degrees `build_principal` returns
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    groups = ("census", "first-shape", "warm")
+    procs = {
+        group: subprocess.Popen(
+            [sys.executable, str(PERFBENCH / "probes.py"), group], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for group in groups
+    }
+    for group, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, (group, err)
+        metrics = json.loads(out.splitlines()[-1])
+        assert metrics, group
+        bad = {name: value for name, value in metrics.items()
+               if not (isinstance(value, (int, float)) and math.isfinite(value))}
+        assert not bad, (group, bad)
