@@ -404,9 +404,9 @@ def poincare_numeric(spec: DomainSpec, orbit: PeriodicOrbit) -> PoincareData:
 
 def chord_jets(
     spec: DomainSpec, r: int, degree: int
-) -> tuple[MultiJet, list[tuple[Chart, Chart]], list[tuple[int, int, int]]]:
-    """The cyclic chord-length sum of the r-fold orbit, and the chart pair
-    of each chord.
+) -> tuple[MultiJet, list[tuple[MultiJet, ...]], list[tuple[int, int, int]]]:
+    """The cyclic chord-length sum of the r-fold orbit, and the jets of the
+    chart pair of each chord.
 
     Chord p joins bounce p to bounce q = (p + 1) mod n and depends on the
     chart coordinates x_p, x_q only.  Its jets are those of its chart pair
@@ -417,9 +417,9 @@ def chord_jets(
 
     Returns:
         (length, pairs, chords): the jet in all n variables of the
-        chord-length sum, the distinct ``(chart_p, chart_q)`` pairs, and
-        one ``(p, q, k)`` per chord in bounce order, ``pairs[k]`` being
-        its chart pair.
+        chord-length sum, the `_chord_pair` jets of each distinct
+        ``(chart_p, chart_q)`` pair, and one ``(p, q, k)`` per chord in
+        bounce order, ``pairs[k]`` being the jets of its chart pair.
     """
     word = bounce_sequence(spec, r)
     n = len(word)
@@ -429,11 +429,10 @@ def chord_jets(
         q = (p + 1) % n
         chords.append((p, q, index.setdefault((word[p], word[q]), len(index))))
     chs = charts(spec)
-    pairs = [(chs[a], chs[b]) for a, b in index]
-    roots = [_chord_pair(cha, chb, degree)[2] for cha, chb in pairs]
+    pairs = [_chord_pair(chs[a], chs[b], degree) for a, b in index]
     length = MultiJet.zero(n, degree)
     for p, q, k in chords:
-        length = length + embed_pair(roots[k], p, q, n)
+        length = length + embed_pair(pairs[k][2], p, q, n)
     return length, pairs, chords
 
 
@@ -447,7 +446,7 @@ _PAIR_CACHE_SIZE = 64
 @functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def _chord_pair(
     cha: Chart, chb: Chart, degree: int
-) -> tuple[MultiJet, MultiJet, MultiJet, MultiJet]:
+) -> tuple[MultiJet, MultiJet, MultiJet, MultiJet, MultiJet]:
     """Jets of the chord from chart ``cha`` to chart ``chb``, in
     (y_0, y_1) = (x_a, x_b), taken at 0 to total degree ``degree``:
 
@@ -456,8 +455,9 @@ def _chord_pair(
       on the two-arc charts it is (x_a - x_b) f'_a(x_a) - (f_a(x_a) - f_b(x_b));
     * ``root`` = sqrt(chord_sq), the chord length;
     * ``inverse_power`` = chord_sq^(-3/4), the chord length to the power
-      -3/2 that the amplitude's chord factor takes
-      (`invariants._chord_factor`).
+      -3/2;
+    * ``factor`` = cross * inverse_power, the amplitude's chord factor
+      (`invariants.build_principal`).
 
     The two powers are one `jet_compose_scalar` of the complex series
     whose real and imaginary parts are theirs: chord_sq is real, so each
@@ -469,7 +469,7 @@ def _chord_pair(
     arrays are read-only.
 
     Returns:
-        (chord_sq, cross, root, inverse_power).
+        (chord_sq, cross, root, inverse_power, factor).
     """
     c, s = math.cos(cha.angle), math.sin(cha.angle)
     xa, ya = _point_jet(cha, 0, degree)
@@ -485,7 +485,7 @@ def _chord_pair(
     series.imag = power_series(-0.75, chord_sq.value, degree + 1)
     powers = jet_compose_scalar(series, chord_sq).coeffs
     root, inverse_power = (MultiJet(2, degree, part.copy()) for part in (powers.real, powers.imag))
-    jets = (chord_sq, cross, root, inverse_power)
+    jets = (chord_sq, cross, root, inverse_power, cross * inverse_power)
     for jet in jets:
         jet.coeffs.flags.writeable = False
     return jets

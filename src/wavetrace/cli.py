@@ -9,7 +9,7 @@ Subcommands::
     badset     exceptional Floquet parameters and the factorization check
     graphs     the diagram census per order, with symmetry factors
 
-Exit codes: 0 success, 1 failure (bad input, failed verification),
+Exit codes: 0 success, 1 failure (bad input or usage, failed verification),
 2 obstruction (a named precondition of the inverse theory is violated).
 All machine output is byte-stable for fixed inputs and seed: JSON with
 sorted keys, CSV with a fixed column order.
@@ -248,11 +248,20 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise `ValueError`, so that
+    `main` reports them as bad input (exit 1); its subparsers share the
+    class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: each `add_argument`
     builds a help formatter, which asks for the terminal size."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wavetrace",
         description="Wave-invariant tables of bouncing-ball orbits: "
         "forward computation, inversion, and identity checks.",
@@ -321,8 +330,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ObstructionError as exc:
         print(f"obstruction[{exc.name}]: {exc.reason}", file=sys.stderr)

@@ -58,12 +58,17 @@ __all__ = [
     "cubic_sum",
     "bad_set",
     "badset_report",
+    "check_rank",
     "decoupling_pair",
     "dihedral_hessian",
     "dihedral_inverse_entry",
 ]
 
 _POLE_TOL = 1e-8
+
+# relative conditioning floor below which a decoupling system is treated
+# as singular (exactly-bad Floquet parameters produce proportional rows)
+_SING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -497,9 +502,25 @@ def badset_report() -> dict:
     }
 
 
-def decoupling_pair(
-    a: float, r_max: int, L: float = 1.0, tol: float = 1e-8
-) -> tuple[int, int, float]:
+def check_rank(rows: np.ndarray, what: str):
+    """Refuse decoupling rows whose smallest singular value is at most
+    `_SING_TOL` times the largest: proportional rows, or a column that
+    vanishes.
+
+    Raises:
+        ObstructionError("singular-decoupling"): naming ``what``.
+    """
+    smin, smax = np.linalg.svd(rows, compute_uv=False)[[-1, 0]]
+    if smin <= _SING_TOL * smax:
+        raise ObstructionError(
+            "singular-decoupling",
+            f"{what} are rank-deficient: smallest singular value {smin:.3g} "
+            f"<= {_SING_TOL:g} x largest {smax:.3g} (effectively a bad "
+            "Floquet parameter)",
+        )
+
+
+def decoupling_pair(a: float, r_max: int, L: float = 1.0) -> tuple[int, int, float]:
     """Pick iterates (r, s) whose decoupling system is best conditioned.
 
     Maximizes |det [[ (h^11_2r)^2, F_3(r,a) ], [ (h^11_2s)^2, F_3(s,a) ]]|
@@ -510,12 +531,21 @@ def decoupling_pair(
         (r, s, determinant) with the signed determinant of the best pair.
 
     Raises:
-        ObstructionError("singular-decoupling"): every admissible pair has
-            |det| <= tol — effectively a bad Floquet parameter.
+        ObstructionError("symbol-pole"): every iterate r <= r_max has a
+            pole at this ``a``, as in recovery.
+        ObstructionError("singular-decoupling"): one admissible iterate
+            only, or the best pair's rows fail recovery's rank test
+            (`check_rank`) — effectively a bad Floquet parameter.
     """
     rs = range(1, r_max + 1)
     (diagonal, _, s3), poles = stacked_parity_sums(L, a, a, rs)
     admitted = [r for r in rs if r not in poles]
+    if len(admitted) < 2:
+        raise ObstructionError(
+            "singular-decoupling" if admitted else "symbol-pole",
+            f"{len(admitted)} of the iterates r <= {r_max} clear a symbol pole "
+            f"at a = {a:.12g}: a pair is needed",
+        )
     rows = {
         r: (float(diagonal[i, 0]) ** 2, float(s3[i, 0].sum()))
         for i, r in enumerate(admitted)
@@ -528,12 +558,7 @@ def decoupling_pair(
             det = rows[r][0] * rows[s][1] - rows[s][0] * rows[r][1]
             if best is None or abs(det) > abs(best[2]):
                 best = (r, s, det)
-    if best is None or abs(best[2]) <= tol:
-        raise ObstructionError(
-            "singular-decoupling",
-            f"effectively bad Floquet parameter: all decoupling determinants "
-            f"below {tol:g} for a = {a:.12g}, r <= {r_max}",
-        )
+    check_rank(np.array([rows[best[0]], rows[best[1]]]), f"the best pair's rows at a = {a:.12g}")
     return best
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .billiard import _PAIR_CACHE_SIZE, Chart, _chord_pair, chord_jets
+from .billiard import chord_jets
 from .domain import (
     MAX_BOUNCES,
     DomainSpec,
@@ -236,11 +236,11 @@ def build_principal(spec: DomainSpec, r: int, order: int) -> PrincipalTerm:
     The phase is built to degree ``order`` and the amplitude to
     ``order - 2``, as deep as the order-(order/2 - 1) coefficient reads
     each (`feynman._require_jet_orders`).  Each chord factor depends on
-    x_p and x_q only: it is the 2-variable jet of the chord's chart pair
-    (`_chord_factor`, cached at ``order`` with the chord's other jets),
-    looked up once per distinct pair, truncated, and placed into the
-    2r-variable basis, where it is nonzero on the slots of x_p and x_q
-    alone.  `jet_mul` reads only the nonzero slots of its operands, so
+    x_p and x_q only: it is the 2-variable jet of the chord's chart pair,
+    which `chord_jets` looks up once per distinct pair with the phase's
+    (`billiard._chord_pair`, cached at ``order``), truncated, and placed
+    into the 2r-variable basis, where it is nonzero on the slots of x_p
+    and x_q alone.  `jet_mul` reads only the nonzero slots of its operands, so
     each of the 2r - 1 products over chords costs the partial product's
     support (the first k factors live in k + 1 variables) times the
     factor's, and the phase x product the phase's support times the
@@ -275,22 +275,11 @@ def build_principal(spec: DomainSpec, r: int, order: int) -> PrincipalTerm:
             )
     phase, pairs, chords = chord_jets(spec, r, order)
     low = order - 2
-    pair_factors = [_chord_factor(cha, chb, order).truncated(low) for cha, chb in pairs]
+    pair_factors = [pair[4].truncated(low) for pair in pairs]
     factors = [embed_pair(pair_factors[k] * (-1.0) ** p, p, q, 2 * r) for p, q, k in chords]
     product = math.prod(factors)
     amplitude = (phase.truncated(low) * product) * LINK_CONSTANT_SQ**r
     return PrincipalTerm(phase_jets=phase, amplitude_jets=amplitude)
-
-
-@functools.lru_cache(maxsize=_PAIR_CACHE_SIZE)
-def _chord_factor(cha: Chart, chb: Chart, degree: int) -> MultiJet:
-    """cross * chord_sq^(-3/4) of the chord from chart ``cha`` to chart
-    ``chb`` (`billiard._chord_pair`), shared by every chord joining them;
-    its coefficient array is read-only."""
-    _, cross, _, inverse_power = _chord_pair(cha, chb, degree)
-    factor = cross * inverse_power
-    factor.coeffs.flags.writeable = False
-    return factor
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 The forward map tabulates orbit invariants; `recover` runs the induction
 the other way, from a table and its orbit length L and Floquet datum.  The
 base case reads f''(0) off the Floquet datum; each later order reads its
-data off its table row, decoupling two graph families (mirror-symmetric
-class) or reading one (doubly symmetric and dihedral classes).
+data off its table row by one solve for every class (`_decouple`): it
+separates two graph families in the mirror-symmetric class and reads one
+in the doubly symmetric and dihedral classes, with the same rank test,
+FullPrincipal row weights and cancellation report in each.
 
 Recovered two-arc data follow the convex-representative convention: the
 reported f is the arc curving toward the orbit, so f''(0) > 0 for
@@ -22,7 +24,7 @@ import numpy as np
 
 from .domain import BoundaryArc, DomainSpec, ObstructionError, check_bounces
 from .feynman import _i_power
-from .hessian import dihedral_inverse_entry, stacked_parity_sums
+from .hessian import check_rank, dihedral_inverse_entry, stacked_parity_sums
 from .invariants import (
     InvariantTable,
     check_full_job,
@@ -32,10 +34,6 @@ from .invariants import (
     invariant_full,
     principal_leading_value,
 )
-
-# relative conditioning floor below which a decoupling system is treated
-# as singular (exactly-bad Floquet parameters produce proportional rows)
-_SING_TOL = 1e-8
 
 # |f'''(0)| below this (times the data scale) cannot anchor the odd data;
 # the floor sits above the sqrt-amplified least-squares noise (~1e-7)
@@ -55,8 +53,8 @@ class RecoveryResult:
             poles.  Fatal problems raise ObstructionError instead.
         cancellation: j -> largest cancellation ratio
             max(|entry|, |remainder|) / |entry - remainder| over the rows
-            of that order's decoupling solve, for FullPrincipal tables of
-            the mirror-symmetric class (empty otherwise).
+            of that order's solve, for every order 2..J of a FullPrincipal
+            table, whatever its class (empty for TopOnly tables).
     """
 
     taylor: dict[int, float]
@@ -151,76 +149,96 @@ def _iterate_data(
     return data, [f"iterate r = {r} skipped: symbol pole at a = {a:g}" for r in poles]
 
 
+def _row_prefactors(j: int, iterates: dict, m: int | None) -> dict[int, complex]:
+    """r -> the order-j row factor of iterate r (`_iterate_data`) without
+    its (h11)^(j-2): 8 r i^(j+1) A_r for the two-arc classes, with A_r the
+    leading principal amplitude, and m r for the m-gon orbit."""
+    if m is not None:
+        return {r: m * r for r in iterates}
+    phase = _i_power(j + 1)
+    return {r: 8.0 * r * phase * lead for r, (_, _, lead) in iterates.items()}
+
+
 def _decouple(
     j: int,
     values: dict[int, complex],
     scales: dict[int, float] | None,
     iterates: dict,
     a: float,
+    families: int,
+    m: int | None = None,
 ) -> tuple[float, float, float, float | None]:
-    """(A, B, residual, cancellation) of the order-j decoupling.
+    """(A, B, residual, cancellation) of the order-j row solve.
 
-    Separates the order-j table row into its two graph-family sums.  The
-    raw entry at (r, j) is divided by 8 r i^(j+1) A_r (h11)^(j-2), with
-    A_r the leading principal amplitude, leaving the real linear form
+    The raw entry at (r, j) is divided by its row factor, `_row_prefactors`
+    times (h11)^(j-2), leaving the real linear form
 
         (h11_2r)^2 * A - F3(r, a) * B = y_r
 
-    for A = -w1 f^(2j) + 2 w2 L/(a+2) f''' f^(2j-1) and
-    B = 2 w3 f''' f^(2j-1), in the convex-representative data,
-    in least squares over the admissible iterates (`_iterate_data`).
+    in least squares over the admissible iterates (`_iterate_data`).  Two
+    families (the mirror-symmetric class) separate the two graph-family
+    sums, A = -w1 f^(2j) + 2 w2 L/(a+2) f''' f^(2j-1) and
+    B = 2 w3 f''' f^(2j-1), in the convex-representative data.  One family
+    drops the F3 column and returns B = 0, with A = -w1 f^(2j) for the
+    two-arc classes and A = f^(2j) for the m-gon orbit (``m``): the doubly
+    symmetric and dihedral classes, whose odd data vanish by symmetry, and
+    a mirror-symmetric table whose rows past order 1 vanish.  An iterate
+    whose row factor is zero (h11 = 0 at j >= 3) reads nothing of order j
+    and is left out.
 
     With ``scales`` (FullPrincipal tables, see `_order_values`) each row
-    is weighted by |divisor| / scale, the inverse of its rounding level:
+    is weighted by |row factor| / scale, the inverse of its rounding level:
     where entry and remainder nearly cancel, y_r keeps the rounding of the
     larger of the two (weighted least squares; Bjorck, *Numerical Methods
     for Least Squares Problems*, 1996, ch. 4).  The cancellation returned
-    is the largest scale / |y_r| over the rows, None without scales.
-    TopOnly rows keep unit weight.  The singularity test and the residual
-    read the unweighted rows.
+    is the largest scale / |entry - remainder| over the rows, None without
+    scales.  TopOnly rows keep unit weight.  The rank test and the
+    residual read the unweighted rows.
 
     Raises:
-        ObstructionError("singular-decoupling"): fewer than two admissible
-            iterates, or the system is rank-deficient — the hallmark of
+        ObstructionError("symbol-pole"): no admitted row, every iterate
+            with an order-j entry sitting at a symbol pole.
+        ObstructionError("singular-decoupling"): fewer rows than families,
+            or rank-deficient rows (`hessian.check_rank`) — the hallmark of
             the finitely many bad Floquet parameters.
     """
     rows = sorted(iterates.keys() & values)
-    coeffs, rhs, weights = [], [], []
+    if not rows:
+        raise ObstructionError(
+            "symbol-pole", f"every iterate of order {j} hits a symbol pole at a = {a:g}"
+        )
+    prefactors = _row_prefactors(j, iterates, m)
+    coeffs, rhs, weights, ratios = [], [], [], []
     for r in rows:
-        h11, f3, lead = iterates[r]
-        coeffs.append((h11**2, -f3))
-        divisor = 8.0 * r * _i_power(j + 1) * lead * h11 ** (j - 2)
+        h11 = iterates[r][0]
+        divisor = prefactors[r] * h11 ** (j - 2)
+        if divisor == 0:
+            continue
+        coeffs.append((h11**2, -iterates[r][1]) if families == 2 else (h11**2,))
         rhs.append(complex(values[r]) / divisor)
         if scales is not None:
             weights.append(abs(divisor) / scales[r])
-    if len(coeffs) < 2:
+            ratios.append(scales[r] / abs(values[r]) if values[r] else math.inf)
+    if len(coeffs) < families:
         raise ObstructionError(
             "singular-decoupling",
-            f"need two admissible iterates to separate order {j}, "
-            f"have {len(coeffs)} at a = {a:g}",
+            f"order {j} has {len(coeffs)} rows with a nonzero factor at a = {a:g}, "
+            f"fewer than its {families} families",
         )
     matrix = np.array(coeffs)
-    smin, smax = np.linalg.svd(matrix, compute_uv=False)[[-1, 0]]
-    if smin <= _SING_TOL * smax:
-        raise ObstructionError(
-            "singular-decoupling",
-            "decoupling rows are proportional "
-            "(effectively bad Floquet parameter)",
-        )
+    check_rank(matrix, f"the order-{j} rows at a = {a:g}")
     rhs = np.array(rhs)
     system, target, cancellation = matrix, rhs, None
     if scales is not None:
         w = np.array(weights)
-        system, target = matrix * w[:, None], rhs * w
-        cancellation = max(
-            scales[r] / abs(values[r]) if values[r] else math.inf for r in rows
-        )
+        system, target, cancellation = matrix * w[:, None], rhs * w, max(ratios)
     sol_c, *_ = np.linalg.lstsq(system.astype(complex), target, rcond=None)
     sol = sol_c.real
     resid = float(
         np.linalg.norm(matrix @ sol - rhs) / max(np.linalg.norm(rhs), 1.0)
     )
-    return float(sol[0]), float(sol[1]), resid, cancellation
+    B = float(sol[1]) if families == 2 else 0.0
+    return float(sol[0]), B, resid, cancellation
 
 
 def check_orders(table: InvariantTable, J: int, name: str):
@@ -241,7 +259,8 @@ def check_orders(table: InvariantTable, J: int, name: str):
 
 def _zero_beyond_quadratic(table: InvariantTable) -> bool:
     """True when the table holds entries past order 1 and every one of
-    them vanishes next to the order-1 entries."""
+    them vanishes next to the order-1 entries: a mirror-symmetric table
+    then reads one family, as its odd family has nothing to anchor."""
     scale = max([abs(v) for (_, j), v in table.entries.items() if j == 1] + [1.0])
     higher = [abs(v) for (_, j), v in table.entries.items() if j >= 2]
     return bool(higher) and all(v <= 1e-13 * scale for v in higher)
@@ -284,12 +303,13 @@ def recover(table: InvariantTable, J: int, name: str = "J") -> RecoveryResult:
     compares the TopOnly j = 1 entries with it, and the FullPrincipal ones
     with 2 A_r, their order-0 diagram sum, which reads L and not a.  Order
     j >= 2 reads the order-j row only, less the remainder of the data so
-    far in a FullPrincipal table (`_order_values`).  For "updown" it
-    decouples the two graph families and divides the odd one by f'''(0);
-    a vanishing cubic stops the induction at j = 3, so J = 2 still returns
-    the quartic datum of a doubly symmetric table.  "twoarc-symmetric"
-    and "dihedral-<m>" have odd data zero by symmetry and read the even
-    datum off one family.
+    far in a FullPrincipal table (`_order_values`), by one solve for
+    every class (`_decouple`).  For "updown" it decouples the two graph
+    families and divides the odd one by f'''(0); a vanishing cubic stops
+    the induction at j = 3, so J = 2 still returns the quartic datum of a
+    doubly symmetric table.  "twoarc-symmetric" and "dihedral-<m>" have
+    odd data zero by symmetry and read the even datum off one family, as
+    does an "updown" table whose rows past order 1 all vanish.
 
     The job is checked once, before any work, in this order: J >= 1; a
     FullPrincipal table whose remainders at orders <= J would pass the
@@ -304,13 +324,14 @@ def recover(table: InvariantTable, J: int, name: str = "J") -> RecoveryResult:
             entries reach past `MAX_BOUNCES` bounces.
         ObstructionError("unsupported"): a generic two-arc class (its
             tables are underdetermined) or a non-TopOnly dihedral table.
-        ObstructionError("singular-decoupling"): "updown" at a bad
-            Floquet parameter or with fewer than two admissible iterates.
+        ObstructionError("symbol-pole"): an order with no admitted row,
+            every iterate of that order sitting at a symbol pole.
+        ObstructionError("singular-decoupling"): an order with fewer rows
+            than families or rank-deficient rows, as at a bad Floquet
+            parameter or where h11 vanishes.
         ObstructionError("vanishing-cubic"): "updown" with |f'''(0)|
             below tolerance, so the odd data are not anchored (the
             quintic-sum extension is not implemented), or (f'''(0))^2 < 0.
-        ObstructionError("symbol-pole"): a single-family class with every
-            iterate of some order at a symbol pole.
     """
     check_size(J, name)
     if table.normalization == "FullPrincipal":
@@ -334,54 +355,31 @@ def recover(table: InvariantTable, J: int, name: str = "J") -> RecoveryResult:
     else:
         data = {2: (a - 2.0) * m * math.sin(math.pi / m) / (4.0 * L)}
     iterates, notes = _iterate_data(table, J, a, L, m)
+    families = 2 if cls == "updown" and not _zero_beyond_quadratic(table) else 1
 
-    def coefficients(j: int) -> dict[int, complex]:
-        """Single-family coefficient of each iterate's order-j entry."""
-        if m is not None:
-            return {r: m * r * h[0] ** j for r, h in iterates.items()}
-        w1 = contributing_weights(j)[0]
-        return {r: -8.0 * r * _i_power(j + 1) * lead * w1 * h11**j
-                for r, (h11, _, lead) in iterates.items()}
-
-    residuals: dict[int, float] = {}
-    checks, first = [], coefficients(1)
-    for r in sorted(iterates.keys() & {r for (r, j) in table.entries if j == 1}):
-        if table.normalization == "TopOnly":
-            want = first[r] * data[2]
-        else:  # the order-0 diagram sum: twice the amplitude at the orbit
-            want = 2.0 * iterates[r][2]
-        checks.append(abs(table.entry(r, 1) - want) / max(abs(want), 1.0))
-    if checks:
-        residuals[1] = max(checks)
-
-    if cls == "updown" and J >= 2 and _zero_beyond_quadratic(table):
-        data.update((k, 0.0) for k in range(3, 2 * J + 1))
-        residuals.update((j, 0.0) for j in range(2, J + 1))
-        return RecoveryResult(data, residuals, tuple(notes))
+    # a TopOnly order-1 entry is its row factor times (h11)^2 A, with one
+    # family A = -w1 f''(0), or f''(0) on the m-gon orbit; a FullPrincipal
+    # one is the order-0 diagram sum, twice the amplitude at the orbit
+    even = -contributing_weights(1)[0] if m is None else 1.0
+    first = _row_prefactors(1, iterates, m)
+    wants = {
+        r: first[r] * even * h[0] * data[2] if table.normalization == "TopOnly" else 2.0 * h[2]
+        for r, h in iterates.items() if (r, 1) in table.entries
+    }
+    checks = [abs(table.entry(r, 1) - want) / max(abs(want), 1.0) for r, want in wants.items()]
+    residuals = {1: max(checks)} if checks else {}
 
     cancellation: dict[int, float] = {}
     cubic_floor = _CUBIC_TOL
     for j in range(2, J + 1):
         values, scales = _order_values(table, L, data, j, iterates)
-        if cls != "updown":
-            rows = sorted(values)
-            if not rows:
-                raise ObstructionError(
-                    "symbol-pole",
-                    f"every iterate of order {j} hits a symbol pole at a = {a:g}",
-                )
-            coeffs = coefficients(j)
-            matrix = np.array([[coeffs[r]] for r in rows], dtype=complex)
-            rhs = np.array([[complex(values[r])] for r in rows])
-            sol_c, *_ = np.linalg.lstsq(matrix, rhs[:, 0], rcond=None)
-            data[2 * j - 1], data[2 * j] = 0.0, float(sol_c[0].real)
-            resid = np.linalg.norm(matrix * data[2 * j] - rhs)
-            residuals[j] = float(resid / max(np.linalg.norm(rhs), 1.0))
-            continue
-        w1, w2, w3 = contributing_weights(j)
-        A, B, residuals[j], ratio = _decouple(j, values, scales, iterates, a)
+        A, B, residuals[j], ratio = _decouple(j, values, scales, iterates, a, families, m)
         if ratio is not None:
             cancellation[j] = ratio
+        w1, w2, w3 = contributing_weights(j)
+        if families == 1:  # odd data zero by symmetry, or a flat table
+            data[2 * j - 1], data[2 * j] = 0.0, -A / w1 if m is None else A
+            continue
         odd_product = B / (2.0 * w3)  # = f'''(0) f^(2j-1)(0)
         if j == 2:
             cubic_floor = _CUBIC_TOL * max(1.0, abs(A / w1)) ** 0.5

@@ -10,8 +10,13 @@ truncation/extension are slices.
 Multiplication is a truncated Cauchy product over the nonzero slots of the
 two operands only (`jet_mul`): its cost follows the operands' supports, not
 the size of the basis, and nothing of size O(pairs of slots) is kept.  The
-index tables behind it are O(basis) and cached per ``(num_vars,
-max_degree)``, shared by every jet of that shape.
+index tables behind it (exponents, codes, the code index) are O(basis) and
+cached per ``(num_vars, max_degree)``, shared by every jet of that shape.
+Two tables of the same cache grow faster, and like it live for the whole
+process: the derivative-tensor map of each order (``num_vars**order``
+entries, `_Tables.tensor_map`, read by `derivative_tensor`) and the
+second-derivative table of each variable pair (O(num_vars^2 * basis) over
+all pairs, `_Tables.diff2_table`).
 
 A jet that depends on two variables only is built in a 2-variable basis and
 placed into the full basis by `embed_pair`: the orbit phase and amplitude

@@ -465,6 +465,22 @@ def test_invert_names_a_j_past_the_table_orders(tmp_path, capsys, normalization)
     assert "entries[].j 3 is out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [[], ["--class", "updown"]])
+def test_a_vanishing_h11_ends_in_singular_decoupling(tmp_path, capsys, override):
+    # at a = 0, h11 = 0 at every odd r: every row past order 1 of this
+    # doubly symmetric table vanishes and reads nothing of f^(4), f^(6)
+    spec_file = write_updown(tmp_path, payload={
+        "kind": "updown", "L": 2, "f": [1, 0, -0.25, 0, 0.05, 0, -0.033, 0, 0.011]})
+    table_file = tmp_path / "table.json"
+    assert main(["forward", str(spec_file), "--r-max", "1", "--j-max", "3",
+                 "--out", str(table_file)]) == 0
+    assert json.loads(table_file.read_text())["class"] == "twoarc-symmetric"
+    capsys.readouterr()
+    assert main(["invert", str(table_file), *override]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("obstruction[singular-decoupling]: the order-2 rows")
+
+
 def test_invert_class_override_can_fail_loudly(tmp_path, capsys):
     spec_file = write_updown(tmp_path)
     table_file = tmp_path / "table.json"
@@ -600,9 +616,27 @@ def test_consecutive_calls_see_their_own_flags(tmp_path, capsys):
     assert max(map(int, second["report"]["taylor"])) == 6
 
 
-def test_usage_error_exits_via_argparse():
-    with pytest.raises(SystemExit):
-        main([])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["roundtrip", "spec.json", "--tol", "-inf"], "argument --tol: expected one argument"),
+        (["forward", "spec.json", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["tol-minus-inf", "unknown-flag", "no-subcommand"],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    # exit 2 is kept for named obstructions
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["forward", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: wavetrace forward")
 
 
 def test_cli_import_loads_no_scipy():

@@ -33,6 +33,9 @@ JUNK = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
 )
 COEFF = st.floats(-3.0, 3.0)
+# Floquet or circulant parameters: the exceptional set {-2, -1, 0, 2}, where
+# rows vanish, sit at poles or are proportional, and the range around it
+FLOQUET = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 2.0]), st.floats(-4.0, 4.0))
 # dihedral class labels: junk, m below 2, negative, and m at or just past
 # the bounce limit (with r >= 2 its entries pass it too)
 DIHEDRAL_CLASS = st.one_of(
@@ -58,11 +61,11 @@ def mutated(draw, payload: dict) -> dict:
 def spec_payloads(draw, order=st.integers(2, 8)) -> dict:
     """Spec objects that are mostly valid: the orbit normalization holds
     unless a mutation breaks it.  ``order`` draws the arcs' Taylor order;
-    the curvature comes from a Floquet or circulant parameter in [-4, 4],
-    so most draws give a non-degenerate orbit."""
+    the curvature comes from a Floquet or circulant parameter, in [-4, 4]
+    or on the exceptional set (`FLOQUET`)."""
     kind = draw(st.sampled_from(["updown", "twoarc", "dihedral"]))
     L = draw(st.floats(0.05, 5.0))
-    a = draw(st.floats(-4.0, 4.0))
+    a = draw(FLOQUET)
     tail = draw(st.lists(COEFF, min_size=draw(order) - 2, max_size=8))
     if kind == "dihedral":
         m = draw(st.integers(2, 5))
@@ -90,7 +93,7 @@ def table_payloads(draw) -> dict:
     ]
     payload = {
         "L": draw(st.floats(0.05, 5.0)),
-        "a": draw(st.floats(-4.0, 4.0)),
+        "a": draw(FLOQUET),
         "class": draw(st.one_of(
             st.sampled_from(["updown", "twoarc", "twoarc-symmetric"]), DIHEDRAL_CLASS)),
         "normalization": draw(st.sampled_from(["TopOnly", "FullPrincipal", "Other"])),
@@ -173,11 +176,17 @@ DIHEDRAL_SPEC = {"kind": "dihedral", "L": 3.0, "m": 3,
                  "f": [1.0 / SIN_3, 0.0, (3.9 - 2.0) * 3 * SIN_3 / 24.0]}
 
 
+# a doubly symmetric spec at a = 0, where h11 = 0 at r = 1 (and r = 2 is
+# resonant): every row past order 1 vanishes
+FLAT_SPEC = {"kind": "updown", "L": 2.0, "f": [1.0, 0.0, -0.25, 0.0, 0.05, 0.0, -0.033]}
+
+
 @seed(20261018)
 @settings(FUZZ, max_examples=30)
 @given(run=cli_runs())
 @example(run=(DIHEDRAL_SPEC, ["--r-max", str(MAX_BOUNCES // 3 + 1), "--j-max", "1",
                               "--mode", "top"]))
+@example(run=(FLAT_SPEC, ["--r-max", "1", "--j-max", "3", "--mode", "top"]))
 def test_cli_exits_with_a_code_on_any_spec(run):
     payload, sizes = run
     with tempfile.TemporaryDirectory() as tmp:

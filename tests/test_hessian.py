@@ -378,6 +378,15 @@ def test_decoupling_pair():
     assert det2 == pytest.approx(2.0**5 * det, rel=1e-9)
 
 
+def test_decoupling_pair_refuses_by_the_rank_rule_of_recovery():
+    # the rows scale as (L^2, L^3): a short orbit has a tiny determinant but
+    # the same conditioning, and keeps its pair
+    r, s, det = decoupling_pair(1.0, r_max=6)
+    r2, s2, det2 = decoupling_pair(1.0, r_max=6, L=0.01)
+    assert (r2, s2) == (r, s) and abs(det2) < 1e-8
+    assert det2 == pytest.approx(0.01**5 * det, rel=1e-9)
+
+
 @pytest.mark.parametrize("a", [-1.0, 0.0, 2.0, -2.0])
 def test_decoupling_fails_on_bad_set(a):
     with pytest.raises(ObstructionError) as err:

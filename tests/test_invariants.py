@@ -798,7 +798,6 @@ def _per_chord_principal(spec, r, order):
 def test_shared_chord_jets_are_the_per_chord_jets_byte_for_byte(spec):
     # an order-8 build keeps the amplitude to degree 6
     billiard._chord_pair.cache_clear()
-    invariants._chord_factor.cache_clear()
     for r in (1, 2, 3, 4):
         term = build_principal(spec, r, 8)
         phase = _per_chord_principal(spec, r, 8)[0]
@@ -830,28 +829,26 @@ def test_full_jobs_build_two_chart_pairs_per_spec_and_degree(monkeypatch):
         return point_jet(chart, var, degree)
 
     monkeypatch.setattr(billiard, "_point_jet", counted)
-    caches = (billiard._chord_pair, invariants._chord_factor)
-    for cache in caches:
-        cache.cache_clear()
+    cache = billiard._chord_pair
+    cache.cache_clear()
     table = forward_table(updown_spec(), 3, 4, "FullPrincipal")
     assert points == [8] * 4
-    assert [cache.cache_info().misses for cache in caches] == [2, 2]
+    assert cache.cache_info().misses == 2
     # one auxiliary spec per order j = 2, 3, 4, at degree 2j, two pairs each
     points.clear()
     recover(table, 4)
     assert points == [4] * 4 + [6] * 4 + [8] * 4
-    assert [cache.cache_info().misses for cache in caches] == [8, 8]
+    assert cache.cache_info().misses == 8
 
 
 @pytest.mark.parametrize("spec", [updown_spec(), twoarc_spec()], ids=["updown", "twoarc"])
 def test_a_build_looks_up_each_chart_pair_once(spec):
     # r = 5 has 10 chords over 2 chart pairs; a lookup hashes two charts
-    caches = (billiard._chord_pair, invariants._chord_factor)
     build_principal(spec, 5, 4)
-    before = [cache.cache_info() for cache in caches]
+    before = billiard._chord_pair.cache_info()
     build_principal(spec, 5, 4)
-    after = [cache.cache_info() for cache in caches]
-    assert [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, before)] == [(2, 0)] * 2
+    after = billiard._chord_pair.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
 
 @pytest.mark.parametrize("degree", range(1, 9))
@@ -860,16 +857,17 @@ def test_chord_powers_are_their_own_jet_powers_bit_for_bit(degree):
     for spec in (updown_spec(), twoarc_spec()):
         top, bottom = charts(spec)
         for cha, chb in ((top, bottom), (bottom, top)):
-            chord_sq, _, root, inverse_power = billiard._chord_pair(cha, chb, degree)
+            chord_sq, cross, root, inverse_power, factor = billiard._chord_pair(cha, chb, degree)
             assert root.coeffs.tobytes() == jet_power(chord_sq, 0.5).coeffs.tobytes()
             assert inverse_power.coeffs.tobytes() == jet_power(chord_sq, -0.75).coeffs.tobytes()
+            want = cross * jet_power(chord_sq, -0.75)
+            assert factor.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def test_cached_chord_jets_are_read_only():
     spec = updown_spec()
     top, bottom = charts(spec)
-    shared = [*billiard._chord_pair(top, bottom, 4), invariants._chord_factor(top, bottom, 4)]
-    for jet in shared:
+    for jet in billiard._chord_pair(top, bottom, 4):
         with pytest.raises(ValueError, match="read-only"):
             jet.coeffs[0] = 1.0
     assert build_principal(spec, 2, 4).amplitude_jets.coeffs.flags.writeable
@@ -877,13 +875,11 @@ def test_cached_chord_jets_are_read_only():
 
 def test_chord_jet_caches_are_bounded():
     # a long run meets a new auxiliary spec at every recovery
-    caches = (billiard._chord_pair, invariants._chord_factor)
     for k in range(100):
         spec = DomainSpec("updown", 2.0, BoundaryArc((1.0, 0.0, -0.2 - 1e-3 * k, 0.05)))
         build_principal(spec, 1, 2)
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
+    info = billiard._chord_pair.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def decouple(j, values, a, L):
     the row's iterates inverted by `_iterate_data`."""
     row = InvariantTable(L, a, "updown", "TopOnly", {(r, j): v for r, v in values.items()})
     iterates, _ = _iterate_data(row, j, a, L)
-    A, B, _, _ = _decouple(j, values, None, iterates, a)
+    A, B, _, _ = _decouple(j, values, None, iterates, a, 2)
     return A, B
 
 
@@ -175,10 +175,11 @@ def test_decouple_pair_choice_is_immaterial():
 
 @pytest.mark.parametrize("a_bad", [0.0, -1.0, 2.0, -2.0])
 def test_decouple_fails_on_exceptional_floquet(a_bad):
+    # at a = +-2 every iterate sits at a symbol pole, so no row is admitted
     values = {1: 1.0 + 0j, 2: 2.0 + 0j, 3: 0.5 + 0j}
     with pytest.raises(ObstructionError) as err:
         decouple(2, values, a_bad, L0)
-    assert err.value.name == "singular-decoupling"
+    assert err.value.name == ("symbol-pole" if abs(a_bad) == 2.0 else "singular-decoupling")
 
 
 def test_decouple_guards():
@@ -221,7 +222,8 @@ def test_recovery_lands_on_the_reflected_representative():
 
 
 def test_zero_table_recovers_flat_data():
-    # read as "updown", whose all-zero short cut this is
+    # read as "updown": its rows past order 1 all vanish, so it reads one
+    # family, as the doubly symmetric class does
     spec = updown_spec((L0 / 2, 0.0, -0.2) + (0.0,) * 8)
     result = recover(as_class(forward_table(spec, 3, 5), "updown"), 5)
     assert result.taylor[2] == pytest.approx(0.4, rel=1e-12)  # -f''(0)
@@ -440,6 +442,42 @@ def test_two_symmetry_starved_of_iterates_raises():
     with pytest.raises(ObstructionError) as err:
         recover(fake, 2)
     assert err.value.name == "symbol-pole"
+
+
+@pytest.mark.parametrize("cls", ["updown", "twoarc-symmetric", "dihedral-3"])
+def test_an_order_with_every_row_at_a_pole_ends_in_symbol_pole(cls):
+    # every iterate is resonant at a = 2 (two-arc) and s = 1 (m = 3): no row
+    # is admitted, in one family or two
+    a = 1.0 if cls == "dihedral-3" else 2.0
+    entries = {(r, j): 1j for r in (1, 2, 3) for j in (1, 2)}
+    with pytest.raises(ObstructionError) as err:
+        recover(InvariantTable(L0, a, cls, "TopOnly", entries), 2)
+    assert err.value.name == "symbol-pole"
+
+
+def test_a_row_whose_factor_vanishes_is_left_out():
+    # at s = 0 the r = 2 triangle iterate has h11 = 0 exactly, so its rows
+    # past order 2 read nothing; r = 1 and r = 3 carry the data
+    L = 3.0
+    sin_t = math.sin(math.pi / 3)
+    taylor = (L / (3 * sin_t), 0.0, -6.0 * sin_t / (8.0 * L), 0.0, -0.09, 0.0, 0.04, 0.0, 0.013)
+    spec = DomainSpec("dihedral", L, BoundaryArc(taylor), m=3)
+    assert dihedral_parameters(spec)[0] == pytest.approx(0.0, abs=1e-15)
+    table = forward_table(spec, 3, 4)
+    assert table.entry(2, 3) == 0.0
+    result = recover(table, 4)
+    for j in range(1, 5):
+        assert result.taylor[2 * j] == pytest.approx(spec.f.derivative(2 * j), rel=1e-10)
+
+
+def test_full_twoarc_symmetric_rows_are_weighted_and_report_cancellation():
+    spec = even_spec()
+    table = forward_table(spec, 3, 4, normalization="FullPrincipal")
+    assert table.symmetry_class == "twoarc-symmetric"
+    result = recover(table, 4)
+    assert worst_rel(result, convex_representative(spec, 8)) <= 1e-9
+    assert sorted(result.cancellation) == [2, 3, 4]
+    assert all(ratio >= 1.0 for ratio in result.cancellation.values())
 
 
 def test_two_symmetry_agrees_with_symmetric_quartic():
