@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 # highest census order accepted; the order-4 census (4186 classes) takes
-# about 11 s, but full mode at j = 5 is not measured yet
+# about 0.15 s, but full mode at j = 5 is not measured yet
 MAX_CENSUS_ORDER = 3
 
 # i**m and i**(-m) without trig roundoff
@@ -195,93 +195,109 @@ def _edge_symmetries(graph: FeynmanGraph) -> int:
     return factor
 
 
-def _self_assignments(v: int, budget: int):
-    """Non-increasing length-v tuples of (loops, stubs) with total <= budget."""
-    pairs = [(l, s) for tot in range(budget + 1) for l in range(tot + 1) for s in [tot - l]]
-    pairs.sort(reverse=True)
+def _vertex_sequences(budget: int):
+    """Records and degrees of every labelling of closed vertices with
+    ``budget`` more edges than vertices, as ``(records, degrees)``: vertex
+    types ((loops, stubs), internal degree) non-increasing, the order the
+    census labels vertices in.
 
-    def rec(idx, remaining, start):
-        if idx == v:
+    A vertex with l loops, s stubs and internal degree d has valence
+    2l + s + d >= 3 and holds l + s + d / 2 edges, so it weighs
+    2(l + s) + d - 2 >= 1 half-edges above its share of the count, and the
+    weights sum to 2 budget.  Some degree tuples have no table
+    (`_realizations`).
+    """
+    top = 2 * budget
+    types = sorted(
+        (((l, s), d), 2 * (l + s) + d - 2)
+        for l in range(budget + 2)
+        for s in range(budget + 2)
+        for d in range(top + 3)
+        if 2 * l + s + d >= 3 and 2 * (l + s) + d - 2 <= top
+    )[::-1]
+
+    def rec(start, room):
+        if room == 0:
             yield ()
             return
-        for p in range(start, len(pairs)):
-            l, s = pairs[p]
-            if l + s > remaining:
-                continue
-            for rest in rec(idx + 1, remaining - l - s, p):
-                yield ((l, s),) + rest
+        for k in range(start, len(types)):
+            vertex, weight = types[k]
+            if weight <= room:
+                for rest in rec(k, room - weight):
+                    yield (vertex,) + rest
 
-    yield from rec(0, budget, 0)
-
-
-def _degree_sequences(needs, records, total):
-    """Degree tuples >= needs summing to total, non-increasing on equal records."""
-
-    def rec(idx, remaining):
-        if idx == len(needs):
-            if remaining == 0:
-                yield ()
-            return
-        lo = needs[idx]
-        hi = remaining - sum(needs[idx + 1 :])
-        for d in range(lo, hi + 1):
-            for rest in rec(idx + 1, remaining - d):
-                if rest and records[idx + 1] == records[idx] and rest[0] > d:
-                    continue
-                yield (d,) + rest
-
-    yield from rec(0, total)
+    for vertices in rec(0, top):
+        yield tuple(record for record, _ in vertices), tuple(d for _, d in vertices)
 
 
-def _realizations(degrees):
-    """All symmetric non-negative integer tables with zero diagonal and the
-    given row sums (labelled loopless multigraphs on this degree sequence)."""
+def _realizations(degrees, runs):
+    """Symmetric non-negative integer tables with zero diagonal and the
+    given row sums (labelled loopless multigraphs on this degree sequence),
+    less most of those that are not orderly (`_orderly_stabilizer`).
+
+    The table is filled row by row, and two transpositions within a run of
+    ``runs`` prune it as it grows; each raises the upper triangle of every
+    table pruned, so no orderly table is lost.  Two columns of one run that
+    agree on every row so far can be swapped without changing those rows,
+    so the current row does not increase from the first to the second.  And
+    when rows u - 1 and u are in one run and their columns agree above row
+    u - 1, swapping them puts row u's tail in row u - 1's place, so row u's
+    tail must not exceed row u - 1's.
+    """
     v = len(degrees)
     res = list(degrees)
     adj = [[0] * v for _ in range(v)]
+    # tie[w]: column w is in column w - 1's run and agrees with it on every
+    # finished row
+    tie = [False] * v
+    start = 0
+    for n in runs:
+        tie[start + 1 : start + n] = [True] * (n - 1)
+        start += n
     out = []
 
-    def rec(u, w):
-        if u == v:
-            out.append(tuple(tuple(row) for row in adj))
+    def finish(u):
+        if u and tie[u] and adj[u][u + 1 :] > adj[u - 1][u + 1 :]:
             return
-        if w == v:
-            if res[u] == 0:
-                rec(u + 1, u + 2)
+        if u == v - 2:
+            out.append(tuple(map(tuple, adj)))
             return
-        if res[u] > sum(res[w:]):
-            return
+        left = res[u + 1 :]
+        # the rows left must still be realizable: none above the rest together
+        if 2 * max(left) <= sum(left):
+            saved = tie[u + 2 :]
+            row = adj[u]
+            for w in range(u + 2, v):
+                tie[w] = tie[w] and row[w] == row[w - 1]
+            fill(u + 1, u + 2, 0, sum(left) - left[0])
+            tie[u + 2 :] = saved
+
+    def fill(u, w, prev, room):
+        # room: the row sums left in columns w and on, at least res[u]
+        room -= res[w]
         top = min(res[u], res[w])
-        for m in range(top, -1, -1):
+        if tie[w] and w > u + 1:
+            top = min(top, prev)
+        for m in range(top, max(res[u] - room, 0) - 1, -1):
             adj[u][w] = adj[w][u] = m
             res[u] -= m
             res[w] -= m
-            rec(u, w + 1)
+            if w + 1 < v:
+                fill(u, w + 1, m, room)
+            else:
+                finish(u)
             res[u] += m
             res[w] += m
         adj[u][w] = adj[w][u] = 0
 
-    rec(0, 1)
+    # a loopless table has these row sums only when their total is even and
+    # none exceeds the others together
+    if sum(degrees) % 2 or 2 * max(degrees, default=0) > sum(degrees):
+        return []
+    if v < 2:
+        return [tuple(map(tuple, adj))]
+    fill(0, 1, 0, sum(res[1:]))
     return out
-
-
-@lru_cache(maxsize=None)
-def _block_relabelings(runs: tuple[int, ...]) -> tuple:
-    """One getter per non-trivial relabeling that permutes vertices only
-    within consecutive runs of the given lengths: applied to the upper
-    triangle of a table (row by row), it returns the relabeled triangle."""
-    v = sum(runs)
-    pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    starts = [sum(runs[:b]) for b in range(len(runs))]
-    blocks = [itertools.permutations(range(s, s + n)) for s, n in zip(starts, runs)]
-    getters = []
-    for parts in itertools.product(*blocks):
-        perm = [u for part in parts for u in part]
-        moved = [index[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in pairs]
-        if moved != list(range(len(pairs))):
-            getters.append(operator.itemgetter(*moved))
-    return tuple(getters)
 
 
 def _runs(records, degrees) -> tuple[int, ...]:
@@ -295,44 +311,182 @@ def _triangle(adj) -> tuple[int, ...]:
     return tuple(adj[i][j] for i in range(v) for j in range(i + 1, v))
 
 
-def _is_orderly(records, degrees: tuple[int, ...], adj) -> bool:
-    """Whether ``adj`` is the one labelling the census keeps of its class.
+class _Larger(Exception):
+    """Some relabeling gives the table a larger upper triangle."""
 
-    The generator fixes the records and the degree tuple, so the labellings
-    it yields of one class are exactly the relabelings that permute
-    vertices of equal (record, degree); they are consecutive.  Of those,
-    the one whose upper triangle is lexicographically largest is kept
-    (orderly generation; Read, Ann. Discrete Math. 2, 1978).
+
+def _orderly_stabilizer(adj, runs: tuple[int, ...]) -> int:
+    """The number of relabelings within ``runs`` that fix ``adj``, or 0 if
+    one of them gives a larger upper triangle.
+
+    A table is orderly, the one labelling the census keeps of its class,
+    when no relabeling that permutes vertices of equal (record, degree)
+    raises its upper triangle, read row by row (orderly generation; Read,
+    Ann. Discrete Math. 2, 1978).  The generator fixes the records and the
+    degree tuple, so those relabelings are the ones it can yield of one
+    class, and they permute within consecutive runs.  Every vertex
+    automorphism is such a relabeling, so the count returned is the vertex
+    part of |Aut|.
+
+    The relabelings are searched a row at a time (`_split`).  A branch that
+    ties every row is an automorphism.  While the search keeps every vertex
+    so far in place, a child that holds one automorphism holds as many as
+    the child that keeps vertex u in place (it is that child's image), so
+    it is not counted leaf by leaf (McKay, Congr. Numer. 30, 1981).
     """
-    flat = _triangle(adj)
-    return all(relabel(flat) <= flat for relabel in _block_relabelings(_runs(records, degrees)))
+    try:
+        return _fixing(adj, _cells(runs), True)
+    except _Larger:
+        return 0
 
 
-@lru_cache(maxsize=None)
+def _cells(runs: tuple[int, ...]) -> list[tuple[int, list[int]]]:
+    """One cell per run: its first position and its candidate vertices."""
+    starts = itertools.accumulate(runs, initial=0)
+    return [(start, list(range(start, start + n))) for start, n in zip(starts, runs)]
+
+
+def _split(row, lo: int, cands: list[int]) -> tuple[tuple, list]:
+    """One cell of a relabeling search, at row u once pi(u) is chosen.
+
+    Position p of the relabeled table takes vertex pi(p); the positions not
+    yet chosen fall in consecutive cells, each with a set of candidate
+    vertices.  Row u of the relabeled triangle reads adj[pi(u)][pi(j)],
+    j > u, so given ``row = adj[pi(u)]`` it is fixed up to the order within
+    each cell, and sorted descending within cells it is the largest row the
+    branch gives; any other order gives a smaller one.  Returns the cell's
+    part of that row, and the cell split by value, each part a
+    ``(first position, candidates)`` cell.
+    """
+    # a stable sort keeps each value's candidates ascending, so a vertex
+    # kept in place stays first in its cell
+    order = sorted(cands, key=row.__getitem__, reverse=True)
+    values = tuple(map(row.__getitem__, order))
+    parts = []
+    for k, y in enumerate(order):
+        if k and values[k] == values[k - 1]:
+            parts[-1][1].append(y)
+        else:
+            parts.append((lo + k, [y]))
+    return values, parts
+
+
+def _fixing(adj, cells, in_place: bool) -> int:
+    """The relabelings below one node of the `_orderly_stabilizer` search
+    that fix ``adj``: ``cells`` holds the positions left, and ``in_place``
+    says that every position so far kept its vertex.  Off that path only
+    whether one exists matters, so it returns at the first.
+
+    Raises:
+        _Larger: if a relabeling below gives a larger upper triangle.
+    """
+    if in_place and all(len(cands) == 1 for _, cands in cells):
+        return 1
+    while cells and len(cells[0][1]) == 1:
+        (u, (x,)), rest = cells[0], cells[1:]
+        cells = _tie(adj, u, x, rest)
+        if cells is None:
+            return 0
+    if not cells:
+        return 1
+    (u, first), rest = cells[0], cells[1:]
+    count = 0
+    for x in first:
+        others = [y for y in first if y != x]
+        refined = _tie(adj, u, x, [(u + 1, others), *rest] if others else rest)
+        if refined is None:
+            continue
+        if in_place and x == u:
+            kept = _fixing(adj, refined, True)
+            count += kept
+        elif _fixing(adj, refined, False):
+            if not in_place:
+                return 1
+            count += kept
+    return count
+
+
+def _tie(adj, u: int, x: int, cells):
+    """The cells split by row u once pi(u) = x (`_split`), or None if every
+    relabeling of the branch gives a smaller row u than ``adj``.
+
+    Raises:
+        _Larger: if one gives a larger row u.
+    """
+    row, want = adj[x], adj[u]
+    refined = []
+    for lo, cands in cells:
+        if len(cands) == 1:
+            have = row[cands[0]]
+            if have != want[lo]:
+                if have > want[lo]:
+                    raise _Larger
+                return None
+            refined.append((lo, cands))
+            continue
+        values, parts = _split(row, lo, cands)
+        target = tuple(want[lo : lo + len(cands)])
+        if values != target:
+            if values > target:
+                raise _Larger
+            return None
+        refined += parts
+    return refined
+
+
+# `_orderly` of each graph met so far; the census enters every class it keeps
+_ORDERLY: dict[FeynmanGraph, tuple[FeynmanGraph, int]] = {}
+
+
 def _orderly(graph: FeynmanGraph) -> tuple[FeynmanGraph, int]:
-    """The labelling `_is_orderly` keeps of the graph's class, and the
-    number of vertex automorphisms.
+    """The labelling the census keeps of the graph's class, and the number
+    of vertex automorphisms, computed once per graph and process
+    (`_largest_relabeling`) unless the census found them first."""
+    found = _ORDERLY.get(graph)
+    if found is None:
+        found = _ORDERLY[graph] = _largest_relabeling(graph)
+    return found
+
+
+def _largest_relabeling(graph: FeynmanGraph) -> tuple[FeynmanGraph, int]:
+    """`_orderly` of a graph in any labelling.
 
     Sorting the closed vertices by (record, internal degree), descending,
     gives the generator's labelling up to relabelings within runs of equal
     (record, degree); the kept one has the largest upper triangle among
-    them.  Every vertex automorphism is such a relabeling, so their number
-    is the size of the stabilizer: the product of the run factorials over
-    the number of distinct triangles.
+    them.  It is built a row at a time: of the relabelings whose rows so far
+    are the largest, each choice of the next vertex gives its largest next
+    row (`_split`), and the choices that give the largest of those go on.
+    The relabelings left at the end all give the kept table, and as many of
+    them exist as fix the sorted table: the vertex automorphisms.
     """
     v, adj = graph.num_closed, graph.edges_between
     degree = [sum(row) for row in adj]
     perm = sorted(range(v), key=lambda u: (graph.closed_vertices[u], degree[u]), reverse=True)
     records = tuple(graph.closed_vertices[p] for p in perm)
-    runs = _runs(records, [degree[p] for p in perm])
-    flat = _triangle([[adj[p][q] for q in perm] for p in perm])
-    # a relabeling that moves no pair (at v = 2, the swap) has no getter
-    images = {flat, *(relabel(flat) for relabel in _block_relabelings(runs))}
+    adj = [[adj[p][q] for q in perm] for p in perm]
+    nodes, rows = [_cells(_runs(records, [degree[p] for p in perm]))], []
+    for u in range(v):
+        best, children = None, []
+        for (_, first), *rest in nodes:
+            for x in first:
+                row, refined = [], []
+                for lo, cands in [(u + 1, [y for y in first if y != x]), *rest]:
+                    if cands:
+                        values, parts = _split(adj[x], lo, cands)
+                        row += values
+                        refined += parts
+                if best is None or row > best:
+                    best, children = row, []
+                if row == best:
+                    children.append(refined)
+        rows.append(best)
+        nodes = children
     table = [[0] * v for _ in range(v)]
-    for (i, j), m in zip(itertools.combinations(range(v), 2), max(images)):
-        table[i][j] = table[j][i] = m
-    stabilizer = math.prod(map(math.factorial, runs)) // len(images)
-    return FeynmanGraph(records, graph.open_loops, tuple(map(tuple, table))), stabilizer
+    for u, row in enumerate(rows):
+        for w, m in enumerate(row, u + 1):
+            table[u][w] = table[w][u] = m
+    return FeynmanGraph(records, graph.open_loops, tuple(map(tuple, table))), len(nodes)
 
 
 def enumerate_graphs(order: int) -> tuple[FeynmanGraph, ...]:
@@ -341,10 +495,10 @@ def enumerate_graphs(order: int) -> tuple[FeynmanGraph, ...]:
 
     Every closed vertex must have valence >= 3; disconnected graphs are
     included.  At order 0 the only class is the empty graph.  Only the
-    canonical table of each class is generated (`_is_orderly`), so no class
-    is relabeled or deduplicated.  Orders up to `MAX_CENSUS_ORDER` finish
-    well under a second; order 4 (4186 classes) takes about 11 s.  The
-    census is built once per process.
+    canonical table of each class is kept (`_orderly_stabilizer`), so no
+    class is relabeled or deduplicated.  Orders up to `MAX_CENSUS_ORDER`
+    take about 14 ms together, cold; order 4 (4186 classes) takes about
+    0.15 s.  The census is built once per process.
 
     Raises:
         ValueError: on a negative order.
@@ -356,23 +510,29 @@ def enumerate_graphs(order: int) -> tuple[FeynmanGraph, ...]:
 def _census(order: int) -> tuple[FeynmanGraph, ...]:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    classes = []
+    keyed = []
     for open_loops in range(order + 1):
-        budget = order - open_loops
-        for v in range(2 * budget + 1):
-            total = budget + v  # loops + stubs + internal edges
-            for recs in _self_assignments(v, total):
-                edge_budget = total - sum(l + s for l, s in recs)
-                if v == 1 and edge_budget > 0:
-                    continue
-                needs = [max(0, 3 - 2 * l - s) for l, s in recs]
-                if sum(needs) > 2 * edge_budget:
-                    continue
-                for degs in _degree_sequences(needs, recs, 2 * edge_budget):
-                    for adj in _realizations(degs):
-                        if _is_orderly(recs, degs, adj):
-                            classes.append(FeynmanGraph(recs, open_loops, adj))
-    return tuple(sorted(classes, key=FeynmanGraph.sort_key))
+        for recs, degs in _vertex_sequences(order - open_loops):
+            for adj, stabilizer in _orderly_tables(degs, _runs(recs, degs)):
+                graph = FeynmanGraph(recs, open_loops, adj)
+                _ORDERLY[graph] = (graph, stabilizer)
+                keyed.append(((len(recs), open_loops, recs, _triangle(adj)), graph))
+    keyed.sort(key=operator.itemgetter(0))
+    return tuple(graph for _, graph in keyed)
+
+
+@lru_cache(maxsize=None)
+def _orderly_tables(degrees: tuple[int, ...], runs: tuple[int, ...]) -> tuple[tuple, ...]:
+    """``(table, vertex |Aut|)`` of every orderly table with these row sums
+    and runs, built once per process.  The records enter only through the
+    runs, so every order and every record tuple with these degrees and runs
+    shares the tables."""
+    found = []
+    for adj in _realizations(degrees, runs):
+        stabilizer = _orderly_stabilizer(adj, runs)
+        if stabilizer:
+            found.append((adj, stabilizer))
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +940,15 @@ def sp_coefficient_diagrams(problem: SPProblem, j: int) -> complex:
 
 
 def _apply_inverse_hessian_operator(jet: MultiJet, h: np.ndarray) -> MultiJet:
-    """One application of the second-order operator sum h[u,v] d_u d_v."""
+    """One application of the second-order operator sum h[u,v] d_u d_v.
+
+    The operator lowers the degree by 2, so the result is kept to degree
+    max(d - 2, 0): the graded basis of that degree is a prefix of the
+    jet's, and every slot past it would be zero.
+    """
     tab = jet._tab()
-    out = np.zeros_like(jet.coeffs)
+    degree = max(jet.max_degree - 2, 0)
+    out = np.zeros(tab.ends[degree], dtype=jet.coeffs.dtype)
     n = jet.num_vars
     for u in range(n):
         for w in range(u, n):
@@ -791,7 +957,7 @@ def _apply_inverse_hessian_operator(jet: MultiJet, h: np.ndarray) -> MultiJet:
                 continue
             src, dst, factor = tab.diff2_table(u, w)
             out[dst] += weight * (factor * jet.coeffs[src])
-    return MultiJet(jet.num_vars, jet.max_degree, out)
+    return MultiJet(jet.num_vars, degree, out)
 
 
 def sp_coefficient_direct(problem: SPProblem, j: int) -> complex:

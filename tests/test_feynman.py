@@ -8,6 +8,7 @@ coefficient routes (operator and diagram) must agree to float precision.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -150,6 +151,80 @@ def test_negative_order_rejected():
         enumerate_graphs(-1)
 
 
+# The census's generators as they were before they pruned, kept here so that
+# the oracle shares no generator with the code it checks.
+
+
+def _all_self_assignments(v, budget):
+    """Non-increasing length-v tuples of (loops, stubs) with total <= budget."""
+    pairs = [(l, s) for tot in range(budget + 1) for l in range(tot + 1) for s in [tot - l]]
+    pairs.sort(reverse=True)
+
+    def rec(idx, remaining, start):
+        if idx == v:
+            yield ()
+            return
+        for p in range(start, len(pairs)):
+            l, s = pairs[p]
+            if l + s > remaining:
+                continue
+            for rest in rec(idx + 1, remaining - l - s, p):
+                yield ((l, s),) + rest
+
+    yield from rec(0, budget, 0)
+
+
+def _all_degree_sequences(needs, records, total):
+    """Degree tuples >= needs summing to total, non-increasing on equal records."""
+
+    def rec(idx, remaining):
+        if idx == len(needs):
+            if remaining == 0:
+                yield ()
+            return
+        lo = needs[idx]
+        hi = remaining - sum(needs[idx + 1 :])
+        for d in range(lo, hi + 1):
+            for rest in rec(idx + 1, remaining - d):
+                if rest and records[idx + 1] == records[idx] and rest[0] > d:
+                    continue
+                yield (d,) + rest
+
+    yield from rec(0, total)
+
+
+def _all_realizations(degrees):
+    """All symmetric non-negative integer tables with zero diagonal and the
+    given row sums."""
+    v = len(degrees)
+    res = list(degrees)
+    adj = [[0] * v for _ in range(v)]
+    out = []
+
+    def rec(u, w):
+        if u == v:
+            out.append(tuple(tuple(row) for row in adj))
+            return
+        if w == v:
+            if res[u] == 0:
+                rec(u + 1, u + 2)
+            return
+        if res[u] > sum(res[w:]):
+            return
+        top = min(res[u], res[w])
+        for m in range(top, -1, -1):
+            adj[u][w] = adj[w][u] = m
+            res[u] -= m
+            res[w] -= m
+            rec(u, w + 1)
+            res[u] += m
+            res[w] += m
+        adj[u][w] = adj[w][u] = 0
+
+    rec(0, 1)
+    return out
+
+
 def _census_by_search(order):
     """The census without the orderly filter: every labelled candidate is
     canonicalized and duplicates are dropped by canonical key."""
@@ -158,15 +233,15 @@ def _census_by_search(order):
         budget = order - open_loops
         for v in range(2 * budget + 1):
             total = budget + v
-            for recs in feynman._self_assignments(v, total):
+            for recs in _all_self_assignments(v, total):
                 edge_budget = total - sum(l + s for l, s in recs)
                 if v == 1 and edge_budget > 0:
                     continue
                 needs = [max(0, 3 - 2 * l - s) for l, s in recs]
                 if sum(needs) > 2 * edge_budget:
                     continue
-                for degs in feynman._degree_sequences(needs, recs, 2 * edge_budget):
-                    for adj in feynman._realizations(degs):
+                for degs in _all_degree_sequences(needs, recs, 2 * edge_budget):
+                    for adj in _all_realizations(degs):
                         g = FeynmanGraph(recs, open_loops, adj)
                         seen.setdefault(g.sort_key(), g.canonical())
     return [seen[k] for k in sorted(seen)]
@@ -180,28 +255,71 @@ def test_census_equals_the_dedupe_by_search_census(order):
     assert [automorphism_order(g) for g in enumerate_graphs(order)] == want
 
 
+# sha256 of repr([(closed_vertices, open_loops, edges_between, |Aut|), ...])
+# over the order-4 census, as the census that filtered every labelled table
+# after generating it (about 11 s) produced it
+ORDER_FOUR_DIGEST = "157b0eb88a3ab9630d1b151d648c33fae18f20221546e4607c77bd64fb519e64"
+
+
+def test_order_four_census_matches_the_unpruned_census():
+    graphs = enumerate_graphs(4)
+    assert len(graphs) == 4186
+    rows = [(g.closed_vertices, g.open_loops, g.edges_between, automorphism_order(g)) for g in graphs]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ORDER_FOUR_DIGEST
+
+
+def _fresh_census(monkeypatch):
+    """Clear every census cache; returns the list that records each call of
+    the orderly pass from then on, as ((table, runs), result), and makes any
+    canonical-form search of a single graph fail."""
+    for cache in (feynman._census, feynman._orderly_tables, feynman._cluster_classes):
+        cache.cache_clear()
+    feynman._ORDERLY.clear()
+    examined = []
+    stabilizer = feynman._orderly_stabilizer
+
+    def counted(adj, runs):
+        examined.append(((adj, runs), stabilizer(adj, runs)))
+        return examined[-1][1]
+
+    def no_search(graph):
+        raise AssertionError(f"canonical form of {graph} searched again")
+
+    monkeypatch.setattr(feynman, "_orderly_stabilizer", counted)
+    monkeypatch.setattr(feynman, "_largest_relabeling", no_search)
+    return examined
+
+
+@pytest.mark.parametrize("order, classes, candidates", [(3, 378, 238), (4, 4186, 2768)])
+def test_census_candidate_counts_frozen(monkeypatch, order, classes, candidates):
+    # pruning pins: the labelled tables a cold census hands to the orderly
+    # pass; checking every labelled table of every record tuple took 1859
+    # at order 3 and 313,194 at order 4
+    examined = _fresh_census(monkeypatch)
+    assert len(enumerate_graphs(order)) == classes
+    assert len(examined) == candidates
+
+
 @pytest.mark.parametrize("order", range(4))
-def test_census_searches_each_class_once(order):
-    # each kept table is canonical already: one canonical-form call per class
-    feynman._census.cache_clear()
-    feynman._orderly.cache_clear()
+def test_census_searches_each_class_once(monkeypatch, order):
+    # the one orderly pass over each kept table gives the class its
+    # canonical form and |Aut|; nothing computes them again
+    examined = _fresh_census(monkeypatch)
     graphs = enumerate_graphs(order)
-    assert feynman._orderly.cache_info().misses == len(graphs)
+    tables = [table for table, _ in examined]
+    assert len(set(tables)) == len(tables)
     assert all(g.canonical() == g for g in graphs)
-    assert feynman._orderly.cache_info().misses == len(graphs)
+    assert all(automorphism_order(g) > 0 for g in graphs)
 
 
-def test_cluster_classes_take_automorphism_counts_from_the_census():
+def test_cluster_classes_take_automorphism_counts_from_the_census(monkeypatch):
     # the census computes the canonical form, and so |Aut|, of each class;
     # the cluster families read it back without computing it again
-    for cache in (feynman._census, feynman._cluster_classes, feynman._orderly):
-        cache.cache_clear()
+    _fresh_census(monkeypatch)
     for order in range(4):
         enumerate_graphs(order)
-    misses = feynman._orderly.cache_info().misses
     for order in range(4):
         feynman._cluster_classes(order)
-    assert feynman._orderly.cache_info().misses == misses
 
 
 def test_orderly_filter_keeps_one_table_per_orbit():
@@ -218,17 +336,23 @@ def test_orderly_filter_keeps_one_table_per_orbit():
         )
         recs = tuple(rec for rec, _ in vertices)
         degs = tuple(deg for _, deg in vertices)
-        tables = feynman._realizations(degs)
+        tables = _all_realizations(degs)
         if not tables:
             continue
         adj = rng.choice(tables)
-        orbit = {
-            tuple(tuple(adj[p][q] for q in perm) for p in perm)
+        perms = [
+            perm
             for perm in itertools.permutations(range(v))
             if all(recs[p] == recs[i] and degs[p] == degs[i] for i, p in enumerate(perm))
-        }
-        kept = [table for table in orbit if feynman._is_orderly(recs, degs, table)]
+        ]
+        orbit = {tuple(tuple(adj[p][q] for q in perm) for p in perm) for perm in perms}
+        runs = feynman._runs(recs, degs)
+        kept = [table for table in orbit if feynman._orderly_stabilizer(table, runs)]
         assert len(kept) == 1, (recs, adj)
+        # the pass counts the relabelings that fix the kept table, and the
+        # pruned generator still yields it
+        assert feynman._orderly_stabilizer(kept[0], runs) == len(perms) // len(orbit)
+        assert kept[0] in feynman._realizations(degs, runs)
         orbit_sizes.append(len(orbit))
     assert sum(size >= 10 for size in orbit_sizes) >= 10
 
@@ -346,6 +470,15 @@ def test_canonical_form_and_automorphisms_match_brute_force():
                 _relabeled(g, perm) == g for perm in itertools.permutations(range(v))
             )
             assert automorphism_order(g) == vertex_perms * _edge_factor(g), g
+
+
+def test_any_labelling_of_an_order_four_class_finds_the_census_form():
+    # the single-graph search agrees with the census's orderly pass
+    rng = random.Random(8)
+    for g in enumerate_graphs(4):
+        v = g.num_closed
+        h = _relabeled(g, rng.sample(range(v), v))
+        assert feynman._largest_relabeling(h) == feynman._orderly(g), g
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +802,37 @@ def test_saddle_signature_prefactor():
     problem = SPProblem.from_phase(phase, MultiJet.constant(1.0, 2, 8))
     assert problem.signature == 0
     assert full_expansion(problem, 9.0, 2) == pytest.approx(2 * np.pi / 9.0, rel=1e-14)
+
+
+def _untruncated_operator(jet, h):
+    """Delta_H as it was before its result dropped the degrees it empties."""
+    tab = jet._tab()
+    out = np.zeros_like(jet.coeffs)
+    for u in range(jet.num_vars):
+        for w in range(u, jet.num_vars):
+            weight = h[u, u] if u == w else 2.0 * h[u, w]
+            if weight == 0.0:
+                continue
+            src, dst, factor = tab.diff2_table(u, w)
+            out[dst] += weight * (factor * jet.coeffs[src])
+    return MultiJet(jet.num_vars, jet.max_degree, out)
+
+
+def test_each_loop_jet_is_the_untruncated_one_truncated():
+    spec = parse_spec(
+        '{"kind": "updown", "L": 2.0, "f": [1.0, 0.0, 0.6, 0.15, -0.2, 0.1, 0.05, -0.12, 0.2]}'
+    )
+    problems = [random_sp_problem(np.random.default_rng(3), 3, deg=9),
+                build_principal(spec, 3, 8).problem()]
+    for problem in problems:
+        h = problem.hessian_inverse
+        for open_vertex in (False, True):
+            full = problem.amplitude if open_vertex else problem.phase_tensors
+            for loops in range(1, 6):
+                full = _untruncated_operator(full, h)
+                jet = problem._loop_jet(open_vertex, loops)
+                assert jet.max_degree == max(full.max_degree - 2 * loops, 0)
+                assert jet.coeffs.tobytes() == full.truncated(jet.max_degree).coeffs.tobytes()
 
 
 def test_routes_agree_on_random_problems():

@@ -593,6 +593,19 @@ def test_full_jobs_past_the_census_are_refused_before_any_census(monkeypatch):
     forward_table(spec, 1, limit + 1)  # TopOnly sums no graphs
 
 
+def test_top_jobs_start_no_census(monkeypatch):
+    # TopOnly weights its closed forms by the |Aut| of three graphs of order
+    # j - 1, order 4 at j = 5, each counted on its own
+    def census(order):
+        raise AssertionError(f"order-{order} census started")
+
+    monkeypatch.setattr(feynman, "_census", census)
+    monkeypatch.setattr(feynman, "_ORDERLY", {})
+    result = recover(forward_table(updown_spec(), 3, 5), 5)
+    assert sorted(result.taylor) == list(range(2, 11))
+    assert max(graph.order for graph in feynman._ORDERLY) == 4
+
+
 def test_full_table_builds_each_iterate_once(monkeypatch):
     # one principal problem per iterate, at degree 2 j_max, serves every order
     spec = updown_spec()
