@@ -645,7 +645,8 @@ class SPProblem:
             raise ValueError("phase gradient does not vanish: not a critical point")
         hess = derivative_tensor(phase, 2).real
         eig = np.linalg.eigvalsh(hess)
-        if np.min(np.abs(eig)) < 1e-12 * max(1.0, np.max(np.abs(eig))):
+        # relative to the largest |eigenvalue|: orbit Hessians scale as 1/L
+        if np.min(np.abs(eig)) <= 1e-12 * np.max(np.abs(eig)):
             raise ValueError("phase Hessian is singular; expansion undefined")
         return SPProblem(
             num_vars=phase.num_vars,

@@ -355,8 +355,8 @@ def parity_sums(h: CirculantHessian) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def stacked_parity_sums(
-    L: float, a: float, b: float, rs
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict[int, ObstructionError]]:
+    L: float, a: float, b: float, rs, s1: bool = True
+) -> tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray], dict[int, ObstructionError]]:
     """`parity_sums` of the iterates ``rs`` of one orbit, in one pass.
 
     theta, the symbol, its pole test, the inverse symbol and the cubes are
@@ -368,9 +368,10 @@ def stacked_parity_sums(
 
     Returns (sums, poles).  ``sums`` stacks (d, S1, S3) of the iterates
     whose symbol is regular, in the order of ``rs``: shapes (R, 2),
-    (R, 2, 2) and (R, 2, 2).  ``poles`` maps every other iterate, in the
-    order of ``rs``, to the ObstructionError("symbol-pole") that
-    `parity_sums` raises for it, naming r and k.
+    (R, 2, 2) and (R, 2, 2); with ``s1`` False, S1 is None and not built
+    (only the forward closed form reads it).  ``poles`` maps every other
+    iterate, in the order of ``rs``, to the ObstructionError("symbol-pole")
+    that `parity_sums` raises for it, naming r and k.
 
     Raises:
         ValueError: L <= 0 or an iterate below 1.
@@ -385,7 +386,7 @@ def stacked_parity_sums(
     poles = {rs[i]: _pole_error(k, _iterate_label(rs[i], a, b)) for i, k in singular.items()}
     admitted = [r for i, r in enumerate(rs) if i not in singular]
     if not admitted:
-        return (np.empty((0, 2)), np.empty((0, 2, 2)), np.empty((0, 2, 2))), poles
+        return (np.empty((0, 2)), np.empty((0, 2, 2)) if s1 else None, np.empty((0, 2, 2))), poles
     ends = np.cumsum(blocks).tolist()
     spectra = [
         np.fft.ifft(inv[end - n:end], axis=0).real for n, end in zip(blocks.tolist(), ends)
@@ -409,11 +410,14 @@ def stacked_parity_sums(
     # the sums over the r blocks, as products with ones: the cheapest
     # reductions here
     ones = np.ones(max(admitted))
-    s1, s3 = [], []
-    for r, lo in zip(admitted, base.tolist()):
-        s1.append(ones[:r] @ rows[lo:lo + 4 * r].reshape(2, r, 2))
-        s3.append(ones[:r] @ cubes[lo:lo + 4 * r].reshape(2, r, 2))
-    return (diagonal, np.array(s1), np.array(s3)), poles
+    starts = base.tolist()
+
+    def block_sums(values):
+        return np.array([
+            ones[:r] @ values[lo:lo + 4 * r].reshape(2, r, 2) for r, lo in zip(admitted, starts)
+        ])
+
+    return (diagonal, block_sums(rows) if s1 else None, block_sums(cubes)), poles
 
 
 def cubic_sum(h: CirculantHessian, method: str = "direct") -> float:
@@ -538,7 +542,7 @@ def decoupling_pair(a: float, r_max: int, L: float = 1.0) -> tuple[int, int, flo
             (`check_rank`) — effectively a bad Floquet parameter.
     """
     rs = range(1, r_max + 1)
-    (diagonal, _, s3), poles = stacked_parity_sums(L, a, a, rs)
+    (diagonal, _, s3), poles = stacked_parity_sums(L, a, a, rs, s1=False)
     admitted = [r for r in rs if r not in poles]
     if len(admitted) < 2:
         raise ObstructionError(

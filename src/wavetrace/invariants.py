@@ -539,30 +539,25 @@ class InvariantTable:
             if not isinstance(data[name], str):
                 raise ValueError(f"table: field {name!r} must be a string, got {data[name]!r}")
         m = dihedral_m(data["class"], "table: field 'class'")
+        # the largest r the class admits: `check_iterate` for the two-arc
+        # classes, `check_bounces` for the m-gon orbit
+        limit = max_iterate(length) if m is None else MAX_BOUNCES // m
         entries = {}
         for i, e in enumerate(data["entries"]):
-            if not isinstance(e, dict):
-                raise ValueError(f"table: entries[{i}] must be an object")
-            for name in ("r", "j", "re", "im"):
-                if name not in e:
-                    raise ValueError(f"table: entries[{i}] missing field {name!r}")
-            for name in ("r", "j"):
-                if isinstance(e[name], bool) or not isinstance(e[name], int):
-                    raise ValueError(f"table: entries[{i}].{name} must be an integer")
-                if e[name] < 1:
-                    raise ValueError(f"table: entries[{i}].{name} must be >= 1")
-            if m is None:
-                check_iterate(e["r"], length, f"table: entries[{i}].r")
-            else:  # dihedral entries carry no A_r (`invariant_dihedral`)
-                check_bounces(m, e["r"], f"table: entries[{i}].r")
-            if (e["r"], e["j"]) in entries:
-                raise ValueError(
-                    f"table: entries[{i}] repeats (r, j) = ({e['r']}, {e['j']})"
-                )
-            entries[(e["r"], e["j"])] = complex(
-                _finite_number(e["re"], f"entries[{i}].re"),
-                _finite_number(e["im"], f"entries[{i}].im"),
-            )
+            if type(e) is dict:
+                r, j, re, im = e.get("r"), e.get("j"), e.get("re"), e.get("im")
+                # the common entry passes every check of `_checked_entry`
+                # in one test
+                if (
+                    type(r) is int and type(j) is int and 1 <= r <= limit and j >= 1
+                    and type(re) is float and type(im) is float
+                    and -math.inf < re < math.inf and -math.inf < im < math.inf
+                    and (r, j) not in entries
+                ):
+                    entries[(r, j)] = complex(re, im)
+                    continue
+            r, j, value = _checked_entry(i, e, length, m, entries)
+            entries[(r, j)] = value
         return InvariantTable(
             length=length,
             floquet_parameter=_finite_number(data["a"], "a"),
@@ -570,6 +565,37 @@ class InvariantTable:
             normalization=data["normalization"],
             entries=entries,
         )
+
+
+def _checked_entry(i: int, e, length: float, m: int | None, entries: dict):
+    """(r, j, value) of entry ``i`` of a table, after every check of
+    `InvariantTable.from_json` in order, for the entries its common case
+    does not pass.
+
+    Raises:
+        ValueError: naming the entry and the field at fault.
+    """
+    if not isinstance(e, dict):
+        raise ValueError(f"table: entries[{i}] must be an object")
+    for name in ("r", "j", "re", "im"):
+        if name not in e:
+            raise ValueError(f"table: entries[{i}] missing field {name!r}")
+    for name in ("r", "j"):
+        if isinstance(e[name], bool) or not isinstance(e[name], int):
+            raise ValueError(f"table: entries[{i}].{name} must be an integer")
+        if e[name] < 1:
+            raise ValueError(f"table: entries[{i}].{name} must be >= 1")
+    if m is None:
+        check_iterate(e["r"], length, f"table: entries[{i}].r")
+    else:  # dihedral entries carry no A_r (`invariant_dihedral`)
+        check_bounces(m, e["r"], f"table: entries[{i}].r")
+    if (e["r"], e["j"]) in entries:
+        raise ValueError(f"table: entries[{i}] repeats (r, j) = ({e['r']}, {e['j']})")
+    value = complex(
+        _finite_number(e["re"], f"entries[{i}].re"),
+        _finite_number(e["im"], f"entries[{i}].im"),
+    )
+    return e["r"], e["j"], value
 
 
 def _json_number(x) -> str:

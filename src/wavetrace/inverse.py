@@ -133,11 +133,14 @@ def _iterate_data(
     """
     rs = sorted({r for (r, j) in table.entries if j <= J})
     if m is None:
-        (diagonal, _, s3), poles = stacked_parity_sums(L, a, a, rs)
+        (diagonal, _, s3), poles = stacked_parity_sums(L, a, a, rs, s1=False)
         admitted = [r for r in rs if r not in poles]
+        # h11 = d[0] and F3 = S3[0, 0] + S3[0, 1] of every iterate at once
+        h11s = diagonal[:, 0].tolist()
+        f3s = (s3[:, 0, 0] + s3[:, 0, 1]).tolist()
         data = {
-            r: (float(diagonal[i, 0]), float(s3[i, 0].sum()), principal_leading_value(r, L))
-            for i, r in enumerate(admitted)
+            r: (h11, f3, principal_leading_value(r, L))
+            for r, h11, f3 in zip(admitted, h11s, f3s)
         }
     else:
         data, poles = {}, []
@@ -276,7 +279,7 @@ def _order_values(
     the already-recovered data and zeros at orders 2j-1, 2j; an iterate
     skipped at a symbol pole gets none, as its Hessian is singular.
     TopOnly tables subtract no remainder and get no scales."""
-    rows = [r for (r, jj) in table.entries if jj == j and r in iterates]
+    rows = [r for r in iterates if (r, j) in table.entries]
     if table.normalization == "TopOnly":
         return {r: table.entry(r, j) for r in rows}, None
     auxiliary = recovered_spec(table.symmetry_class, L, data, 2 * j)

@@ -24,6 +24,9 @@ UPDOWN = {
 }
 
 
+UPDOWN_TABLE = {"L": 2.0, "a": 3.0, "class": "updown", "normalization": "TopOnly"}
+
+
 def write_updown(tmp_path, name="spec.json", payload=UPDOWN):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -108,6 +111,30 @@ def test_forward_names_a_resonant_iterate_in_both_modes(tmp_path, capsys, mode):
     rc = main(["forward", str(spec_file), "--mode", mode, "--r-max", "3", "--j-max", "4"])
     assert rc == 2
     assert "obstruction[symbol-pole]" in capsys.readouterr().err
+
+
+def _readme_tail(L, a):
+    """An updown spec of length L and Floquet datum a = -2 (1 + 2 L c2),
+    with the c3... tail of UPDOWN."""
+    return dict(UPDOWN, L=L, f=[L / 2, 0.0, (-a / 2 - 1) / (2 * L), *UPDOWN["f"][3:]])
+
+
+@pytest.mark.parametrize("mode", ["top", "full"])
+@pytest.mark.parametrize(
+    "L, a, code",
+    [(1e12, 3.0, 0), (1e6, -1 + 5e-8, 0), (1e6, -1 + 5e-11, 2)],
+    ids=["long-orbit", "near-pole", "at-pole"],
+)
+def test_a_long_orbit_ends_alike_in_both_modes(tmp_path, capsys, mode, L, a, code):
+    # the orbit Hessian scales as 1/L: a full-mode problem is refused as
+    # singular relative to its largest eigenvalue, and only the symbol
+    # pole test refuses an iterate near a pole, in both modes
+    spec_file = write_updown(tmp_path, payload=_readme_tail(L, a))
+    rc = main(["forward", str(spec_file), "--mode", mode, "--r-max", "3", "--j-max", "3"])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    if code == 2:
+        assert "obstruction[symbol-pole]" in err
 
 
 @pytest.mark.parametrize("mode", ["top", "full"])
@@ -341,6 +368,15 @@ def test_invert_emits_report_and_spec(tmp_path, capsys):
         ({"L": 2, "a": 1, "class": "updown", "normalization": None,
           "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0}]},
          "table: field 'normalization'"),
+        ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
+          "entries": [{"r": True, "j": 1, "re": 0.5, "im": 0.0}]}, "entries[0].r must be an integer"),
+        ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
+          "entries": [{"r": 1, "j": 1, "re": 0.5, "im": 0.0},
+                      {"r": 1, "j": False, "re": 0.5, "im": 0.0}]}, "entries[1].j must be an integer"),
+        ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
+          "entries": [{"r": 1.0, "j": 1, "re": 0.5, "im": 0.0}]}, "entries[0].r must be an integer"),
+        ({"L": 2, "a": 1, "class": "updown", "normalization": "TopOnly",
+          "entries": [[1, 1, 0.5, 0.0]]}, "entries[0] must be an object"),
     ],
 )
 def test_invert_rejects_a_malformed_table(tmp_path, capsys, payload, named):
@@ -349,6 +385,28 @@ def test_invert_rejects_a_malformed_table(tmp_path, capsys, payload, named):
     assert main(["invert", str(table_file)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: table") and named in err
+
+
+@pytest.mark.parametrize("field", ["re", "im"])
+@pytest.mark.parametrize(
+    "value, fault",
+    [(math.nan, "must be finite, got nan"), (-math.inf, "must be finite, got -inf"),
+     ("0.5", "must be a number, got '0.5'"), (None, "must be a number, got None"),
+     (True, "must be a number, got True")],
+)
+def test_invert_names_an_entry_value_that_is_not_a_finite_number(tmp_path, capsys, field, value, fault):
+    entries = [{"r": 1, "j": 1, "re": 0.5, "im": 0.0}, {"r": 2, "j": 1, "re": 0.5, "im": 0.0}]
+    entries[1][field] = value
+    table_file = tmp_path / "table.json"
+    table_file.write_text(json.dumps(dict(UPDOWN_TABLE, entries=entries)), encoding="utf-8")
+    assert main(["invert", str(table_file)]) == 1
+    assert capsys.readouterr().err == f"error: field 'entries[1].{field}' {fault}\n"
+
+
+def test_integer_entry_values_are_read_as_floats():
+    entries = [{"r": 1, "j": 1, "re": 3, "im": -2}, {"r": 2, "j": 1, "re": 0.5, "im": 0}]
+    table = InvariantTable.from_json(dict(UPDOWN_TABLE, entries=entries))
+    assert table.entries == {(1, 1): complex(3.0, -2.0), (2, 1): complex(0.5, 0.0)}
 
 
 def test_invert_checks_the_census_limit_of_a_full_table(tmp_path, capsys, monkeypatch):

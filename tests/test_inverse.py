@@ -381,9 +381,9 @@ def test_forward_and_recovery_invert_each_iterate_once(monkeypatch, kind):
         modules = (wavetrace.hessian, wavetrace.invariants, wavetrace.inverse)
 
         def counting(inner):
-            def counted(L, a, b, rs):
+            def counted(L, a, b, rs, **options):
                 inverted.extend(rs)
-                return inner(L, a, b, rs)
+                return inner(L, a, b, rs, **options)
             return counted
 
     for module in modules:
@@ -394,6 +394,33 @@ def test_forward_and_recovery_invert_each_iterate_once(monkeypatch, kind):
     result = recover(table, 5)
     assert result.obstructions == ()
     assert sorted(inverted) == list(range(1, 8))
+
+
+def test_recovery_builds_no_row_sums(monkeypatch):
+    # only the forward closed form reads S1; recovery and `decoupling_pair`
+    # read the diagonal and S3, and leave S1 unbuilt
+    import wavetrace.hessian
+    import wavetrace.inverse
+
+    built = []
+
+    def recording(inner):
+        def recorded(*args, **options):
+            sums, poles = inner(*args, **options)
+            built.append(sums[1])
+            return sums, poles
+        return recorded
+
+    for module in (wavetrace.hessian, invariants, wavetrace.inverse):
+        monkeypatch.setattr(
+            module, "stacked_parity_sums", recording(module.stacked_parity_sums)
+        )
+    table = forward_table(updown_spec(), 7, 5)
+    assert built[0].shape == (7, 2, 2)
+    built.clear()
+    recover(table, 5)
+    wavetrace.hessian.decoupling_pair(0.7, 6)
+    assert [sums is None for sums in built] == [True, True]
 
 
 @pytest.mark.parametrize(
