@@ -71,7 +71,6 @@ __all__ = [
     "automorphism_order",
     "enumerate_graphs",
     "full_expansion",
-    "max_derivative_report",
     "oscillatory_quadrature",
     "sp_coefficient_diagrams",
     "sp_coefficient_direct",
@@ -1080,62 +1079,3 @@ def oscillatory_quadrature(
     re = nested(np.real)
     im = nested(np.imag)
     return re[0] + 1j * im[0], re[1] + im[1]
-
-
-# ---------------------------------------------------------------------------
-# top-derivative bookkeeping
-
-
-def max_derivative_report(
-    problem_factory: Callable[[float, float], SPProblem],
-    j: int,
-    shift: float = 1.0,
-    tol: float = 1e-9,
-) -> dict:
-    """Which order-(j-1) graphs feel the two highest boundary derivatives.
-
-    ``problem_factory(even_shift, odd_shift)`` must rebuild the problem with
-    the highest even-order datum (order ``2j``) shifted by ``even_shift`` and
-    the next one (order ``2j - 1``) shifted by ``odd_shift``; all jets must be
-    reassembled from the shifted data.  Graph values are polynomials of degree
-    at most two in either datum, so central differences give exact
-    sensitivities.
-
-    Returns:
-        dict with the graph rows (value and both sensitivities) and the index
-        lists of even and odd carriers.
-    """
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    base = problem_factory(0.0, 0.0)
-    plus_e = problem_factory(shift, 0.0)
-    minus_e = problem_factory(-shift, 0.0)
-    plus_o = problem_factory(0.0, shift)
-    minus_o = problem_factory(0.0, -shift)
-    rows = []
-    for graph in enumerate_graphs(j - 1):
-        value = amplitude(graph, base)
-        sens_even = (amplitude(graph, plus_e) - amplitude(graph, minus_e)) / (2.0 * shift)
-        sens_odd = (amplitude(graph, plus_o) - amplitude(graph, minus_o)) / (2.0 * shift)
-        rows.append(
-            {
-                "graph": graph.to_json(),
-                "value": value,
-                "top_even_sensitivity": sens_even,
-                "top_odd_sensitivity": sens_odd,
-            }
-        )
-    scale_e = max([abs(r["top_even_sensitivity"]) for r in rows] + [1.0])
-    scale_o = max([abs(r["top_odd_sensitivity"]) for r in rows] + [1.0])
-    even_carriers = [
-        i for i, r in enumerate(rows) if abs(r["top_even_sensitivity"]) > tol * scale_e
-    ]
-    odd_carriers = [
-        i for i, r in enumerate(rows) if abs(r["top_odd_sensitivity"]) > tol * scale_o
-    ]
-    return {
-        "order": j - 1,
-        "rows": rows,
-        "even_carriers": even_carriers,
-        "odd_carriers": odd_carriers,
-    }

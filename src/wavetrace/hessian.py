@@ -29,9 +29,9 @@ The top closed form of the invariants and the recovery steps read the
 inverse only through its diagonal and its sums over bounce parities,
 plain and cubed (`parity_sums`); for a = b these give h^11, the row sum
 and the cubic sum F_3(r, a) that controls the decoupling step of the
-inverse spectral algorithm.  A forward table, a recovery and the choice
-of a decoupling pair each need these sums for every iterate of one
-orbit, and get them from one `stacked_parity_sums` pass per job: the
+inverse spectral algorithm.  A forward table and a recovery each need
+these sums for every iterate of one orbit, and get them from one
+`stacked_parity_sums` pass per job: the
 symbol work is one array expression over all iterates, and each value is
 bit-identical to that of its iterate alone.  For a = b the module also
 gives the Chebyshev closed form of the inverse entries.
@@ -49,7 +49,6 @@ from wavetrace.domain import DomainSpec, ObstructionError, kt_parameters
 __all__ = [
     "CirculantHessian",
     "hessian_matrix",
-    "determinant_closed_form",
     "inverse_fourier",
     "inverse_chebyshev",
     "inverse_matrix",
@@ -59,8 +58,6 @@ __all__ = [
     "bad_set",
     "badset_report",
     "check_rank",
-    "decoupling_pair",
-    "dihedral_hessian",
     "dihedral_inverse_entry",
 ]
 
@@ -223,42 +220,22 @@ def _inverse_rows(h: CirculantHessian) -> np.ndarray:
     return -h.L * _cyclic_inverse_rows(diag, h.n, where)
 
 
-def _cyclic_tridiagonal(diagonal: np.ndarray) -> np.ndarray:
-    """Dense cyclic tridiagonal matrix with this diagonal and unit cyclic
-    off-diagonals, [[d_0, 2], [2, d_1]] at size two."""
-    n = len(diagonal)
-    mat = np.zeros((n, n))
-    idx = np.arange(n)
-    mat[idx, idx] = diagonal
-    if n == 2:
-        mat[0, 1] = mat[1, 0] = 2.0
-    else:
-        mat[idx, (idx + 1) % n] += 1.0
-        mat[idx, (idx - 1) % n] += 1.0
-    return mat
-
-
 def hessian_matrix(h: CirculantHessian) -> np.ndarray:
     """Dense 2r x 2r Hessian matrix -(1/L) C(a, b).
 
     At size two the cyclic neighbours coincide and the off-diagonal entry
     doubles: H_2 = -(1/L) [[a, 2], [2, b]].
     """
-    idx = np.arange(h.n)
-    return -_cyclic_tridiagonal(np.where(idx % 2 == 0, h.a, h.b)) / h.L
-
-
-def determinant_closed_form(h: CirculantHessian) -> float:
-    """det H_2r = -L^{-2r} (2 - 2 T_2r(-a/2)); valid for all real a.
-
-    For elliptic parameters T_2r(-a/2) = cos(r * alpha); the same rational
-    expression continues the hyperbolic (cosh) case.
-    """
-    from scipy.special import eval_chebyt
-
-    _require_symmetric(h, "determinant_closed_form")
-    t = float(eval_chebyt(h.n, -h.a / 2.0))
-    return -float(h.L) ** (-h.n) * (2.0 - 2.0 * t)
+    n = h.n
+    mat = np.zeros((n, n))
+    idx = np.arange(n)
+    mat[idx, idx] = np.where(idx % 2 == 0, h.a, h.b)
+    if n == 2:
+        mat[0, 1] = mat[1, 0] = 2.0
+    else:
+        mat[idx, (idx + 1) % n] += 1.0
+        mat[idx, (idx - 1) % n] += 1.0
+    return -mat / h.L
 
 
 def inverse_fourier(h: CirculantHessian, p: int, q: int) -> float:
@@ -524,71 +501,8 @@ def check_rank(rows: np.ndarray, what: str):
         )
 
 
-def decoupling_pair(a: float, r_max: int, L: float = 1.0) -> tuple[int, int, float]:
-    """Pick iterates (r, s) whose decoupling system is best conditioned.
-
-    Maximizes |det [[ (h^11_2r)^2, F_3(r,a) ], [ (h^11_2s)^2, F_3(s,a) ]]|
-    over 1 <= r < s <= r_max, skipping iterates whose symbol has a pole at
-    this ``a``.
-
-    Returns:
-        (r, s, determinant) with the signed determinant of the best pair.
-
-    Raises:
-        ObstructionError("symbol-pole"): every iterate r <= r_max has a
-            pole at this ``a``, as in recovery.
-        ObstructionError("singular-decoupling"): one admissible iterate
-            only, or the best pair's rows fail recovery's rank test
-            (`check_rank`) — effectively a bad Floquet parameter.
-    """
-    rs = range(1, r_max + 1)
-    (diagonal, _, s3), poles = stacked_parity_sums(L, a, a, rs, s1=False)
-    admitted = [r for r in rs if r not in poles]
-    if len(admitted) < 2:
-        raise ObstructionError(
-            "singular-decoupling" if admitted else "symbol-pole",
-            f"{len(admitted)} of the iterates r <= {r_max} clear a symbol pole "
-            f"at a = {a:.12g}: a pair is needed",
-        )
-    rows = {
-        r: (float(diagonal[i, 0]) ** 2, float(s3[i, 0].sum()))
-        for i, r in enumerate(admitted)
-    }
-    best: tuple[int, int, float] | None = None
-    for r in sorted(rows):
-        for s in sorted(rows):
-            if s <= r:
-                continue
-            det = rows[r][0] * rows[s][1] - rows[s][0] * rows[r][1]
-            if best is None or abs(det) > abs(best[2]):
-                best = (r, s, det)
-    check_rank(np.array([rows[best[0]], rows[best[1]]]), f"the best pair's rows at a = {a:.12g}")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # dihedrally symmetric orbits
-
-
-def dihedral_hessian(
-    m: int, r: int, s_param: float, link_length: float
-) -> np.ndarray:
-    """Length Hessian of the r-fold iterated regular m-gon orbit.
-
-    The matrix is (sin^2(pi/m) / link_length) * C(s_param, 1, 0, ..., 0, 1)
-    of size mr, with (s_param, link_length) from
-    `wavetrace.domain.dihedral_parameters` for a boundary with profile f.
-    The overall scale (positive, not -1/link) and the unit off-diagonals
-    are pinned by the jet oracle in the test suite; at m = 2 the matrix
-    coincides with the bouncing-ball Hessian up to conjugation by
-    diag(1, -1, 1, ...), entry signs (-1)^{p+q}.
-    """
-    if m < 2 or r < 1:
-        raise ValueError("need m >= 2 and r >= 1")
-    if link_length <= 0:
-        raise ValueError("link_length must be positive")
-    mat = _cyclic_tridiagonal(np.full(m * r, s_param))
-    return math.sin(math.pi / m) ** 2 / link_length * mat
 
 
 def dihedral_inverse_entry(

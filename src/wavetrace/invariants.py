@@ -12,7 +12,6 @@ together; the recovery pipeline consumes the closed form.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -321,7 +320,7 @@ def contributing_weights(j: int) -> tuple[float, float, float]:
 def _require_two_arc(spec: DomainSpec, op: str):
     if spec.kind == "dihedral":
         raise ValueError(f"{op} handles the two-arc classes; "
-                         "use invariant_dihedral for dihedral specs")
+                         "dihedral tables come from forward_table")
 
 
 def invariant_top(spec: DomainSpec, r: int, j: int) -> complex:
@@ -417,7 +416,7 @@ def invariant_full(spec: DomainSpec, r: int, j: int) -> complex:
         raise ObstructionError(
             "unsupported",
             "invariant_full needs the two-arc principal amplitude; "
-            "dihedral tables use invariant_dihedral",
+            "dihedral tables come from forward_table",
         )
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -426,24 +425,6 @@ def invariant_full(spec: DomainSpec, r: int, j: int) -> complex:
 
 def _full_value(problem: SPProblem, j: int) -> complex:
     return 2.0 * sp_coefficient_diagrams(problem, j - 1)
-
-
-def invariant_dihedral(spec: DomainSpec, r: int, j: int) -> float:
-    """(r, j) invariant of the m-gon orbit of a dihedral domain:
-    m r (h^11)^j f^(2j)(0), with h^11 the diagonal inverse-Hessian entry.
-
-    Raises:
-        ValueError: non-dihedral spec, j < 1, or arc shorter than 2j.
-        ObstructionError("symbol-pole"): singular orbit Hessian.
-    """
-    if spec.kind != "dihedral":
-        raise ValueError("invariant_dihedral requires a dihedral spec")
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    assert spec.m is not None
-    s_param, link = dihedral_parameters(spec)
-    h11 = dihedral_inverse_entry(spec.m, r, s_param, link, 1, 1)
-    return _dihedral_value(spec, r, j, h11)
 
 
 def _dihedral_value(spec: DomainSpec, r: int, j: int, h11: float) -> float:
@@ -587,7 +568,7 @@ def _checked_entry(i: int, e, length: float, m: int | None, entries: dict):
             raise ValueError(f"table: entries[{i}].{name} must be >= 1")
     if m is None:
         check_iterate(e["r"], length, f"table: entries[{i}].r")
-    else:  # dihedral entries carry no A_r (`invariant_dihedral`)
+    else:  # dihedral entries carry no A_r (`forward_table`)
         check_bounces(m, e["r"], f"table: entries[{i}].r")
     if (e["r"], e["j"]) in entries:
         raise ValueError(f"table: entries[{i}] repeats (r, j) = ({e['r']}, {e['j']})")
@@ -730,29 +711,3 @@ def forward_table(
         normalization=normalization,
         entries=entries,
     )
-
-
-def principal_shift_factory(spec: DomainSpec, r: int, j: int):
-    """Factory for `max_derivative_report`: rebuilds the principal
-    problem with the top-arc data f^(2j)(0) and f^(2j-1)(0) shifted.
-
-    The returned callable takes (even_shift, odd_shift) and reassembles
-    every jet from the shifted arc, so finite differences through it see
-    exactly the dependence of the diagram sum on those two data.
-    """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    _require_two_arc(spec, "principal_shift_factory")
-
-    def factory(even_shift: float, odd_shift: float) -> SPProblem:
-        arc = spec.f
-        if even_shift:
-            arc = arc.with_derivative(2 * j, arc.derivative(2 * j) + even_shift)
-        if odd_shift:
-            arc = arc.with_derivative(
-                2 * j - 1, arc.derivative(2 * j - 1) + odd_shift
-            )
-        shifted = dataclasses.replace(spec, f=arc)
-        return build_principal(shifted, r, 2 * j).problem()
-
-    return factory

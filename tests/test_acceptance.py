@@ -16,29 +16,29 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import eval_chebyt
 
 from conftest import EXCEPTIONAL_FLOQUET, random_dihedral_spec, random_mirror_spec
 from wavetrace import checks
 from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError
-from wavetrace.feynman import FeynmanGraph, max_derivative_report
+from wavetrace.feynman import FeynmanGraph, amplitude, enumerate_graphs
 from wavetrace.hessian import (
     CirculantHessian,
     bad_set,
     badset_report,
     cubic_sum,
-    decoupling_pair,
-    determinant_closed_form,
     hessian_matrix,
     inverse_fourier,
     inverse_matrix,
     parity_sums,
+    stacked_parity_sums,
 )
 from wavetrace.invariants import (
+    build_principal,
     contributing_graphs,
     forward_table,
     invariant_full,
     invariant_top,
-    principal_shift_factory,
 )
 from wavetrace.inverse import convex_representative, recover
 
@@ -100,10 +100,9 @@ def test_closed_form_inverse_displays():
             # each inverse row sums to -L/(a+2)
             _, s1, _ = parity_sums(h)
             assert s1[0].sum() == pytest.approx(-L / (a + 2.0), abs=1e-10)
-            # determinant closed form against the dense determinant
-            assert determinant_closed_form(h) == pytest.approx(
-                float(np.linalg.det(hessian_matrix(h))), rel=1e-10
-            )
+            # the dense determinant against det H_2r = -L^-2r (2 - 2 T_2r(-a/2))
+            want = -(L ** (-2 * r)) * (2.0 - 2.0 * float(eval_chebyt(2 * r, -a / 2.0)))
+            assert float(np.linalg.det(hessian_matrix(h))) == pytest.approx(want, rel=1e-10)
 
     # diagonal entry via the cotangent of the rotation angle, elliptic range
     L = 2.1
@@ -226,36 +225,30 @@ def test_sensitivity_coefficients_and_vanishing_rows():
                         assert abs(moved - base) <= 1e-10 * max(abs(base), 1.0)
 
     # the order-one census at j = 2 has five rows; the maximal derivative
-    # rides on exactly two of them and the other three are silent
-    report = max_derivative_report(principal_shift_factory(symmetric, 1, 2), 2)
-    rows = report["rows"]
-    assert len(rows) == 5
+    # f^(4)(0) rides on one of them, f^(3)(0) on two, and the other rows are
+    # silent.  Each graph's value is a polynomial of degree <= 2 in either
+    # datum, so a unit centered step gives its exact sensitivity.
+    graphs = enumerate_graphs(1)
+    assert len(graphs) == 5
 
-    def locate(graph):
-        key = graph.canonical().sort_key()
-        hits = [
-            i
-            for i, row in enumerate(rows)
-            if FeynmanGraph(
-                tuple(tuple(v) for v in row["graph"]["closed_vertices"]),
-                row["graph"]["open_loops"],
-                tuple(tuple(e) for e in row["graph"]["edges_between"]),
-            ).canonical().sort_key()
-            == key
-        ]
-        assert len(hits) == 1
-        return hits[0]
+    def keys(*gs):
+        return {g.canonical().sort_key() for g in gs}
 
+    def values(spec):
+        problem = build_principal(spec, 1, 4).problem()
+        return np.array([amplitude(g, problem) for g in graphs])
+
+    def carriers(sens):
+        return keys(*(g for g, x in zip(graphs, sens) if x > 1e-9 * max(sens.max(), 1.0)))
+
+    even = np.abs(_centered(values, symmetric, "top", 4, delta=1.0))
+    odd = np.abs(_centered(values, symmetric, "top", 3, delta=1.0))
     flower, chain, triple = contributing_graphs(2)
-    silent = [
-        locate(FeynmanGraph((), 1, ())),
-        locate(FeynmanGraph(((1, 1),), 0, ((0,),))),
-        locate(flower),
-    ]
-    assert report["even_carriers"] == [locate(flower)]
-    assert sorted(report["odd_carriers"]) == sorted([locate(chain), locate(triple)])
-    for i in silent:
-        assert abs(rows[i]["top_odd_sensitivity"]) <= 1e-12
+    silent = keys(FeynmanGraph((), 1, ()), FeynmanGraph(((1, 1),), 0, ((0,),)), flower)
+    assert keys(*graphs) == silent | keys(chain, triple)
+    assert carriers(even) == keys(flower)
+    assert carriers(odd) == keys(chain, triple)
+    assert all(x <= 1e-12 for g, x in zip(graphs, odd) if keys(g) <= silent)
 
 
 # 8 -------------------------------------------------------------------------
@@ -331,9 +324,16 @@ def test_decoupling_determinants_and_exceptional_ratios():
         if min(abs(a - b) for b in EXCEPTIONAL_FLOQUET) < 1e-3:
             continue
         drawn += 1
-        r, s, det = decoupling_pair(a, r_max=6)
-        assert r != s and max(r, s) <= 6
-        assert abs(det) > 1e-8
+        # the rows ((h^11)^2, F_3) of the iterates r <= 6 clear of a pole;
+        # some pair of them has a determinant clear of zero
+        (diagonal, _, s3), _ = stacked_parity_sums(1.0, a, a, range(1, 7), s1=False)
+        rows = np.stack((diagonal[:, 0] ** 2, s3[:, 0].sum(axis=1)), axis=1)
+        dets = [
+            rows[i, 0] * rows[k, 1] - rows[k, 0] * rows[i, 1]
+            for i in range(len(rows))
+            for k in range(i + 1, len(rows))
+        ]
+        assert max(map(abs, dets)) > 1e-8
 
     # on the exceptional set the two families are proportional: the ratio
     # is the same for every iterate where the entries exist (at a = 0 the

@@ -28,7 +28,6 @@ from wavetrace.feynman import (
     automorphism_order,
     enumerate_graphs,
     full_expansion,
-    max_derivative_report,
     oscillatory_quadrature,
     sp_coefficient_diagrams,
     sp_coefficient_direct,
@@ -1046,44 +1045,3 @@ def test_quadrature_two_dim_separable():
     )
     assert two_dim == pytest.approx(one_dim**2, rel=1e-6)
 
-
-# ---------------------------------------------------------------------------
-# top-derivative report mechanics
-
-
-def test_max_derivative_report_synthetic_factory():
-    # order j=2: even datum = x^4 coefficient, odd datum = x^3 coefficient.
-    deg = 8
-
-    def factory(even_shift, odd_shift):
-        phase = MultiJet.from_terms(
-            {(2,): 0.5, (3,): (1.0 + odd_shift) / 6.0, (4,): (0.5 + even_shift) / 24.0},
-            1,
-            deg,
-        )
-        amp = MultiJet.from_terms({(0,): 1.0, (1,): 0.4, (2,): -0.3}, 1, deg)
-        return SPProblem.from_phase(phase, amp)
-
-    report = max_derivative_report(factory, 2)
-    assert report["order"] == 1
-    graphs = [row["graph"] for row in report["rows"]]
-
-    def find(g):
-        want = g.canonical().to_json()
-        hits = [
-            i
-            for i, gj in enumerate(graphs)
-            if (gj["closed_vertices"], gj["open_loops"], gj["edges_between"])
-            == (want["closed_vertices"], want["open_loops"], want["edges_between"])
-        ]
-        assert len(hits) == 1
-        return hits[0]
-
-    assert report["even_carriers"] == [find(_flower(2))]
-    # with a generic (non-critical-amplitude) factory all three cubic-vertex
-    # graphs feel the third-order coefficient
-    assert sorted(report["odd_carriers"]) == sorted(
-        [find(STUB_LOOP), find(DUMBBELL), find(THETA)]
-    )
-    with pytest.raises(ValueError, match="j must be >= 1"):
-        max_derivative_report(factory, 0)

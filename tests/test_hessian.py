@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import eval_chebyt
 
 from wavetrace import hessian
 from wavetrace.domain import BoundaryArc, DomainSpec, ObstructionError, dihedral_parameters
@@ -14,10 +15,8 @@ from wavetrace.hessian import (
     CirculantHessian,
     bad_set,
     badset_report,
+    check_rank,
     cubic_sum,
-    decoupling_pair,
-    determinant_closed_form,
-    dihedral_hessian,
     dihedral_inverse_entry,
     hessian_matrix,
     inverse_chebyshev,
@@ -93,11 +92,11 @@ def test_matrix_agrees_with_jet_hessian(r):
 
 @pytest.mark.parametrize("r", range(1, 11))
 def test_determinant_closed_form(r):
+    # det H_2r = -L^{-2r} (2 - 2 T_2r(-a/2)) for all real a
+    L = 1.7
     for a in (1.31, -0.57, 0.83, 3.7, -4.2):  # elliptic and hyperbolic
-        h = _h(r, a, L=1.7)
-        assert np.linalg.det(hessian_matrix(h)) == pytest.approx(
-            determinant_closed_form(h), rel=1e-8
-        )
+        want = -(L ** (-2 * r)) * (2.0 - 2.0 * float(eval_chebyt(2 * r, -a / 2.0)))
+        assert np.linalg.det(hessian_matrix(_h(r, a, L=L))) == pytest.approx(want, rel=1e-8)
 
 
 def test_determinant_elliptic_angle_form():
@@ -105,8 +104,7 @@ def test_determinant_elliptic_angle_form():
     a, L = -1.2, 0.9
     alpha = 2.0 * math.acos(-a / 2.0)
     for r in (1, 2, 3, 5):
-        h = _h(r, a, L=L)
-        assert determinant_closed_form(h) == pytest.approx(
+        assert np.linalg.det(hessian_matrix(_h(r, a, L=L))) == pytest.approx(
             -(L ** (-2 * r)) * (2.0 - 2.0 * math.cos(r * alpha)), rel=1e-12
         )
 
@@ -369,29 +367,37 @@ def test_ratio_constant_on_bad_set():
     assert np.ptp(vals) < 1e-9
 
 
-def test_decoupling_pair():
-    r, s, det = decoupling_pair(1.0, r_max=6)
-    assert 1 <= r < s <= 6
-    assert abs(det) > 1e-8
-    r2, s2, det2 = decoupling_pair(1.0, r_max=6, L=2.0)
-    assert (r2, s2) == (r, s)
-    assert det2 == pytest.approx(2.0**5 * det, rel=1e-9)
+def _decoupling_rows(a, L=1.0):
+    """Rows ((h^11)^2, F_3) of the iterates r <= 6 clear of a symbol pole,
+    from one `stacked_parity_sums` pass, and the iterates at a pole."""
+    (diagonal, _, s3), poles = stacked_parity_sums(L, a, a, range(1, 7), s1=False)
+    return np.stack((diagonal[:, 0] ** 2, s3[:, 0].sum(axis=1)), axis=1), poles
 
 
-def test_decoupling_pair_refuses_by_the_rank_rule_of_recovery():
-    # the rows scale as (L^2, L^3): a short orbit has a tiny determinant but
-    # the same conditioning, and keeps its pair
-    r, s, det = decoupling_pair(1.0, r_max=6)
-    r2, s2, det2 = decoupling_pair(1.0, r_max=6, L=0.01)
-    assert (r2, s2) == (r, s) and abs(det2) < 1e-8
-    assert det2 == pytest.approx(0.01**5 * det, rel=1e-9)
+def test_the_rank_rule_is_relative():
+    # the rows scale as (L^2, L^3): a short orbit's rows are tiny, and pass
+    # because the rule weighs the smallest singular value against the
+    # largest, not against a fixed floor
+    rows, _ = _decoupling_rows(1.0)
+    short, _ = _decoupling_rows(1.0, L=0.01)
+    np.testing.assert_allclose(short, rows * [0.01**2, 0.01**3], rtol=1e-9)
+    assert np.abs(short).max() < 1e-4
+    check_rank(rows, "the rows")
+    check_rank(short, "the short orbit's rows")
 
 
 @pytest.mark.parametrize("a", [-1.0, 0.0, 2.0, -2.0])
 def test_decoupling_fails_on_bad_set(a):
+    # at a = +-2 every iterate sits on a symbol pole; at a = 0 and -1 the
+    # rows of the others are proportional, and the rank rule refuses them
+    rows, poles = _decoupling_rows(a)
+    if abs(a) == 2.0:
+        assert sorted(poles) == list(range(1, 7))
+        return
+    assert len(rows) >= 2
     with pytest.raises(ObstructionError) as err:
-        decoupling_pair(a, r_max=6)
-    assert err.value.name == "singular-decoupling" or err.value.name == "symbol-pole"
+        check_rank(rows, "the bad-set rows")
+    assert err.value.name == "singular-decoupling"
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +432,17 @@ def dihedral_length_hessian_by_jets(spec: DomainSpec, r: int) -> np.ndarray:
     return derivative_tensor(total, 2)
 
 
-@pytest.mark.parametrize("m,r", [(2, 2), (3, 1), (3, 2), (4, 1), (5, 1)])
+def dihedral_inverse(m: int, r: int, s_param: float, ell: float) -> np.ndarray:
+    """Every entry of the inverse dihedral Hessian, by `dihedral_inverse_entry`."""
+    idx = range(1, m * r + 1)
+    return np.array([[dihedral_inverse_entry(m, r, s_param, ell, p, q) for q in idx]
+                     for p in idx])
+
+
+@pytest.mark.parametrize("m,r", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1)])
 def test_dihedral_hessian_matches_jets(m, r):
+    # every entry of the inverse, so the scale (sin^2(pi/m) / link, positive)
+    # and the unit off-diagonals of the circulant are pinned by the jets
     rng = np.random.default_rng(10 * m + r)
     for _ in range(3):
         rho = float(rng.uniform(0.7, 2.0))
@@ -435,10 +450,24 @@ def test_dihedral_hessian_matches_jets(m, r):
         spec = regular_polygon_spec(m, rho, c2)
         s_param, ell = dihedral_parameters(spec)
         np.testing.assert_allclose(
-            dihedral_hessian(m, r, s_param, ell),
-            dihedral_length_hessian_by_jets(spec, r),
-            atol=1e-10,
+            dihedral_inverse(m, r, s_param, ell),
+            np.linalg.inv(dihedral_length_hessian_by_jets(spec, r)),
+            rtol=1e-10,
+            atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("m,r", [(2, 1), (3, 1), (3, 2), (5, 1)])
+def test_dihedral_inverse_entry(m, r):
+    spec = regular_polygon_spec(m, 1.3, -0.45)
+    s_param, ell = dihedral_parameters(spec)
+    inv = np.linalg.inv(dihedral_length_hessian_by_jets(spec, r))
+    n = m * r
+    for p in (1, 2):
+        for q in range(1, n + 1):
+            assert dihedral_inverse_entry(m, r, s_param, ell, p, q) == pytest.approx(
+                inv[p - 1, q - 1], rel=1e-10, abs=1e-12
+            )
 
 
 def test_dihedral_m2_reduces_to_bouncing_ball():
@@ -446,8 +475,8 @@ def test_dihedral_m2_reduces_to_bouncing_ball():
     # Hessians agree up to conjugation by diag(1, -1, ...): |entries| equal
     rho, c2 = 1.1, -0.3
     spec = regular_polygon_spec(2, rho, c2)
-    s_param, ell = dihedral_parameters(spec)
-    di = dihedral_hessian(2, 3, s_param, ell)
+    s_param, _ = dihedral_parameters(spec)
+    di = dihedral_length_hessian_by_jets(spec, 3)
     ud = DomainSpec(kind="updown", L=spec.L, f=BoundaryArc((spec.L / 2, 0.0, c2)))
     bb = hessian_matrix(CirculantHessian.from_spec(ud, 3))
     assert s_param == pytest.approx(-CirculantHessian.from_spec(ud, 3).a)
@@ -455,17 +484,3 @@ def test_dihedral_m2_reduces_to_bouncing_ball():
     np.testing.assert_allclose(np.diag(di), np.diag(bb), atol=1e-12)
     signs = np.array([(-1.0) ** p for p in range(6)])
     np.testing.assert_allclose(di, signs[:, None] * bb * signs[None, :], atol=1e-12)
-
-
-@pytest.mark.parametrize("m,r", [(2, 1), (3, 1), (3, 2), (5, 1)])
-def test_dihedral_inverse_entry(m, r):
-    spec = regular_polygon_spec(m, 1.3, -0.45)
-    s_param, ell = dihedral_parameters(spec)
-    mat = dihedral_hessian(m, r, s_param, ell)
-    inv = np.linalg.inv(mat)
-    n = m * r
-    for p in (1, 2):
-        for q in range(1, n + 1):
-            assert dihedral_inverse_entry(m, r, s_param, ell, p, q) == pytest.approx(
-                inv[p - 1, q - 1], rel=1e-10, abs=1e-12
-            )

@@ -24,7 +24,7 @@ from wavetrace.domain import (
     ObstructionError,
     dihedral_parameters,
 )
-from wavetrace.feynman import FeynmanGraph, automorphism_order, max_derivative_report
+from wavetrace.feynman import FeynmanGraph, amplitude, automorphism_order, enumerate_graphs
 from wavetrace.hessian import (
     CirculantHessian,
     cubic_sum,
@@ -39,12 +39,10 @@ from wavetrace.invariants import (
     contributing_graphs,
     contributing_weights,
     forward_table,
-    invariant_dihedral,
     invariant_full,
     invariant_top,
     max_iterate,
     principal_leading_value,
-    principal_shift_factory,
 )
 from wavetrace.inverse import recover
 from wavetrace.jets import MultiJet, derivative_tensor, extract_partial, jet_power
@@ -354,38 +352,36 @@ def test_dihedral_matches_two_arc_at_m2(j, r):
     w1 = contributing_weights(j)[0]
     factor = 4.0 * w1 * 1j ** (j + 1) * principal_leading_value(r, L)
     lhs = invariant_top(ud, r, j)
-    rhs = factor * invariant_dihedral(di, r, j)
+    rhs = factor * forward_table(di, r, j).entry(r, j)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_dihedral_linearity_and_structure():
     spec = dihedral_spec(3)
     j = 2
-    base = invariant_dihedral(spec, 2, j)
+    base = forward_table(spec, 2, j).entry(2, j)
     moved_spec = dataclasses.replace(
         spec, f=spec.f.with_derivative(2 * j, spec.f.derivative(2 * j) + 1.0)
     )
-    moved = invariant_dihedral(moved_spec, 2, j)
+    moved = forward_table(moved_spec, 2, j).entry(2, j)
     from wavetrace.hessian import dihedral_inverse_entry
 
     s_param, link = dihedral_parameters(spec)
     h11 = dihedral_inverse_entry(3, 2, s_param, link, 1, 1)
     assert moved - base == pytest.approx(3 * 2 * h11**j, rel=1e-12)
     # j = 1 is the bare second derivative against the Hessian diagonal
-    assert invariant_dihedral(spec, 1, 1) == pytest.approx(
+    assert forward_table(spec, 1, 1).entry(1, 1) == pytest.approx(
         3 * dihedral_inverse_entry(3, 1, s_param, link, 1, 1) * spec.f.derivative(2),
         rel=1e-12,
     )
 
 
 def test_dihedral_route_guards():
-    with pytest.raises(ValueError, match="dihedral"):
-        invariant_dihedral(twoarc_spec(), 1, 2)
-    with pytest.raises(ValueError, match="two-arc"):
+    with pytest.raises(ValueError, match="two-arc.*forward_table"):
         invariant_top(dihedral_spec(3), 1, 2)
     with pytest.raises(ObstructionError) as err:
         invariant_full(dihedral_spec(3), 1, 2)
-    assert err.value.name == "unsupported"
+    assert err.value.name == "unsupported" and "forward_table" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -394,41 +390,37 @@ def test_dihedral_route_guards():
 
 @pytest.mark.parametrize("j", [2, 3])
 def test_five_row_table(j):
+    # each order-(j-1) graph value is a polynomial of degree <= 2 in either
+    # top datum, so a unit centered step gives its exact sensitivity
     spec = updown_spec()
-    report = max_derivative_report(principal_shift_factory(spec, 1, j), j)
-    rows = report["rows"]
+    graphs = enumerate_graphs(j - 1)
 
-    def locate(graph):
-        key = graph.canonical().sort_key()
-        hits = [
-            i
-            for i, row in enumerate(rows)
-            if FeynmanGraph(
-                tuple(tuple(v) for v in row["graph"]["closed_vertices"]),
-                row["graph"]["open_loops"],
-                tuple(tuple(e) for e in row["graph"]["edges_between"]),
-            ).canonical().sort_key()
-            == key
-        ]
-        assert len(hits) == 1
-        return hits[0]
+    def keys(*gs):
+        return {g.canonical().sort_key() for g in gs}
 
+    def values(shifted):
+        problem = build_principal(shifted, 1, 2 * j).problem()
+        return np.array([amplitude(g, problem) for g in graphs])
+
+    def carriers(sens):
+        return keys(*(g for g, x in zip(graphs, sens) if x > 1e-9 * max(sens.max(), 1.0)))
+
+    even = np.abs(fd_sensitivity(values, spec, "top", 2 * j, delta=1.0))
+    odd = np.abs(fd_sensitivity(values, spec, "top", 2 * j - 1, delta=1.0))
     flower, chain, triple = contributing_graphs(j)
     open_loops = FeynmanGraph((), j - 1, ())
     stubbed = FeynmanGraph(((j - 1, 1),), 0, ((0,),))
-    idx = {name: locate(g) for name, g in [
-        ("flower", flower), ("chain", chain), ("triple", triple),
-        ("open", open_loops), ("stubbed", stubbed),
-    ]}
+    table = keys(flower, chain, triple, open_loops, stubbed)
+    assert len(table) == 5 and table <= keys(*graphs)
 
     # the even datum lives on the flower alone; the odd one on the two
     # double-vertex graphs; the other three rows of the table are silent
-    assert report["even_carriers"] == [idx["flower"]]
-    assert sorted(report["odd_carriers"]) == sorted([idx["chain"], idx["triple"]])
-    for name in ("open", "flower", "stubbed"):
-        assert abs(rows[idx[name]]["top_odd_sensitivity"]) <= 1e-12
+    assert carriers(even) == keys(flower)
+    assert carriers(odd) == keys(chain, triple)
+    silent = keys(open_loops, flower, stubbed)
+    assert all(x <= 1e-12 for g, x in zip(graphs, odd) if keys(g) <= silent)
     if j == 2:
-        assert len(rows) == 5  # at order one the table is the whole census
+        assert len(graphs) == 5  # at order one the table is the whole census
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +451,9 @@ def test_forward_table_matches_pointwise():
 
     di = forward_table(dihedral_spec(3), 2, 2)
     assert di.symmetry_class == "dihedral-3"
-    assert di.entry(2, 2) == complex(invariant_dihedral(dihedral_spec(3), 2, 2))
+    s_param, link = dihedral_parameters(dihedral_spec(3))
+    h11 = hessian.dihedral_inverse_entry(3, 2, s_param, link, 1, 1)
+    assert di.entry(2, 2) == complex(3 * 2 * h11**2 * dihedral_spec(3).f.derivative(4))
     with pytest.raises(ObstructionError):
         forward_table(dihedral_spec(3), 1, 1, normalization="FullPrincipal")
 

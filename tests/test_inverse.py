@@ -397,8 +397,8 @@ def test_forward_and_recovery_invert_each_iterate_once(monkeypatch, kind):
 
 
 def test_recovery_builds_no_row_sums(monkeypatch):
-    # only the forward closed form reads S1; recovery and `decoupling_pair`
-    # read the diagonal and S3, and leave S1 unbuilt
+    # only the forward closed form reads S1; recovery reads the diagonal and
+    # S3, and leaves S1 unbuilt
     import wavetrace.hessian
     import wavetrace.inverse
 
@@ -419,8 +419,7 @@ def test_recovery_builds_no_row_sums(monkeypatch):
     assert built[0].shape == (7, 2, 2)
     built.clear()
     recover(table, 5)
-    wavetrace.hessian.decoupling_pair(0.7, 6)
-    assert [sums is None for sums in built] == [True, True]
+    assert [sums is None for sums in built] == [True]
 
 
 @pytest.mark.parametrize(
