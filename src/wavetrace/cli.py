@@ -229,7 +229,8 @@ def cmd_graphs(args: argparse.Namespace) -> int:
         )
     catalog = []
     for j in range(1, j_max + 1):
-        # the census computed every |Aut| it lists, so each is a cache lookup
+        # the census counted the vertex automorphisms of each class in the
+        # labelling it lists, so each |Aut| is a table lookup
         graphs = enumerate_graphs(j)
         catalog.append(
             {

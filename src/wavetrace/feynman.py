@@ -13,8 +13,9 @@ and may be loops (at either kind of vertex), parallel bundles between closed
 vertices, or bundles between a closed vertex and the open one ("stubs").
 A graph with ``V`` closed vertices and ``I`` total edges contributes at order
 ``I - V`` in inverse powers of the large parameter, i.e. carries ``k**(V-I)``.
-A class is stored in the one labelling that the census's orderly generation
-keeps (`_orderly`), which also counts its vertex automorphisms.
+A class has one labelling: the orderly table the census generates
+(`_orderly_stabilizer`), whose search also counts the vertex automorphisms.
+`automorphism_order` accepts that labelling alone.
 
 Self-loops are contracted in jet space: a vertex with ``l`` loops and ``m``
 other edge ends enters as the order-``m`` derivative tensor of
@@ -146,19 +147,6 @@ class FeynmanGraph:
         """Inverse power of the large parameter carried by this graph."""
         return self.num_edges - self.num_closed
 
-    # -- normal form -----------------------------------------------------------
-
-    def sort_key(self) -> tuple:
-        """The census order: size, open loops, records and upper triangle
-        of the canonical labelling."""
-        g = self.canonical()
-        return (g.num_closed, g.open_loops, g.closed_vertices, _triangle(g.edges_between))
-
-    def canonical(self) -> "FeynmanGraph":
-        """The labelling the census keeps of this graph's class (`_orderly`);
-        isomorphic graphs share it."""
-        return _orderly(self)[0]
-
     def to_json(self) -> dict:
         """The class as JSON, with its |Aut|."""
         return {
@@ -170,14 +158,29 @@ class FeynmanGraph:
         }
 
 
+@lru_cache(maxsize=None)
 def automorphism_order(graph: FeynmanGraph) -> int:
-    """Order of the automorphism group (the open vertex is kept fixed).
+    """Order of the automorphism group (the open vertex is kept fixed) of a
+    graph in the labelling the census gives its class, computed once per
+    graph and process.
 
-    Counts vertex permutations preserving the labelled structure
-    (`_orderly`), times the internal symmetries of the edge set
-    (`_edge_symmetries`).
+    The vertex part is the count the census's orderly pass found for the
+    table (`_orderly_tables`); the edge part is `_edge_symmetries`.
+
+    Raises:
+        ValueError: if the graph is in any other labelling: its closed
+            vertices are not sorted by (record, internal degree),
+            descending, or its table is not the orderly one.
     """
-    return _orderly(graph)[1] * _edge_symmetries(graph)
+    records = graph.closed_vertices
+    degrees = tuple(map(sum, graph.edges_between))
+    vertices = list(zip(records, degrees))
+    stabilizer = None
+    if vertices == sorted(vertices, reverse=True):
+        stabilizer = _orderly_tables(degrees, _runs(records, degrees)).get(graph.edges_between)
+    if stabilizer is None:
+        raise ValueError(f"{graph} is not in the labelling the census keeps of its class")
+    return stabilizer * _edge_symmetries(graph)
 
 
 def _edge_symmetries(graph: FeynmanGraph) -> int:
@@ -433,69 +436,16 @@ def _tie(adj, u: int, x: int, cells):
     return refined
 
 
-# `_orderly` of each graph met so far; the census enters every class it keeps
-_ORDERLY: dict[FeynmanGraph, tuple[FeynmanGraph, int]] = {}
-
-
-def _orderly(graph: FeynmanGraph) -> tuple[FeynmanGraph, int]:
-    """The labelling the census keeps of the graph's class, and the number
-    of vertex automorphisms, computed once per graph and process
-    (`_largest_relabeling`) unless the census found them first."""
-    found = _ORDERLY.get(graph)
-    if found is None:
-        found = _ORDERLY[graph] = _largest_relabeling(graph)
-    return found
-
-
-def _largest_relabeling(graph: FeynmanGraph) -> tuple[FeynmanGraph, int]:
-    """`_orderly` of a graph in any labelling.
-
-    Sorting the closed vertices by (record, internal degree), descending,
-    gives the generator's labelling up to relabelings within runs of equal
-    (record, degree); the kept one has the largest upper triangle among
-    them.  It is built a row at a time: of the relabelings whose rows so far
-    are the largest, each choice of the next vertex gives its largest next
-    row (`_split`), and the choices that give the largest of those go on.
-    The relabelings left at the end all give the kept table, and as many of
-    them exist as fix the sorted table: the vertex automorphisms.
-    """
-    v, adj = graph.num_closed, graph.edges_between
-    degree = [sum(row) for row in adj]
-    perm = sorted(range(v), key=lambda u: (graph.closed_vertices[u], degree[u]), reverse=True)
-    records = tuple(graph.closed_vertices[p] for p in perm)
-    adj = [[adj[p][q] for q in perm] for p in perm]
-    nodes, rows = [_cells(_runs(records, [degree[p] for p in perm]))], []
-    for u in range(v):
-        best, children = None, []
-        for (_, first), *rest in nodes:
-            for x in first:
-                row, refined = [], []
-                for lo, cands in [(u + 1, [y for y in first if y != x]), *rest]:
-                    if cands:
-                        values, parts = _split(adj[x], lo, cands)
-                        row += values
-                        refined += parts
-                if best is None or row > best:
-                    best, children = row, []
-                if row == best:
-                    children.append(refined)
-        rows.append(best)
-        nodes = children
-    table = [[0] * v for _ in range(v)]
-    for u, row in enumerate(rows):
-        for w, m in enumerate(row, u + 1):
-            table[u][w] = table[w][u] = m
-    return FeynmanGraph(records, graph.open_loops, tuple(map(tuple, table))), len(nodes)
-
-
 def enumerate_graphs(order: int) -> tuple[FeynmanGraph, ...]:
     """All isomorphism classes of contraction graphs at the given order,
-    each in its canonical labelling, ordered by `FeynmanGraph.sort_key`.
+    each in the labelling the census keeps, ordered by size, open loops,
+    records and upper triangle.
 
     Every closed vertex must have valence >= 3; disconnected graphs are
     included.  At order 0 the only class is the empty graph.  Only the
-    canonical table of each class is kept (`_orderly_stabilizer`), so no
-    class is relabeled or deduplicated.  Orders up to `MAX_CENSUS_ORDER`
+    orderly table of each class is kept (`_orderly_stabilizer`), so no
+    class is relabeled or deduplicated, and it is the only labelling that
+    `automorphism_order` accepts.  Orders up to `MAX_CENSUS_ORDER`
     take about 14 ms together, cold; order 4 (4186 classes) takes about
     0.15 s.  The census is built once per process.
 
@@ -512,26 +462,25 @@ def _census(order: int) -> tuple[FeynmanGraph, ...]:
     keyed = []
     for open_loops in range(order + 1):
         for recs, degs in _vertex_sequences(order - open_loops):
-            for adj, stabilizer in _orderly_tables(degs, _runs(recs, degs)):
-                graph = FeynmanGraph(recs, open_loops, adj)
-                _ORDERLY[graph] = (graph, stabilizer)
-                keyed.append(((len(recs), open_loops, recs, _triangle(adj)), graph))
+            for adj in _orderly_tables(degs, _runs(recs, degs)):
+                keyed.append(((len(recs), open_loops, recs, _triangle(adj)),
+                              FeynmanGraph(recs, open_loops, adj)))
     keyed.sort(key=operator.itemgetter(0))
     return tuple(graph for _, graph in keyed)
 
 
 @lru_cache(maxsize=None)
-def _orderly_tables(degrees: tuple[int, ...], runs: tuple[int, ...]) -> tuple[tuple, ...]:
-    """``(table, vertex |Aut|)`` of every orderly table with these row sums
-    and runs, built once per process.  The records enter only through the
-    runs, so every order and every record tuple with these degrees and runs
-    shares the tables."""
-    found = []
+def _orderly_tables(degrees: tuple[int, ...], runs: tuple[int, ...]) -> dict[tuple, int]:
+    """Every orderly table with these row sums and runs, mapped to its
+    vertex |Aut|, built once per process.  The records enter only through
+    the runs, so every order and every record tuple with these degrees and
+    runs shares the tables."""
+    found = {}
     for adj in _realizations(degrees, runs):
         stabilizer = _orderly_stabilizer(adj, runs)
         if stabilizer:
-            found.append((adj, stabilizer))
-    return tuple(found)
+            found[adj] = stabilizer
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,8 @@ def contributing_graphs(
 
     Returns (flower, two-loop-chain, triple-edge): the j-loop flower holds
     the order-2j derivative; the other two hold the order-(2j-1) one and
-    need j >= 2.
+    need j >= 2.  Each is built in the labelling the census keeps of its
+    class, the only one `automorphism_order` accepts.
     """
     if j < 1:
         raise ValueError("j must be >= 1")

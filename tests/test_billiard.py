@@ -21,7 +21,7 @@ from wavetrace.billiard import (
     snell_residual,
     x_from_arclength,
 )
-from wavetrace.domain import BoundaryArc, DomainSpec, dihedral_parameters, floquet, kt_parameters
+from wavetrace.domain import BoundaryArc, DomainSpec, dihedral_parameters, floquet
 from wavetrace.hessian import CirculantHessian, hessian_matrix
 from wavetrace.jets import derivative_tensor
 

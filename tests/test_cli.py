@@ -179,17 +179,17 @@ def test_census_limits_are_checked_before_any_work(tmp_path, capsys, monkeypatch
 
 
 def test_warm_graph_catalog_searches_no_class(capsys, monkeypatch):
-    # the census computes each class's canonical form and |Aut|, so
-    # printing the catalog computes none again
-    def search(graph):
-        raise AssertionError(f"canonical form of {graph} searched again")
+    # the census counts each class's vertex automorphisms, so printing the
+    # catalog searches no table again
+    def search(adj, runs):
+        raise AssertionError(f"table {adj} searched again")
 
-    feynman._census.cache_clear()
-    feynman._ORDERLY.clear()
+    for cache in (feynman._census, feynman._orderly_tables, feynman.automorphism_order):
+        cache.cache_clear()
     limit = feynman.MAX_CENSUS_ORDER
     for order in range(1, limit + 1):
         feynman.enumerate_graphs(order)
-    monkeypatch.setattr(feynman, "_largest_relabeling", search)
+    monkeypatch.setattr(feynman, "_orderly_stabilizer", search)
     assert main(["graphs", "--j-max", str(limit)]) == 0
     catalog = json.loads(capsys.readouterr().out)
     graphs = [g for entry in catalog for g in entry["graphs"]]

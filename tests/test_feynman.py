@@ -32,7 +32,7 @@ from wavetrace.feynman import (
     sp_coefficient_diagrams,
     sp_coefficient_direct,
 )
-from wavetrace.invariants import build_principal
+from wavetrace.invariants import build_principal, contributing_graphs
 from wavetrace.jets import (
     MultiJet,
     derivative_tensor,
@@ -67,9 +67,7 @@ def test_order_zero_census():
 
 def test_order_one_census_is_the_five_known_classes():
     graphs = enumerate_graphs(1)
-    keys = {g.sort_key() for g in graphs}
-    expected = {g.canonical().sort_key() for g in (OPEN_LOOP, STUB_LOOP, _flower(2), DUMBBELL, THETA)}
-    assert keys == expected
+    assert set(graphs) == {OPEN_LOOP, STUB_LOOP, _flower(2), DUMBBELL, THETA}
     auts = sorted(automorphism_order(g) for g in graphs)
     assert auts == [2, 2, 8, 8, 12]
 
@@ -140,9 +138,8 @@ def test_census_counts_frozen():
 
 
 def test_disconnected_graphs_are_included():
-    two_flowers = FeynmanGraph(((2, 0), (2, 0)), 0, ((0, 0), (0, 0))).canonical()
-    keys = {g.sort_key() for g in enumerate_graphs(2)}
-    assert two_flowers.sort_key() in keys
+    two_flowers = FeynmanGraph(((2, 0), (2, 0)), 0, ((0, 0), (0, 0)))
+    assert two_flowers in enumerate_graphs(2)
 
 
 def test_negative_order_rejected():
@@ -225,9 +222,11 @@ def _all_realizations(degrees):
 
 
 def _census_by_search(order):
-    """The census without the orderly filter: every labelled candidate is
-    canonicalized and duplicates are dropped by canonical key."""
-    seen = {}
+    """The census without the orderly filter, as (graph, |Aut|) in census
+    order: each labelled candidate's orbit under relabelings within runs of
+    equal (record, degree) keeps its largest upper triangle, and |Aut| is
+    the relabelings over the orbit size times the edge factor."""
+    found = {}
     for open_loops in range(order + 1):
         budget = order - open_loops
         for v in range(2 * budget + 1):
@@ -240,18 +239,31 @@ def _census_by_search(order):
                 if sum(needs) > 2 * edge_budget:
                     continue
                 for degs in _all_degree_sequences(needs, recs, 2 * edge_budget):
+                    runs = itertools.groupby(range(v), key=lambda u: (recs[u], degs[u]))
+                    cells = [itertools.permutations(run) for _, run in runs]
+                    perms = [sum(p, ()) for p in itertools.product(*cells)]
+                    seen = set()
                     for adj in _all_realizations(degs):
-                        g = FeynmanGraph(recs, open_loops, adj)
-                        seen.setdefault(g.sort_key(), g.canonical())
-    return [seen[k] for k in sorted(seen)]
+                        if adj in seen:
+                            continue
+                        orbit = {tuple(tuple(adj[p][q] for q in perm) for p in perm)
+                                 for perm in perms}
+                        seen |= orbit
+                        best = max(orbit, key=_triangle)
+                        g = FeynmanGraph(recs, open_loops, best)
+                        aut = len(perms) // len(orbit) * _edge_factor(g)
+                        found[(v, open_loops, recs, _triangle(best))] = (g, aut)
+    return [found[k] for k in sorted(found)]
+
+
+def _triangle(adj):
+    return tuple(adj[i][j] for i in range(len(adj)) for j in range(i + 1, len(adj)))
 
 
 @pytest.mark.parametrize("order", range(4))
 def test_census_equals_the_dedupe_by_search_census(order):
-    oracle = _census_by_search(order)
-    assert list(enumerate_graphs(order)) == oracle
-    want = [automorphism_order(g) for g in oracle]
-    assert [automorphism_order(g) for g in enumerate_graphs(order)] == want
+    graphs = enumerate_graphs(order)
+    assert [(g, automorphism_order(g)) for g in graphs] == _census_by_search(order)
 
 
 # sha256 of repr([(closed_vertices, open_loops, edges_between, |Aut|), ...])
@@ -268,12 +280,12 @@ def test_order_four_census_matches_the_unpruned_census():
 
 
 def _fresh_census(monkeypatch):
-    """Clear every census cache; returns the list that records each call of
-    the orderly pass from then on, as ((table, runs), result), and makes any
-    canonical-form search of a single graph fail."""
-    for cache in (feynman._census, feynman._orderly_tables, feynman._cluster_classes):
+    """Clear every census cache and the |Aut| memo; returns the list that
+    records each call of the orderly pass from then on, as ((table, runs),
+    result)."""
+    for cache in (feynman._census, feynman._orderly_tables, feynman._cluster_classes,
+                  automorphism_order):
         cache.cache_clear()
-    feynman._ORDERLY.clear()
     examined = []
     stabilizer = feynman._orderly_stabilizer
 
@@ -281,11 +293,7 @@ def _fresh_census(monkeypatch):
         examined.append(((adj, runs), stabilizer(adj, runs)))
         return examined[-1][1]
 
-    def no_search(graph):
-        raise AssertionError(f"canonical form of {graph} searched again")
-
     monkeypatch.setattr(feynman, "_orderly_stabilizer", counted)
-    monkeypatch.setattr(feynman, "_largest_relabeling", no_search)
     return examined
 
 
@@ -302,23 +310,25 @@ def test_census_candidate_counts_frozen(monkeypatch, order, classes, candidates)
 @pytest.mark.parametrize("order", range(4))
 def test_census_searches_each_class_once(monkeypatch, order):
     # the one orderly pass over each kept table gives the class its
-    # canonical form and |Aut|; nothing computes them again
+    # labelling and vertex |Aut|; nothing searches a table again
     examined = _fresh_census(monkeypatch)
     graphs = enumerate_graphs(order)
     tables = [table for table, _ in examined]
     assert len(set(tables)) == len(tables)
-    assert all(g.canonical() == g for g in graphs)
     assert all(automorphism_order(g) > 0 for g in graphs)
+    assert len(examined) == len(tables)
 
 
 def test_cluster_classes_take_automorphism_counts_from_the_census(monkeypatch):
-    # the census computes the canonical form, and so |Aut|, of each class;
-    # the cluster families read it back without computing it again
-    _fresh_census(monkeypatch)
+    # the census counts the vertex automorphisms of each class; the cluster
+    # families read them back without searching again
+    examined = _fresh_census(monkeypatch)
     for order in range(4):
         enumerate_graphs(order)
+    searched = len(examined)
     for order in range(4):
         feynman._cluster_classes(order)
+    assert len(examined) == searched
 
 
 def test_orderly_filter_keeps_one_table_per_orbit():
@@ -457,27 +467,23 @@ def _relabeled(g, perm):
 
 
 def test_canonical_form_and_automorphisms_match_brute_force():
+    # the census labelling is the only one counted, and any other raises;
+    # the graphs that weight the closed form are built in it (here j <= 11)
     rng = random.Random(5)
-    for j in range(4):
-        for g in enumerate_graphs(j):
-            v = g.num_closed
-            for _ in range(3):
-                h = _relabeled(g, rng.sample(range(v), v))
-                assert h.canonical() == g
-                assert h.sort_key() == g.sort_key()
-            vertex_perms = sum(
-                _relabeled(g, perm) == g for perm in itertools.permutations(range(v))
-            )
-            assert automorphism_order(g) == vertex_perms * _edge_factor(g), g
-
-
-def test_any_labelling_of_an_order_four_class_finds_the_census_form():
-    # the single-graph search agrees with the census's orderly pass
-    rng = random.Random(8)
-    for g in enumerate_graphs(4):
+    census = [g for j in range(4) for g in enumerate_graphs(j)]
+    for g in census:
         v = g.num_closed
-        h = _relabeled(g, rng.sample(range(v), v))
-        assert feynman._largest_relabeling(h) == feynman._orderly(g), g
+        for _ in range(3):
+            h = _relabeled(g, rng.sample(range(v), v))
+            if h != g:
+                with pytest.raises(ValueError, match="labelling the census keeps"):
+                    automorphism_order(h)
+    weighted = [g for j in range(1, 12) for g in contributing_graphs(j) if g is not None]
+    for g in census + weighted:
+        vertex_perms = sum(
+            _relabeled(g, perm) == g for perm in itertools.permutations(range(g.num_closed))
+        )
+        assert automorphism_order(g) == vertex_perms * _edge_factor(g), g
 
 
 # ---------------------------------------------------------------------------

@@ -395,30 +395,27 @@ def test_five_row_table(j):
     spec = updown_spec()
     graphs = enumerate_graphs(j - 1)
 
-    def keys(*gs):
-        return {g.canonical().sort_key() for g in gs}
-
     def values(shifted):
         problem = build_principal(shifted, 1, 2 * j).problem()
         return np.array([amplitude(g, problem) for g in graphs])
 
     def carriers(sens):
-        return keys(*(g for g, x in zip(graphs, sens) if x > 1e-9 * max(sens.max(), 1.0)))
+        return {g for g, x in zip(graphs, sens) if x > 1e-9 * max(sens.max(), 1.0)}
 
     even = np.abs(fd_sensitivity(values, spec, "top", 2 * j, delta=1.0))
     odd = np.abs(fd_sensitivity(values, spec, "top", 2 * j - 1, delta=1.0))
     flower, chain, triple = contributing_graphs(j)
     open_loops = FeynmanGraph((), j - 1, ())
     stubbed = FeynmanGraph(((j - 1, 1),), 0, ((0,),))
-    table = keys(flower, chain, triple, open_loops, stubbed)
-    assert len(table) == 5 and table <= keys(*graphs)
+    table = {flower, chain, triple, open_loops, stubbed}
+    assert len(table) == 5 and table <= set(graphs)
 
     # the even datum lives on the flower alone; the odd one on the two
     # double-vertex graphs; the other three rows of the table are silent
-    assert carriers(even) == keys(flower)
-    assert carriers(odd) == keys(chain, triple)
-    silent = keys(open_loops, flower, stubbed)
-    assert all(x <= 1e-12 for g, x in zip(graphs, odd) if keys(g) <= silent)
+    assert carriers(even) == {flower}
+    assert carriers(odd) == {chain, triple}
+    silent = {open_loops, flower, stubbed}
+    assert all(x <= 1e-12 for g, x in zip(graphs, odd) if g in silent)
     if j == 2:
         assert len(graphs) == 5  # at order one the table is the whole census
 
@@ -589,15 +586,24 @@ def test_full_jobs_past_the_census_are_refused_before_any_census(monkeypatch):
 
 def test_top_jobs_start_no_census(monkeypatch):
     # TopOnly weights its closed forms by the |Aut| of three graphs of order
-    # j - 1, order 4 at j = 5, each counted on its own
+    # j - 1, order 4 at j = 5, each counted from its own table
     def census(order):
         raise AssertionError(f"order-{order} census started")
 
+    counted = []
+    edge_symmetries = feynman._edge_symmetries
+
+    def recorded(graph):
+        counted.append(graph)
+        return edge_symmetries(graph)
+
     monkeypatch.setattr(feynman, "_census", census)
-    monkeypatch.setattr(feynman, "_ORDERLY", {})
+    monkeypatch.setattr(feynman, "_edge_symmetries", recorded)
+    feynman.automorphism_order.cache_clear()
     result = recover(forward_table(updown_spec(), 3, 5), 5)
     assert sorted(result.taylor) == list(range(2, 11))
-    assert max(graph.order for graph in feynman._ORDERLY) == 4
+    assert max(graph.order for graph in counted) == 4
+    assert max(graph.num_closed for graph in counted) <= 2
 
 
 def test_full_table_builds_each_iterate_once(monkeypatch):

@@ -111,3 +111,34 @@ def test_a_name_read_only_by_itself_is_reported():
         "def _private():\n    return used()\n"
     )
     assert _unread({"fake": tree}) == ["wavetrace.fake.lonely"]
+
+
+def _unread_imports(modules: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` of each name a module imports and never reads;
+    ``from __future__`` imports bind no name to read."""
+    unread = []
+    for module, tree in modules.items():
+        nodes = list(ast.walk(tree))
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in nodes:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                local = ((a.asname or a.name).partition(".")[0] for a in node.names)
+                unread += [f"{module}.{name}" for name in local if name not in read]
+    return sorted(unread)
+
+
+def test_every_import_of_the_package_is_read():
+    assert not _unread_imports(_modules())
+
+
+def test_an_unread_import_is_reported():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\nclass A:\n    x: np.ndarray\n"
+    )
+    assert _unread_imports({"fake": tree}) == ["fake.field", "fake.os"]
